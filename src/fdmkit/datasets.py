@@ -10,10 +10,10 @@ feature dimension of a parsed dataset is the largest index seen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Box
 from .problems import QuadraticProblem
@@ -30,19 +30,21 @@ class ParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Sparse row examples with labels.
+    """Row examples, a dense float64 ``(n, d)`` array, with labels.
 
     ``normalized`` records that every row has been scaled to unit Euclidean
     norm (required by the duality-gap analysis of the SVM dual).
     """
 
-    features: sp.csr_matrix
+    features: np.ndarray
     labels: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        self.features = sp.csr_matrix(self.features, dtype=float)
+        self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
+        if self.features.ndim != 2:
+            raise ValueError("features must be a 2-d array of row examples")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length must match the number of examples")
 
@@ -54,32 +56,45 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def dense(self) -> np.ndarray:
-        return self.features.toarray()
-
     def row_norms(self) -> np.ndarray:
-        sq = np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
-        return np.sqrt(sq)
+        # one reduceat segment per row adds the squares in the order of a
+        # CSR row sum, which earlier reports were normalized with
+        n, d = self.features.shape
+        if n == 0 or d == 0:
+            return np.zeros(n)
+        sq = (self.features * self.features).ravel()
+        return np.sqrt(np.add.reduceat(sq, np.arange(0, n * d, d)))
 
     def normalize_rows(self) -> "Dataset":
         """Scale every row to unit norm (rows must be nonzero)."""
         norms = self.row_norms()
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a dataset with zero rows")
-        inv = sp.diags(1.0 / norms)
-        return Dataset(inv @ self.features, self.labels.copy(), normalized=True)
+        scaled = self.features * (1.0 / norms)[:, None]
+        return Dataset(scaled, self.labels.copy(), normalized=True)
 
     def binary_labels_ok(self) -> bool:
         return bool(np.all(np.isin(self.labels, (-1.0, 1.0))))
 
 
+def _parse_float(text: str, lineno: int, column: int, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(lineno, column, f"bad {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(lineno, column, f"non-finite {what} {text!r}")
+    return value
+
+
 def parse_libsvm(path, classification: bool = True) -> Dataset:
-    """Parse a libsvm-format text file into a sparse :class:`Dataset`.
+    """Parse a libsvm-format text file into a :class:`Dataset`.
 
     In classification mode labels must be -1 or +1 (written with or without
     an explicit sign) and the file must contain at least one example.
+    Labels and values must be finite.
     """
-    data, indices, indptr, labels = [], [], [0], []
+    rows, cols, vals, labels = [], [], [], []
     max_index = 0
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -87,10 +102,7 @@ def parse_libsvm(path, classification: bool = True) -> Dataset:
             if not line or line.startswith("#"):
                 continue
             fields = line.split()
-            try:
-                label = float(fields[0])
-            except ValueError:
-                raise ParseError(lineno, 1, f"bad label {fields[0]!r}") from None
+            label = _parse_float(fields[0], lineno, 1, "label")
             prev_index = 0
             for col, field in enumerate(fields[1:], start=2):
                 idx_str, sep, val_str = field.partition(":")
@@ -106,16 +118,12 @@ def parse_libsvm(path, classification: bool = True) -> Dataset:
                     raise ParseError(
                         lineno, col,
                         f"index {idx} not strictly increasing after {prev_index}")
-                try:
-                    val = float(val_str)
-                except ValueError:
-                    raise ParseError(lineno, col, f"bad value {val_str!r}") from None
-                indices.append(idx - 1)
-                data.append(val)
+                rows.append(len(labels))
+                cols.append(idx - 1)
+                vals.append(_parse_float(val_str, lineno, col, "value"))
                 prev_index = idx
                 max_index = max(max_index, idx)
             labels.append(label)
-            indptr.append(len(data))
     n = len(labels)
     if classification:
         if n == 0:
@@ -123,19 +131,18 @@ def parse_libsvm(path, classification: bool = True) -> Dataset:
         bad = [v for v in labels if v not in (-1.0, 1.0)]
         if bad:
             raise ParseError(0, 0, f"classification labels must be -1/+1, got {bad[0]}")
-    mat = sp.csr_matrix((data, indices, indptr), shape=(n, max_index))
-    return Dataset(mat, np.asarray(labels))
+    features = np.zeros((n, max_index))
+    features[rows, cols] = vals
+    return Dataset(features, np.asarray(labels))
 
 
 def write_libsvm(dataset: Dataset, path) -> None:
-    """Write a dataset in libsvm text format with round-trip precision."""
-    mat = dataset.features.tocsr()
+    """Write a dataset's nonzero entries as libsvm text, round-trip precise."""
     with open(path, "w", encoding="ascii") as fh:
-        for r in range(dataset.n):
-            start, end = mat.indptr[r], mat.indptr[r + 1]
-            parts = [f"{dataset.labels[r]:+g}"]
-            for idx, val in zip(mat.indices[start:end], mat.data[start:end]):
-                parts.append(f"{idx + 1}:{val:.17g}")
+        for label, row in zip(dataset.labels, dataset.features):
+            parts = [f"{label:+g}"]
+            for idx in np.flatnonzero(row):
+                parts.append(f"{idx + 1}:{row[idx]:.17g}")
             fh.write(" ".join(parts) + "\n")
 
 
@@ -159,13 +166,13 @@ def gaussian_margin(n: int, d: int, seed: int = 0, margin: float = 0.1) -> Datas
     y = np.where(scores >= 0.0, 1.0, -1.0)
     flip = np.abs(scores) < margin
     y[flip] *= -1.0
-    return Dataset(sp.csr_matrix(A), y)
+    return Dataset(A, y)
 
 
 def correlated_rows(delta: float, d: int = 3, n: int = 4, seed: int = 0) -> Dataset:
     """Feature matrix with two nearly identical rows, A_1 = A_2 + delta e_1.
 
-    Rows of the returned dataset's feature-space matrix (``dataset.dense().T``)
+    Rows of the returned dataset's feature-space matrix (``dataset.features.T``)
     are the near-duplicates; feeding those rows to the Hoffman brute force
     exhibits the 2-row support that forces theta >= sqrt(2)/|delta|.
     """
@@ -177,7 +184,7 @@ def correlated_rows(delta: float, d: int = 3, n: int = 4, seed: int = 0) -> Data
     feat[0] = feat[1].copy()
     feat[0, 0] += delta
     labels = np.where(rng.standard_normal(n) >= 0.0, 1.0, -1.0)
-    return Dataset(sp.csr_matrix(feat.T), labels)
+    return Dataset(feat.T, labels)
 
 
 def diagonal_quadratic(n: int = 5) -> QuadraticProblem:

@@ -42,6 +42,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _require_positive(value, name: str, integer: bool = False) -> None:
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{name} must be a positive {kind}, got {value!r}")
+
+
 def _take(d: dict, allowed: dict, where: str) -> dict:
     """Strict key extraction: rejects unknown keys, fills defaults."""
     if not isinstance(d, dict):
@@ -113,6 +120,18 @@ class ExperimentConfig:
         gap = _take(top["gap"], {
             "enabled": False, "epsilons": [0.1], "n_seeds": 64,
         }, "gap")
+        for name, value, integer in (
+                ("epsilon", top["epsilon"], False),
+                ("workers", top["workers"], True),
+                ("solver.omega", solver["omega"], False),
+                ("solver.record_every", solver["record_every"], True)):
+            if value is not None:
+                _require_positive(value, name, integer)
+        _require_positive(gap["n_seeds"], "gap.n_seeds", integer=True)
+        if not isinstance(gap["epsilons"], (list, tuple)) or not gap["epsilons"]:
+            raise ConfigError("gap.epsilons must be a nonempty list")
+        for eps in gap["epsilons"]:
+            _require_positive(eps, "gap.epsilons entry")
         seeds = top["seeds"]
         if (not isinstance(seeds, (list, tuple)) or len(seeds) == 0
                 or not all(isinstance(s, int) for s in seeds)):
@@ -206,15 +225,15 @@ def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
             warnings.warn(
                 "row normalization disabled: the duality-gap iteration bound "
                 "assumes ||a_i|| <= 1 and may not hold", stacklevel=2)
-        return SvmDualProblem(dataset.dense(), dataset.labels, cfg.problem["lam"])
+        return SvmDualProblem(dataset.features, dataset.labels, cfg.problem["lam"])
     if kind == "erm":
         if cfg.problem["lam"] is None:
             raise ConfigError("erm requires problem.lam")
-        return ErmProblem(dataset.dense(), dataset.labels, cfg.problem["lam"],
+        return ErmProblem(dataset.features, dataset.labels, cfg.problem["lam"],
                           loss=cfg.problem["loss"])
     # lasso: dataset rows are the design matrix, labels the regression target
     q = None if cfg.problem["q"] is None else np.asarray(cfg.problem["q"], float)
-    return LassoBoxProblem(dataset.dense(), dataset.labels, q=q,
+    return LassoBoxProblem(dataset.features, dataset.labels, q=q,
                            l1=cfg.problem["l1"])
 
 
@@ -512,9 +531,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "timing": {"wall_s": time.perf_counter() - t0},
     }
     validate_report(report)
+    # encode before opening, so a value JSON cannot hold leaves no partial file
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     report_path = os.path.join(cfg.output_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return ExperimentResult(report=report, report_path=report_path,
                             trace_paths=trace_paths)

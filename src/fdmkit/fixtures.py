@@ -17,7 +17,7 @@ def svm_dual_toy(n: int = 8, d: int = 10, lam: float = 0.1,
     optimum is unique (the quadratic-growth estimator assumes that).
     """
     ds = gaussian_margin(n, d, seed=seed).normalize_rows()
-    return SvmDualProblem(ds.dense(), ds.labels, lam)
+    return SvmDualProblem(ds.features, ds.labels, lam)
 
 
 def svm_dual_tiny() -> SvmDualProblem:
@@ -79,7 +79,7 @@ def lasso_tiny_solution(p: LassoBoxProblem):
 def erm_logistic(n_features: int = 20, n_points: int = 24, lam: float = 0.1,
                  seed: int = 5) -> ErmProblem:
     ds = gaussian_margin(n_points, n_features, seed=seed)
-    return ErmProblem(ds.dense(), ds.labels, lam, loss="logistic")
+    return ErmProblem(ds.features, ds.labels, lam, loss="logistic")
 
 
 def standard_fixtures() -> dict:

@@ -15,12 +15,21 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import expit
 
 from .geometry import Box, check_weights, _check_vector
 
 SLICE_DERIV_TOL = 1e-12
 SLICE_MAX_ITER = 50
+
+# Largest argument whose exponential is finite.
+_EXP_MAX_ARG = float(np.log(np.finfo(float).max))
+
+
+def expit(x):
+    """Logistic sigmoid ``exp(x) / (1 + exp(x))``; the exponent is capped
+    where ``exp`` would overflow, so very large ``x`` raises no warning."""
+    e = np.exp(np.minimum(x, _EXP_MAX_ARG))
+    return e / (1.0 + e)
 
 
 class SliceMinError(RuntimeError):
@@ -35,29 +44,22 @@ class SliceMinError(RuntimeError):
         )
 
 
-def minimize_slice(deriv, curv, t0: float, lo: float, hi: float,
+def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
                    tol: float = SLICE_DERIV_TOL,
-                   max_iter: int = SLICE_MAX_ITER,
-                   deriv_and_curv=None) -> float:
+                   max_iter: int = SLICE_MAX_ITER) -> float:
     """Minimize a strictly convex differentiable slice over ``[lo, hi]``.
 
-    ``deriv``/``curv`` evaluate the first and second derivative at a point;
-    when both are cheap to obtain together, pass ``deriv_and_curv`` returning
-    the pair and it will be used inside the Newton loop.  Newton steps are
-    safeguarded by bisection on a sign-change bracket, so the iteration
-    cannot leave the bracket even for poorly scaled slices.
+    ``deriv_and_curv(t)`` returns the first and second derivative at ``t``.
+    Newton steps are safeguarded by bisection on a sign-change bracket, so
+    the iteration cannot leave the bracket even for poorly scaled slices.
     """
-    if deriv_and_curv is None:
-        def deriv_and_curv(t):
-            return deriv(t), curv(t)
-
-    if lo > -np.inf and deriv(lo) >= 0.0:
+    if lo > -np.inf and deriv_and_curv(lo)[0] >= 0.0:
         return lo
-    if hi < np.inf and deriv(hi) <= 0.0:
+    if hi < np.inf and deriv_and_curv(hi)[0] <= 0.0:
         return hi
 
     t = min(max(t0, lo), hi)
-    d0 = deriv(t)
+    d0 = deriv_and_curv(t)[0]
     if abs(d0) <= tol:
         return t
 
@@ -69,7 +71,7 @@ def minimize_slice(deriv, curv, t0: float, lo: float, hi: float,
         a = t
         for _ in range(200):
             a = max(lo, a - step)
-            da = deriv(a)
+            da = deriv_and_curv(a)[0]
             if da <= 0.0:
                 break
             step *= 2.0
@@ -80,7 +82,7 @@ def minimize_slice(deriv, curv, t0: float, lo: float, hi: float,
         b = t
         for _ in range(200):
             b = min(hi, b + step)
-            db = deriv(b)
+            db = deriv_and_curv(b)[0]
             if db >= 0.0:
                 break
             step *= 2.0
@@ -200,6 +202,13 @@ class Problem(ABC):
         return X
 
 
+def _require_finite(**arrays) -> None:
+    """Reject problem data that has NaN or infinite entries."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} has non-finite entries")
+
+
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise inner products of two equally shaped 2-d arrays."""
     return np.einsum("ij,ij->i", A, B)
@@ -226,6 +235,7 @@ class QuadraticProblem(Problem):
         n = c.shape[0]
         if H.shape != (n, n):
             raise ValueError(f"hessian shape {H.shape} does not match linear term {n}")
+        _require_finite(hessian=H, linear=c)
         if not np.allclose(H, H.T, atol=1e-12):
             raise ValueError("hessian must be symmetric")
         d = np.diag(H)
@@ -320,6 +330,7 @@ class SvmDualProblem(Problem):
         if A.ndim != 2:
             raise ValueError("features must be a 2-d array of row examples")
         y = _check_vector(labels, A.shape[0], "labels")
+        _require_finite(features=A, labels=y)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         if lam <= 0:
@@ -447,12 +458,14 @@ class _Logistic:
 
     @staticmethod
     def deriv(u, y):
-        return -y * expit(-y * u)
+        ny = -y
+        return ny * expit(ny * u)
 
     @staticmethod
     def deriv_pair(u, y):
-        s = expit(-y * u)
-        return -y * s, s * (1.0 - s)  # curvature sigma(m) sigma(-m) <= 1/4
+        ny = -y
+        s = expit(ny * u)
+        return ny * s, s * (1.0 - s)  # curvature sigma(m) sigma(-m) <= 1/4
 
 
 class _Squared:
@@ -513,6 +526,7 @@ class ErmProblem(Problem):
         if A.ndim != 2:
             raise ValueError("points must be a 2-d array of row examples")
         y = _check_vector(labels, A.shape[0], "labels")
+        _require_finite(points=A, labels=y)
         if loss not in _LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(_LOSSES)}")
         if loss in ("logistic", "squared_hinge") and not np.all(np.isin(y, (-1.0, 1.0))):
@@ -617,21 +631,12 @@ class ErmState(ProblemState):
         col_sq = p._points_sq[:, i]
         y, inv_n, lam = p.labels, 1.0 / p.n_points, p.lam
 
-        def deriv(t):
-            d1 = p._lo.deriv(self.u + (t - xi) * col, y)
-            return float(d1 @ col) * inv_n + lam * t
-
-        def curv(t):
-            _, d2 = p._lo.deriv_pair(self.u + (t - xi) * col, y)
-            return float(d2 @ col_sq) * inv_n + lam
-
         def deriv_and_curv(t):
             d1, d2 = p._lo.deriv_pair(self.u + (t - xi) * col, y)
             return (float(d1 @ col) * inv_n + lam * t,
                     float(d2 @ col_sq) * inv_n + lam)
 
-        return minimize_slice(deriv, curv, xi, -np.inf, np.inf,
-                              deriv_and_curv=deriv_and_curv)
+        return minimize_slice(deriv_and_curv, xi, -np.inf, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +685,7 @@ class LassoBoxProblem(Problem):
         self.design = A.copy()
         self.d_orig = d
         self.q = np.zeros(d) if q is None else _check_vector(q, d, "q")
+        _require_finite(design=A, q=self.q)
         self.l1 = float(l1)
         custom = [h_value, h_grad, h_curv]
         if any(fn is not None for fn in custom):
@@ -690,6 +696,7 @@ class LassoBoxProblem(Problem):
             self._h_quadratic = False
         else:
             b = np.zeros(m) if target is None else _check_vector(target, m, "target")
+            _require_finite(target=b)
             self.target = b.copy()
             self._custom_h = None
             self._h_quadratic = True
@@ -775,7 +782,7 @@ class LassoBoxProblem(Problem):
 
 
 class LassoState(ProblemState):
-    __slots__ = ("p", "x", "u")
+    __slots__ = ("p", "x", "u", "_r")
 
     def __init__(self, p: LassoBoxProblem, x: np.ndarray):
         self.p = p
@@ -785,6 +792,13 @@ class LassoState(ProblemState):
         self.x = x
         xp, xm = self.p._split(x)
         self.u = self.p.design @ (xp - xm)
+        self._r = None
+
+    def _h_grad(self) -> np.ndarray:
+        """Gradient of h at ``u``, cached until ``u`` changes."""
+        if self._r is None:
+            self._r = self.p._h_grad(self.u)
+        return self._r
 
     def _col(self, i: int):
         if i < self.p.d_orig:
@@ -798,11 +812,11 @@ class LassoState(ProblemState):
 
     def coord_grad(self, i: int) -> float:
         j, sign = self._col(i)
-        r = self.p._h_grad(self.u)
+        r = self._h_grad()
         return float(sign * (self.p.design[:, j] @ r + self.p.q[j]) + self.p.l1)
 
     def gradient(self) -> np.ndarray:
-        r = self.p._h_grad(self.u)
+        r = self._h_grad()
         g = self.p.design.T @ r + self.p.q
         return np.concatenate([g + self.p.l1, -g + self.p.l1])
 
@@ -813,6 +827,7 @@ class LassoState(ProblemState):
         j, sign = self._col(i)
         self.u += sign * delta * self.p.design[:, j]
         self.x[i] = new
+        self._r = None
 
     def exact_coord_min(self, i: int) -> float:
         p = self.p
@@ -825,15 +840,12 @@ class LassoState(ProblemState):
             return max(t, 0.0)
         col = sign * p.design[:, j]
 
-        def deriv(t):
-            r = p._h_grad(self.u + (t - xi) * col)
-            return float(col @ r + sign * p.q[j] + p.l1)
+        def deriv_and_curv(t):
+            u = self.u + (t - xi) * col
+            return (float(col @ p._h_grad(u) + sign * p.q[j] + p.l1),
+                    float(p._h_curv(u) @ (col * col)))
 
-        def curv(t):
-            c = p._h_curv(self.u + (t - xi) * col)
-            return float(c @ (col * col))
-
-        return minimize_slice(deriv, curv, xi, 0.0, np.inf)
+        return minimize_slice(deriv_and_curv, xi, 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------

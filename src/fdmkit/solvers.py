@@ -11,14 +11,15 @@ often the trace snapshots full iterates.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Box, check_weights
+from .geometry import check_weights
 from .problems import Problem, ProblemState, global_lipschitz_bound
 
 OPTION_I = "I"
@@ -29,14 +30,18 @@ _SNAPSHOT_BLOCK_ELEMS = 1 << 20
 
 
 class DivergenceError(RuntimeError):
-    """Projected gradient increased the objective on consecutive iterations."""
+    """The objective became NaN or infinite at iteration ``k``, or projected
+    gradient increased it on consecutive iterations."""
 
-    def __init__(self, k: int, f_values):
+    def __init__(self, k: int, f_values, reason: Optional[str] = None):
         self.k = k
-        self.f_values = list(f_values)
-        super().__init__(
-            f"objective increased at iterations {k - 1} and {k}: {self.f_values}"
-        )
+        self.f_values = [float(v) for v in f_values]
+        self.reason = reason or f"objective increased at iterations {k - 1} and {k}"
+        super().__init__(f"{self.reason}: {self.f_values}")
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments when sent across processes
+        return type(self), (self.k, self.f_values, self.reason)
 
 
 @dataclass
@@ -148,9 +153,8 @@ class Trace:
         self._n_snap = 0
         self._snapshot(0, x0)
         self._k = 0
-        self._finalized = False
 
-    # -- recording (used by the runners) ------------------------------------
+    # -- recording (used by the solver driver) ------------------------------
 
     def _snapshot(self, k: int, x: np.ndarray) -> None:
         m = self._n_snap
@@ -164,11 +168,9 @@ class Trace:
         self._snap_x[m] = x
         self._n_snap = m + 1
 
-    def _record_f0(self, f0: float) -> None:
-        self._f[0] = f0
-
     def _append(self, i: int, new_value: float, f_next: float, disp: float,
-                omega: float, x_next: Optional[np.ndarray], t: float) -> None:
+                omega: float, t: float, x_next: np.ndarray) -> None:
+        """Record one iteration; snapshot ``x_next`` at every record point."""
         k = self._k
         self._coords[k] = i
         self._new_values[k] = new_value
@@ -176,16 +178,9 @@ class Trace:
         self._disp[k] = disp
         self._omegas[k] = omega
         self._times[k + 1] = t
-        self._k = k + 1
-        if x_next is not None:
-            self._snapshot(self._k, x_next)
-
-    def _append_coord(self, i: int, new_value: float, f_next: float,
-                      disp: float, omega: float, t: float,
-                      x: Optional[np.ndarray]) -> None:
-        self._append(i, new_value, f_next, disp, omega, None, t)
-        if x is not None and self._k % self.record_every == 0:
-            self._snapshot(self._k, x)
+        self._k = k = k + 1
+        if k % self.record_every == 0:
+            self._snapshot(k, x_next)
 
     def _finalize(self, x_final: np.ndarray, stop_reason: str,
                   wall_time: float) -> None:
@@ -204,7 +199,6 @@ class Trace:
         self._snap_x = self._snap_x[:m].copy()
         self.stop_reason = stop_reason
         self.wall_time_s = wall_time
-        self._finalized = True
 
     # -- read access ---------------------------------------------------------
 
@@ -298,19 +292,13 @@ class Trace:
         f_values = np.asarray(f_values, dtype=float)
         if f_values.ndim != 1 or f_values.shape[0] < 1:
             raise ValueError("need a 1-d, nonempty objective sequence")
+        k = f_values.shape[0] - 1
         tr = cls(np.zeros(1), np.ones(1), "synthetic", None, seed,
-                 record_every=1, capacity=0)
-        tr._f = f_values.copy()
-        tr._k = f_values.shape[0] - 1
-        tr._coords = np.full(tr._k, -1, dtype=np.int64)
-        tr._new_values = np.full(tr._k, np.nan)
-        tr._disp = np.full(tr._k, np.nan)
-        tr._omegas = np.full(tr._k, np.nan)
-        tr._times = np.zeros(tr._k + 1)
+                 record_every=1, capacity=k)
+        tr._f[:] = f_values
+        tr._k = k
         tr._n_snap = 0
-        tr._snap_ks = tr._snap_ks[:0]
-        tr._snap_x = tr._snap_x[:0]
-        tr._finalized = True
+        tr._snap_ks, tr._snap_x = np.empty(0, dtype=np.int64), np.empty((0, 1))
         return tr
 
 
@@ -340,12 +328,60 @@ def scdm_step_option2(p: Problem, x, i: int, omega: float, w) -> np.ndarray:
 # runners
 
 
-def _maybe_gap(p: Problem, state: ProblemState) -> Optional[float]:
-    if hasattr(state, "duality_gap"):
-        return state.duality_gap()
-    if hasattr(p, "duality_gap"):
-        return p.duality_gap(state.x)
-    return None
+def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
+           option: Optional[str] = None, omega=(lambda k: 1.0, 1.0),
+           record_every: int = 1, pass_len: int = 1,
+           abort_on_increase: bool = False) -> Trace:
+    """The feasible-descent loop shared by every method.
+
+    ``step(state, k, omega_k)`` moves ``state`` to iterate k+1 and returns
+    ``(i, new_value, disp_w_sq)``, ``i = -1`` for a full-vector step.
+    ``omega`` is the (schedule, floor) pair; the stall window defaults to
+    one pass of ``pass_len`` iterations.
+    """
+    omega_of, omega_bar = omega
+    x0 = cfg.resolve_x0(p)
+    gap_every = cfg.gap_every or record_every
+    stall_window = cfg.stall_window or pass_len
+    state = p.start_state(x0)
+    gap_of = getattr(state, "duality_gap", None) if cfg.gap_tol else None
+    trace = Trace(x0, w, method, option, cfg.seed, record_every, cfg.max_iters)
+    f = trace._f
+    f[0] = state.objective()
+    if not math.isfinite(f[0]):
+        raise DivergenceError(0, f[:1], "objective is not finite at the start")
+    ulps = 32.0 * np.finfo(float).eps
+    t_start = time.perf_counter()
+    stop = "budget"
+    increases = 0
+    for k in range(cfg.max_iters):
+        omega_k = omega_of(k)
+        if omega_k < omega_bar:
+            raise ValueError(f"omega schedule dropped below its floor at k={k}")
+        i, new, disp = step(state, k, omega_k)
+        f_next = state.objective()
+        kk = k + 1
+        if not math.isfinite(f_next):
+            raise DivergenceError(kk, [f[k], f_next],
+                                  f"objective is not finite at iteration {kk}")
+        # increases above a few ulps of f signal a bad step size
+        rising = abort_on_increase and f_next > f[k] + ulps * max(1.0, abs(f[k]))
+        increases = increases + 1 if rising else 0
+        if increases >= 2:
+            raise DivergenceError(kk, f[max(0, k - 1):kk].tolist() + [f_next])
+        trace._append(i, new, f_next, disp, omega_k,
+                      time.perf_counter() - t_start, state.x)
+        if gap_of is not None and kk % gap_every == 0:
+            gap = trace.gaps[kk] = gap_of()
+            if gap <= cfg.gap_tol:
+                stop = "gap"
+                break
+        if cfg.stall_tol is not None and kk >= stall_window:
+            if f[kk - stall_window] - f[kk] <= cfg.stall_tol:
+                stop = "stall"
+                break
+    trace._finalize(state.x, stop, time.perf_counter() - t_start)
+    return trace
 
 
 def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
@@ -368,47 +404,22 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
                 "zero-correction rate guarantee no longer apply",
                 stacklevel=2,
             )
-    x0 = cfg.resolve_x0(p)
-    record_every = cfg.record_every or p.n
-    gap_every = cfg.gap_every or record_every
-    stall_window = cfg.stall_window or p.n
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.integers(p.n, size=cfg.max_iters) if cfg.max_iters else []
-    state = p.start_state(x0)
-    trace = Trace(x0, w, "scdm", option, cfg.seed, record_every, cfg.max_iters)
-    trace._record_f0(state.objective())
-    t_start = time.perf_counter()
-    stop = "budget"
-    for k in range(cfg.max_iters):
+
+    def step(state: ProblemState, k: int, omega_k: float):
         i = int(draws[k])
-        omega_k = omega_of(k)
-        if omega_k < omega_bar:
-            raise ValueError(f"omega schedule dropped below its floor at k={k}")
         old = float(state.x[i])
         if option == OPTION_I:
             new = state.exact_coord_min(i)
         else:
-            g = state.coord_grad(i)
-            new = p.box.clip_coord(old - (omega_k / w[i]) * g, i)
+            new = p.box.clip_coord(old - (omega_k / w[i]) * state.coord_grad(i), i)
         state.set_coord(i, new)
         delta = new - old
-        disp = w[i] * delta * delta
-        trace._append_coord(i, new, state.objective(), disp, omega_k,
-                            time.perf_counter() - t_start, state.x)
-        kk = k + 1
-        if cfg.gap_tol is not None and kk % gap_every == 0:
-            gap = _maybe_gap(p, state)
-            if gap is not None:
-                trace.gaps[kk] = gap
-                if gap <= cfg.gap_tol:
-                    stop = "gap"
-                    break
-        if cfg.stall_tol is not None and kk >= stall_window:
-            if trace._f[kk - stall_window] - trace._f[kk] <= cfg.stall_tol:
-                stop = "stall"
-                break
-    trace._finalize(state.x, stop, time.perf_counter() - t_start)
-    return trace
+        return i, new, w[i] * delta * delta
+
+    return _drive(p, cfg, w, step, "scdm", option, (omega_of, omega_bar),
+                  record_every=cfg.record_every or p.n, pass_len=p.n)
 
 
 def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
@@ -419,37 +430,17 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
     """
     cfg.validate()
     w = cfg.resolve_w(p)
-    x0 = cfg.resolve_x0(p)
-    stall_window = cfg.stall_window or 1
-    state = p.start_state(x0)
-    trace = Trace(x0, w, "cyclic", None, cfg.seed, 1, cfg.max_iters)
-    trace._record_f0(state.objective())
-    t_start = time.perf_counter()
-    stop = "budget"
-    gap_every = cfg.gap_every or 1
-    for k in range(cfg.max_iters):
+
+    def step(state: ProblemState, k: int, omega_k: float):
         disp = 0.0
         for i in range(p.n):
             old = float(state.x[i])
             new = state.exact_coord_min(i)
             state.set_coord(i, new)
             disp += w[i] * (new - old) ** 2
-        trace._append(-1, np.nan, state.objective(), disp, 1.0, state.x,
-                      time.perf_counter() - t_start)
-        kk = k + 1
-        if cfg.gap_tol is not None and kk % gap_every == 0:
-            gap = _maybe_gap(p, state)
-            if gap is not None:
-                trace.gaps[kk] = gap
-                if gap <= cfg.gap_tol:
-                    stop = "gap"
-                    break
-        if cfg.stall_tol is not None and kk >= stall_window:
-            if trace._f[kk - stall_window] - trace._f[kk] <= cfg.stall_tol:
-                stop = "stall"
-                break
-    trace._finalize(state.x, stop, time.perf_counter() - t_start)
-    return trace
+        return -1, np.nan, disp
+
+    return _drive(p, cfg, w, step, "cyclic")
 
 
 def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
@@ -461,51 +452,15 @@ def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
     """
     cfg.validate()
     w = cfg.resolve_w(p)
-    omega_of, omega_bar = cfg.resolve_omega(
+    omega = cfg.resolve_omega(
         default=1.0 / global_lipschitz_bound(p.lipschitz, w))
-    x0 = cfg.resolve_x0(p)
-    stall_window = cfg.stall_window or 1
-    state = p.start_state(x0)
-    trace = Trace(x0, w, "pgd", None, cfg.seed, 1, cfg.max_iters)
-    trace._record_f0(state.objective())
-    t_start = time.perf_counter()
-    stop = "budget"
-    gap_every = cfg.gap_every or 1
-    increases = 0
     lower, upper = p.box.lower, p.box.upper
-    ulps = 32.0 * np.finfo(float).eps
-    for k in range(cfg.max_iters):
-        omega_k = omega_of(k)
-        if omega_k < omega_bar:
-            raise ValueError(f"omega schedule dropped below its floor at k={k}")
+
+    def step(state: ProblemState, k: int, omega_k: float):
         x = state.x
-        g = state.gradient()
-        x_next = np.clip(x - omega_k * (g / w), lower, upper)
+        x_next = np.clip(x - omega_k * (state.gradient() / w), lower, upper)
         disp = float(np.dot(w, (x - x_next) ** 2))
         state.set_x(x_next)
-        f_next = state.objective()
-        f_prev = trace._f[k]
-        # increases above a few ulps of f signal a bad step size
-        if f_next > f_prev + ulps * max(1.0, abs(f_prev)):
-            increases += 1
-            if increases >= 2:
-                raise DivergenceError(k + 1, trace._f[max(0, k - 1):k + 1].tolist()
-                                      + [f_next])
-        else:
-            increases = 0
-        trace._append(-1, np.nan, f_next, disp, omega_k, state.x,
-                      time.perf_counter() - t_start)
-        kk = k + 1
-        if cfg.gap_tol is not None and kk % gap_every == 0:
-            gap = _maybe_gap(p, state)
-            if gap is not None:
-                trace.gaps[kk] = gap
-                if gap <= cfg.gap_tol:
-                    stop = "gap"
-                    break
-        if cfg.stall_tol is not None and kk >= stall_window:
-            if trace._f[kk - stall_window] - trace._f[kk] <= cfg.stall_tol:
-                stop = "stall"
-                break
-    trace._finalize(state.x, stop, time.perf_counter() - t_start)
-    return trace
+        return -1, np.nan, disp
+
+    return _drive(p, cfg, w, step, "pgd", omega=omega, abort_on_increase=True)

@@ -183,7 +183,7 @@ def test_criterion_07_hoffman_theta_lower_bound():
     details = []
     for delta in (0.1, 0.01):
         ds = correlated_rows(delta, d=3, n=4, seed=0)
-        theta = hoffman_theta_bruteforce(ds.dense().T)
+        theta = hoffman_theta_bruteforce(ds.features.T)
         target = np.sqrt(2.0) / delta
         ok = ok and theta >= target
         details.append(f"delta={delta}: theta={theta:.2f} >= {target:.2f}")

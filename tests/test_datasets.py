@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdmkit.datasets import (Dataset, ParseError, correlated_rows,
                              diagonal_quadratic, gaussian_margin,
                              generate_synthetic, parse_libsvm, write_libsvm)
 from fdmkit.problems import QuadraticProblem
+
+
+@st.composite
+def libsvm_datasets(draw):
+    """Small classification datasets, about half of their entries zero."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = st.one_of(st.just(0.0),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    features = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    labels = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    return Dataset(features, labels)
 
 
 class TestParseLibsvm:
@@ -14,7 +27,7 @@ class TestParseLibsvm:
         path.write_text("+1 1:0.5 3:1.0\n")
         ds = parse_libsvm(path)
         assert (ds.n, ds.d) == (1, 3)
-        np.testing.assert_array_equal(ds.dense(), [[0.5, 0.0, 1.0]])
+        np.testing.assert_array_equal(ds.features, [[0.5, 0.0, 1.0]])
         assert ds.labels.tolist() == [1.0]
 
     def test_multiple_lines_and_blank_skip(self, tmp_path):
@@ -22,7 +35,7 @@ class TestParseLibsvm:
         path.write_text("+1 1:1.0\n\n-1 2:2.0\n# comment\n")
         ds = parse_libsvm(path)
         assert ds.n == 2
-        np.testing.assert_array_equal(ds.dense(), [[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(ds.features, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_empty_file_classification_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -77,40 +90,62 @@ class TestParseLibsvm:
         ds = parse_libsvm(path, classification=False)
         assert ds.labels.tolist() == [2.0]
 
-    def test_round_trip_random_sparse(self, tmp_path, rng):
-        mat = sp.random(12, 7, density=0.4, random_state=np.random.RandomState(3),
-                        format="csr")
-        labels = np.where(rng.standard_normal(12) > 0, 1.0, -1.0)
-        ds = Dataset(mat, labels)
-        path = tmp_path / "rt.txt"
+    @pytest.mark.parametrize("text, column", [
+        ("+1 1:nan\n", 2), ("+1 1:0.5 2:inf\n", 3), ("+1 1:-inf\n", 2),
+        ("nan 1:1.0\n", 1), ("inf 1:1.0\n", 1),
+    ])
+    def test_non_finite_rejected_with_position(self, tmp_path, text, column):
+        path = tmp_path / "bad.txt"
+        path.write_text("+1 1:1.0\n" + text)
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(path, classification=False)
+        assert (err.value.line, err.value.column) == (2, column)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ds=libsvm_datasets())
+    def test_round_trip_random_sparse(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("rt") / "rt.txt"
         write_libsvm(ds, path)
         back = parse_libsvm(path)
         assert back.d <= ds.d  # trailing all-zero features drop out
         np.testing.assert_array_equal(back.labels, ds.labels)
-        np.testing.assert_array_equal(back.dense(), ds.dense()[:, :back.d])
+        np.testing.assert_array_equal(back.features, ds.features[:, :back.d])
+        assert not np.any(ds.features[:, back.d:])
 
 
 class TestDataset:
     def test_normalize_rows(self, rng):
         A = rng.standard_normal((6, 4)) * 3
-        ds = Dataset(sp.csr_matrix(A), np.ones(6)).normalize_rows()
+        ds = Dataset(A, np.ones(6)).normalize_rows()
         assert ds.normalized
         np.testing.assert_allclose(ds.row_norms(), np.ones(6), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (40, 50), (7, 300)])
+    def test_normalize_rows_matches_csr_bits(self, rng, shape):
+        A = rng.standard_normal(shape)
+        csr = sp.csr_matrix(A)
+        norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
+        expected = (sp.diags(1.0 / norms) @ csr).toarray()
+        ds = Dataset(A, np.ones(shape[0]))
+        np.testing.assert_array_equal(ds.row_norms(), norms)
+        np.testing.assert_array_equal(ds.normalize_rows().features, expected)
 
     def test_normalize_zero_row_rejected(self):
         A = np.array([[0.0, 0.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            Dataset(sp.csr_matrix(A), np.array([1.0, -1.0])).normalize_rows()
+            Dataset(A, np.array([1.0, -1.0])).normalize_rows()
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            Dataset(sp.eye(3, format="csr"), np.ones(2))
+            Dataset(np.eye(3), np.ones(2))
+        with pytest.raises(ValueError):
+            Dataset(np.ones(3), np.ones(3))
 
 
 class TestGenerators:
     def test_correlated_rows_structure(self):
         ds = correlated_rows(0.01, d=3, n=4, seed=0)
-        feat = ds.dense().T  # rows of the feature-space matrix
+        feat = ds.features.T  # rows of the feature-space matrix
         diff = feat[0] - feat[1]
         assert diff[0] == pytest.approx(0.01)
         np.testing.assert_array_equal(diff[1:], np.zeros(3))
@@ -122,10 +157,10 @@ class TestGenerators:
     def test_gaussian_margin_reproducible(self):
         a = gaussian_margin(8, 5, seed=3)
         b = gaussian_margin(8, 5, seed=3)
-        np.testing.assert_array_equal(a.dense(), b.dense())
+        np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         c = gaussian_margin(8, 5, seed=4)
-        assert not np.array_equal(a.dense(), c.dense())
+        assert not np.array_equal(a.features, c.features)
 
     def test_gaussian_margin_binary_labels(self):
         ds = gaussian_margin(16, 3, seed=1)

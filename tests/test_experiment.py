@@ -49,6 +49,22 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "epsilon", 0.0), (None, "epsilon", -1e-3),
+        (None, "epsilon", float("nan")),
+        ("solver", "omega", -1.0), ("solver", "omega", 0),
+        (None, "workers", 0), (None, "workers", 1.5),
+        ("solver", "record_every", 0), ("solver", "record_every", -2),
+        ("gap", "n_seeds", 0), ("gap", "n_seeds", None),
+        ("gap", "epsilons", []), ("gap", "epsilons", [0.1, -0.1]),
+        ("gap", "epsilons", [0.0]),
+    ])
+    def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
+        raw = svm_config(tmp_path)
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(raw)
+
     def test_bad_solver_kind_rejected(self, tmp_path):
         raw = svm_config(tmp_path)
         raw["solver"]["kind"] = "sgd"
@@ -258,6 +274,36 @@ class TestCli:
     def test_missing_config_file_exit_1(self, tmp_path):
         res = self.run_cli("solve", "--config", str(tmp_path / "nope.json"))
         assert res.returncode in (1, 2)
+
+    def test_divergent_seed_fails_with_strict_json_report(self, tmp_path):
+        cfg = {
+            "problem": {"kind": "quadratic", "diag": [1, 2, 3, 4, 5],
+                        "linear": [1, -1, 1, -1, 1]},
+            "solver": {"kind": "scdm", "option": "II", "omega": 50,
+                       "max_iters": 2000},
+            "seeds": [0], "workers": 1, "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = self.run_cli("solve", "--config", str(cfg_path))
+        assert res.returncode == 2, res.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        (entry,) = report["seeds"]
+        assert entry["status"] == "failed"
+        assert entry["error"].startswith("DivergenceError: ")
+        assert report["failed_seeds"] == [0]
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, fdmkit, fdmkit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
     def test_bad_flag_exit_1(self):
         res = self.run_cli("solve", "--bogus")

@@ -5,7 +5,7 @@ from fdmkit import fixtures
 from fdmkit.geometry import Box
 from fdmkit.problems import (ErmProblem, LassoBoxProblem, QuadraticProblem,
                              SvmDualProblem, check_coord_strong_convexity,
-                             global_lipschitz_bound, lasso_lift,
+                             expit, global_lipschitz_bound, lasso_lift,
                              lasso_project_back)
 from oracles import fd_gradient, grid_min_2d, svm_dual_batch
 
@@ -104,6 +104,44 @@ def test_batched_values_match_value(name, standard_problems, rng):
     batched = p.values(X)
     assert batched.shape == (300,)
     np.testing.assert_allclose(batched, [p.value(x) for x in X], rtol=1e-12)
+
+
+_NON_FINITE_BUILDS = {
+    "quadratic_hessian": lambda v: QuadraticProblem(np.diag([1.0, v]), np.zeros(2)),
+    "quadratic_linear": lambda v: QuadraticProblem(np.eye(2), np.array([0.0, v])),
+    "svm_features": lambda v: SvmDualProblem(np.array([[1.0, v], [0.5, 1.0]]),
+                                             np.array([1.0, -1.0]), lam=0.1),
+    "erm_points": lambda v: ErmProblem(np.array([[1.0, v], [0.5, 1.0]]),
+                                       np.array([1.0, -1.0]), lam=0.1),
+    "erm_labels": lambda v: ErmProblem(np.eye(2), np.array([1.0, v]), lam=0.1,
+                                       loss="squared"),
+    "lasso_design": lambda v: LassoBoxProblem(np.array([[1.0, v], [0.5, 1.0]]),
+                                              np.ones(2)),
+    "lasso_target": lambda v: LassoBoxProblem(np.eye(2), np.array([1.0, v])),
+    "lasso_q": lambda v: LassoBoxProblem(np.eye(2), np.ones(2),
+                                         q=np.array([v, 0.0])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_BUILDS))
+def test_non_finite_data_rejected(field, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _NON_FINITE_BUILDS[field](bad)
+
+
+def test_expit_matches_scipy_within_few_ulps(rng):
+    from scipy.special import expit as scipy_expit
+    x = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                        rng.uniform(-800.0, 800.0, 100_000),
+                        rng.standard_normal(100_000) * 10.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ours = expit(x)
+    ref = scipy_expit(x)
+    # scipy flushes results below the smallest normal float to zero
+    normal = ref >= np.finfo(float).tiny
+    np.testing.assert_array_max_ulp(ours[normal], ref[normal], maxulp=8)
+    assert np.all((ours[~normal] >= 0.0) & (ours[~normal] < np.finfo(float).tiny))
 
 
 def test_batched_values_reject_wrong_shape(standard_problems):

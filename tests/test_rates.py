@@ -234,7 +234,7 @@ class TestHoffman:
     def test_correlated_rows_lower_bound(self):
         for delta in (0.1, 0.01):
             ds = correlated_rows(delta, d=3, n=4, seed=0)
-            rows = ds.dense().T  # feature-space rows carry the near-duplicates
+            rows = ds.features.T  # feature-space rows carry the near-duplicates
             theta = hoffman_theta_bruteforce(rows)
             assert theta >= np.sqrt(2.0) / delta
 

@@ -280,6 +280,31 @@ class TestProjectedGradient:
         with pytest.raises(DivergenceError) as err:
             run_projected_gradient(p, cfg)
         assert err.value.k >= 1
+        # the error crosses the worker pool intact
+        back = pickle.loads(pickle.dumps(err.value))
+        assert (str(back), back.k, back.f_values) == (
+            str(err.value), err.value.k, err.value.f_values)
+
+
+@pytest.mark.parametrize("method", ["II", "pgd"])
+def test_non_finite_objective_raises_divergence(method, standard_problems):
+    if method == "II":
+        # steps of 50/L_i multiply each coordinate by -49 until f overflows
+        p = standard_problems["quadratic_diag_n5"]
+        cfg = SolverConfig(max_iters=5000, omega=50.0, seed=0)
+        with pytest.warns(UserWarning), pytest.raises(DivergenceError,
+                                                      match="not finite") as err:
+            run_scdm(p, cfg, option="II")
+    else:
+        # a single step overflows x, before two increases can be seen
+        p = separable_quadratic([4.0])
+        cfg = SolverConfig(max_iters=50, omega=1e200, w=np.ones(1),
+                           x0=np.array([1e150]))
+        with pytest.raises(DivergenceError, match="not finite") as err:
+            run_projected_gradient(p, cfg)
+    assert 1 <= err.value.k < cfg.max_iters
+    assert np.isfinite(err.value.f_values[0])
+    assert not np.isfinite(err.value.f_values[-1])
 
 
 @pytest.mark.parametrize("method", ["I", "II", "cyclic", "pgd"])
