@@ -15,13 +15,15 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .datasets import GENERATORS, ParseError, generate_synthetic, write_libsvm
-from .experiment import ConfigError, load_config, run_experiment
+from .experiment import (ConfigError, ExperimentConfig, load_config,
+                         run_experiment)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -71,23 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg, args) -> None:
+def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """``cfg`` with the command-line overrides, put through the same checks
+    as a config file."""
+    raw = dataclasses.asdict(cfg)
     if args.out:
-        cfg.output_dir = args.out
+        raw["output_dir"] = args.out
     if args.seed:
-        cfg.seeds = list(args.seed)
+        raw["seeds"] = list(args.seed)
     if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-        cfg.gap["epsilons"] = [args.epsilon]
+        raw["epsilon"] = args.epsilon
+        raw["gap"]["epsilons"] = [args.epsilon]
     if args.max_iters is not None:
-        cfg.solver["max_iters"] = args.max_iters
+        raw["solver"]["max_iters"] = args.max_iters
     if args.workers is not None:
-        cfg.workers = args.workers
+        raw["workers"] = args.workers
+    return ExperimentConfig.from_dict(raw)
 
 
 def _run_command(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _apply_overrides(load_config(args.config), args)
     if args.command == "verify":
         cfg.verify["rcfdm"] = True
     elif args.command == "rates":

@@ -124,7 +124,8 @@ class ExperimentConfig:
                 ("epsilon", top["epsilon"], False),
                 ("workers", top["workers"], True),
                 ("solver.omega", solver["omega"], False),
-                ("solver.record_every", solver["record_every"], True)):
+                ("solver.record_every", solver["record_every"], True),
+                ("verify.check_every", verify["check_every"], True)):
             if value is not None:
                 _require_positive(value, name, integer)
         _require_positive(gap["n_seeds"], "gap.n_seeds", integer=True)

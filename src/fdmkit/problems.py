@@ -152,6 +152,7 @@ class Problem(ABC):
     n: int
     box: Box
     lipschitz: np.ndarray
+    image_dim: int  # length of the linear image the gradient depends on
 
     @abstractmethod
     def value(self, x) -> float: ...
@@ -170,6 +171,61 @@ class Problem(ABC):
 
     @abstractmethod
     def coord_gradient(self, x, i: int) -> float: ...
+
+    def coord_grads_along(self, x, coords, values) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate gradients along a path of single-coordinate moves.
+
+        The path starts at ``x_0 = x``, and ``x_{r+1}`` is ``x_r`` with
+        coordinate ``coords[r]`` set to ``values[r]``.  Returns
+        ``(g_before, g_after)``: ``g_before[r]`` is the ``coords[r]``-th
+        partial derivative at ``x_r`` and ``g_after[r]`` the same partial at
+        ``x_{r+1}``.
+
+        The linear image of ``x`` that the gradient depends on is built from
+        scratch, and the path's moves are accumulated in image space with one
+        cumulative sum, so a path of length b costs O(b * image_dim) time and
+        memory.  The results agree with :meth:`coord_gradient` at each point
+        to rounding; the sums are ordered differently.
+        """
+        x = self._check_point(x)
+        coords = np.asarray(coords, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if coords.ndim != 1 or values.shape != coords.shape:
+            raise ValueError("coords and values must be 1-d and of equal length")
+        if coords.size == 0:
+            return np.empty(0), np.empty(0)
+        if coords.min() < 0 or coords.max() >= self.n:
+            raise ValueError(f"path coordinates must lie in [0, {self.n})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("path values must be finite")
+        olds = path_start_values(x, coords, values)
+        cols = self._image_columns(coords)
+        images = cols * (values - olds)[:, None]
+        np.cumsum(images, axis=0, out=images)
+        image0 = self._image(x)
+        images += image0
+        g_after = self._coord_grads_at(coords, images, values, cols)
+        g_before = np.concatenate([
+            self._coord_grads_at(coords[:1], image0[None, :], olds[:1], cols[:1]),
+            self._coord_grads_at(coords[1:], images[:-1], olds[1:], cols[1:]),
+        ])
+        return g_before, g_after
+
+    @abstractmethod
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        """The linear image of ``x`` (length ``image_dim``) that the
+        gradient depends on."""
+
+    @abstractmethod
+    def _image_columns(self, coords: np.ndarray) -> np.ndarray:
+        """Rows ``(b, image_dim)``: the change of the image per unit move
+        of each coordinate in ``coords``."""
+
+    @abstractmethod
+    def _coord_grads_at(self, coords, images, xi, cols) -> np.ndarray:
+        """Partial derivative ``coords[r]`` at a point whose image is
+        ``images[r]`` and whose coordinate ``coords[r]`` is ``xi[r]``;
+        ``cols`` is ``_image_columns(coords)``."""
 
     @abstractmethod
     def start_state(self, x0) -> ProblemState: ...
@@ -214,6 +270,18 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
+def path_start_values(x: np.ndarray, coords: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
+    """Value of coordinate ``coords[r]`` at ``x_r`` on the path of
+    :meth:`Problem.coord_grads_along`: its last assigned value on the path,
+    or its entry of ``x`` if the path has not moved it yet."""
+    olds = x[coords]
+    order = np.argsort(coords, kind="stable")
+    repeat = coords[order[1:]] == coords[order[:-1]]
+    olds[order[1:][repeat]] = values[order[:-1][repeat]]
+    return olds
+
+
 def global_lipschitz_bound(lipschitz, w) -> float:
     """Upper bound ``sum_i L_i / w_i`` on the gradient Lipschitz constant
     with respect to ``||.||_W``."""
@@ -248,6 +316,7 @@ class QuadraticProblem(Problem):
         if self.box.n != n:
             raise ValueError("box dimension mismatch")
         self.lipschitz = d.copy()
+        self.image_dim = n
 
     def value(self, x) -> float:
         x = self._check_point(x)
@@ -258,12 +327,20 @@ class QuadraticProblem(Problem):
         return 0.5 * _row_dots(X @ self.hessian, X) + X @ self.linear
 
     def gradient(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return self.hessian @ x + self.linear
+        return self._image(self._check_point(x))
 
     def coord_gradient(self, x, i: int) -> float:
         x = self._check_point(x)
         return float(self.hessian[i] @ x + self.linear[i])
+
+    def _image(self, x):
+        return self.hessian @ x + self.linear  # the gradient itself
+
+    def _image_columns(self, coords):
+        return self.hessian[:, coords].T
+
+    def _coord_grads_at(self, coords, images, xi, cols):
+        return images[np.arange(coords.shape[0]), coords]
 
     def coord_curvature_floor(self) -> np.ndarray:
         return np.diag(self.hessian).copy()
@@ -281,7 +358,7 @@ class QuadraticState(ProblemState):
 
     def _rebuild(self, x: np.ndarray) -> None:
         self.x = x
-        self.g = self.p.hessian @ x + self.p.linear
+        self.g = self.p._image(x)
         self.f = float(0.5 * x @ self.p.hessian @ x + self.p.linear @ x)
 
     def objective(self) -> float:
@@ -346,6 +423,7 @@ class SvmDualProblem(Problem):
         self.ya = A * y[:, None]
         self.box = Box.unit(self.n)
         self.lipschitz = row_sq / (self.lam * self.n**2)
+        self.image_dim = self.d
 
     def _require_feasible(self, x: np.ndarray) -> None:
         if not self.box.contains(x):
@@ -354,7 +432,7 @@ class SvmDualProblem(Problem):
     def value(self, x) -> float:
         x = self._check_point(x)
         self._require_feasible(x)
-        pw = self.ya.T @ x
+        pw = self._image(x)
         return float(pw @ pw / (2.0 * self.lam * self.n**2) - np.sum(x) / self.n)
 
     def values(self, X) -> np.ndarray:
@@ -364,14 +442,21 @@ class SvmDualProblem(Problem):
                 - np.sum(X, axis=1) / self.n)
 
     def gradient(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        pw = self.ya.T @ x
+        pw = self._image(self._check_point(x))
         return (self.ya @ pw) / (self.lam * self.n**2) - 1.0 / self.n
 
     def coord_gradient(self, x, i: int) -> float:
-        x = self._check_point(x)
-        pw = self.ya.T @ x
+        pw = self._image(self._check_point(x))
         return float(self.ya[i] @ pw / (self.lam * self.n**2) - 1.0 / self.n)
+
+    def _image(self, x):
+        return self.ya.T @ x
+
+    def _image_columns(self, coords):
+        return self.ya[coords]
+
+    def _coord_grads_at(self, coords, images, xi, cols):
+        return _row_dots(cols, images) / (self.lam * self.n**2) - 1.0 / self.n
 
     def coord_curvature_floor(self) -> np.ndarray:
         # Slices are exact quadratics with curvature Q_ii/(lam n^2) = L_i.
@@ -381,7 +466,7 @@ class SvmDualProblem(Problem):
         """Primal point w(x) = (1/(lam n)) sum_i x_i y_i a_i."""
         x = self._check_point(x)
         self._require_feasible(x)
-        return (self.ya.T @ x) / (self.lam * self.n)
+        return self._image(x) / (self.lam * self.n)
 
     def primal_value(self, weights) -> float:
         """Hinge-loss primal objective at a weight vector."""
@@ -401,7 +486,7 @@ class SvmDualProblem(Problem):
 
 
 class SvmDualState(ProblemState):
-    __slots__ = ("p", "x", "pw", "sum_x", "f", "scale")
+    __slots__ = ("p", "x", "pw", "sum_x", "f", "scale", "_g_last")
 
     def __init__(self, p: SvmDualProblem, x: np.ndarray):
         self.p = p
@@ -409,16 +494,22 @@ class SvmDualState(ProblemState):
 
     def _rebuild(self, x: np.ndarray) -> None:
         self.x = x
-        self.pw = self.p.ya.T @ x  # unnormalized primal combination
+        self.pw = self.p._image(x)  # unnormalized primal combination
         self.sum_x = float(np.sum(x))
         self.scale = 1.0 / (self.p.lam * self.p.n**2)
         self.f = float(self.pw @ self.pw * 0.5 * self.scale - self.sum_x / self.p.n)
+        self._g_last = None
 
     def objective(self) -> float:
         return self.f
 
     def coord_grad(self, i: int) -> float:
-        return float(self.p.ya[i] @ self.pw * self.scale - 1.0 / self.p.n)
+        # A step asks for g_i twice (choosing the move, then set_coord), so
+        # the last (i, g_i) is kept until pw changes.
+        if self._g_last is None or self._g_last[0] != i:
+            self._g_last = (i, float(self.p.ya[i] @ self.pw * self.scale
+                                     - 1.0 / self.p.n))
+        return self._g_last[1]
 
     def gradient(self) -> np.ndarray:
         return (self.p.ya @ self.pw) * self.scale - 1.0 / self.p.n
@@ -432,6 +523,7 @@ class SvmDualState(ProblemState):
         self.pw += delta * self.p.ya[i]
         self.sum_x += delta
         self.x[i] = new
+        self._g_last = None
 
     def exact_coord_min(self, i: int) -> float:
         t = self.x[i] - self.coord_grad(i) / self.p.lipschitz[i]
@@ -544,10 +636,11 @@ class ErmProblem(Problem):
         self._points_sq = A * A
         col_sq = self._points_sq.sum(axis=0)
         self.lipschitz = self._lo.curv_max * col_sq / self.n_points + self.lam
+        self.image_dim = self.n_points
 
     def value(self, x) -> float:
         x = self._check_point(x)
-        u = self.points @ x
+        u = self._image(x)
         return float(np.mean(self._lo.values(u, self.labels))
                      + 0.5 * self.lam * x @ x)
 
@@ -559,15 +652,23 @@ class ErmProblem(Problem):
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_point(x)
-        u = self.points @ x
-        d1 = self._lo.deriv(u, self.labels)
+        d1 = self._lo.deriv(self._image(x), self.labels)
         return self.points.T @ d1 / self.n_points + self.lam * x
 
     def coord_gradient(self, x, i: int) -> float:
         x = self._check_point(x)
-        u = self.points @ x
-        d1 = self._lo.deriv(u, self.labels)
+        d1 = self._lo.deriv(self._image(x), self.labels)
         return float(d1 @ self.points[:, i] / self.n_points + self.lam * x[i])
+
+    def _image(self, x):
+        return self.points @ x  # the margins
+
+    def _image_columns(self, coords):
+        return self.points[:, coords].T
+
+    def _coord_grads_at(self, coords, images, xi, cols):
+        d1 = self._lo.deriv(images, self.labels)
+        return _row_dots(d1, cols) / self.n_points + self.lam * xi
 
     def coord_curvature_floor(self) -> np.ndarray:
         # Loss curvature is nonnegative, so lam is a uniform floor.
@@ -586,7 +687,7 @@ class ErmState(ProblemState):
 
     def _rebuild(self, x: np.ndarray) -> None:
         self.x = x
-        self.u = self.p.points @ x
+        self.u = self.p._image(x)
         self.sq_x = float(x @ x)
         self._d1 = None
 
@@ -711,6 +812,7 @@ class LassoBoxProblem(Problem):
         self.n = 2 * d
         self.box = Box.nonneg(self.n)
         self.lipschitz = np.tile(self.h_curv_max * col_sq, 2)
+        self.image_dim = m
 
     def _split(self, z: np.ndarray):
         return z[:self.d_orig], z[self.d_orig:]
@@ -758,18 +860,36 @@ class LassoBoxProblem(Problem):
                 + self.l1 * (np.sum(Xp, axis=1) + np.sum(Xm, axis=1)))
 
     def gradient(self, z) -> np.ndarray:
-        z = self._check_point(z)
-        xp, xm = self._split(z)
-        r = self._h_grad(self.design @ (xp - xm))
+        r = self._h_grad(self._image(self._check_point(z)))
         g = self.design.T @ r + self.q
         return np.concatenate([g + self.l1, -g + self.l1])
 
     def coord_gradient(self, z, i: int) -> float:
-        z = self._check_point(z)
-        xp, xm = self._split(z)
-        r = self._h_grad(self.design @ (xp - xm))
+        r = self._h_grad(self._image(self._check_point(z)))
         j, sign = (i, 1.0) if i < self.d_orig else (i - self.d_orig, -1.0)
         return float(sign * (self.design[:, j] @ r + self.q[j]) + self.l1)
+
+    def _image(self, z):
+        xp, xm = self._split(z)
+        return self.design @ (xp - xm)
+
+    def _signed_columns(self, coords):
+        """Original column index and sign of each lifted coordinate."""
+        lifted_minus = coords >= self.d_orig
+        return (np.where(lifted_minus, coords - self.d_orig, coords),
+                np.where(lifted_minus, -1.0, 1.0))
+
+    def _image_columns(self, coords):
+        j, sign = self._signed_columns(coords)
+        return self.design[:, j].T * sign[:, None]
+
+    def _coord_grads_at(self, coords, images, xi, cols):
+        j, sign = self._signed_columns(coords)
+        if self._custom_h is None:
+            R = images - self.target
+        else:
+            R = np.array([self._h_grad(u) for u in images]).reshape(images.shape)
+        return _row_dots(cols, R) + sign * self.q[j] + self.l1
 
     def coord_curvature_floor(self) -> np.ndarray:
         return np.tile(self.sigma_h * self._col_sq, 2)
@@ -790,8 +910,7 @@ class LassoState(ProblemState):
 
     def _rebuild(self, x: np.ndarray) -> None:
         self.x = x
-        xp, xm = self.p._split(x)
-        self.u = self.p.design @ (xp - xm)
+        self.u = self.p._image(x)
         self._r = None
 
     def _h_grad(self) -> np.ndarray:

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import check_weights, weighted_dual_norm_sq
-from .problems import SLICE_DERIV_TOL, Problem, global_lipschitz_bound
+from .problems import (SLICE_DERIV_TOL, Problem, global_lipschitz_bound,
+                       path_start_values)
 from .solvers import Trace, OPTION_I, OPTION_II
 
 REPLAY_TOL = 1e-9
@@ -33,16 +34,19 @@ _EPS = float(np.finfo(float).eps)
 # Snapshots per batched objective evaluation in the invariant audit; bounds
 # the (block, inner dimension) temporaries of Problem.values.
 _AUDIT_BLOCK = 256
+# Bytes of one (chunk, image_dim) temporary of the rcfdm replay.
+_REPLAY_CHUNK_BYTES = 1 << 20
 
 
-def _f_noise(f_k: float) -> float:
-    """Resolution of a recorded objective difference (a few ulps of f)."""
-    return 32.0 * _EPS * max(1.0, abs(f_k))
+def _f_noise(f_k):
+    """Resolution of a recorded objective difference (a few ulps of f);
+    elementwise on arrays."""
+    return 32.0 * _EPS * np.maximum(1.0, np.abs(f_k))
 
 
-def _z_noise(g_here: float, g_tilde: float, w_i: float, old: float,
-             new: float) -> float:
-    """Absolute rounding scale of the reconstructed correction entry."""
+def _z_noise(g_here, g_tilde, w_i, old, new):
+    """Absolute rounding scale of the reconstructed correction entry;
+    elementwise on arrays."""
     return 32.0 * _EPS * (abs(g_here) + abs(g_tilde)
                           + w_i * (abs(old) + abs(new)))
 
@@ -166,51 +170,90 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
     correction.  Theory constants: ``beta^2 = 2[(L_f^W)^2 + 1]`` for exact
     minimization, ``beta = 0`` for projected coordinate-gradient steps;
     sufficient decrease ``zeta = gamma`` for both.
+
+    The trace is walked in chunks that start at fixed multiples of a chunk
+    length set by ``p.image_dim``.  x is rebuilt at each chunk start by
+    assigning the recorded values, and :meth:`Problem.coord_grads_along`
+    evaluates the chunk's gradients from scratch there, independently of
+    the solver's incremental caches.  A non-finite recorded value raises
+    ``ValueError`` unless a replay fails at an earlier checked iteration.
     """
     option = option or trace.option
     if option not in (OPTION_I, OPTION_II):
         raise ValueError("trace does not carry a coordinate-descent option")
+    if check_every < 1:
+        raise ValueError("check_every must be >= 1")
     w = check_weights(trace.w if w is None else w, p.n)
     gamma_val = p.gamma(w) if gamma is None else float(gamma)
     lfw = global_lipschitz_bound(p.lipschitz, w) if l_f_w is None else float(l_f_w)
     beta_sq_theory = 0.0 if option == OPTION_II else 2.0 * (lfw**2 + 1.0)
+
+    coords = trace.coords
+    values = trace.new_values
+    if np.any(coords < 0):
+        raise ValueError("trace contains full-vector steps; walk snapshots instead")
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    end = int(non_finite[0]) if non_finite.size else len(trace)
+    chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * p.image_dim))
+    lower, upper = p.box.lower, p.box.upper
+    f = trace.f
+    omegas = trace.omegas
 
     beta_hat_sq = 0.0
     zeta_hat = np.inf
     worst_beta_k = None
     worst_zeta_k = None
     n_checked = 0
-    f = trace.f
-    omegas = trace.omegas
-    for k, x, i, old, new in trace.iter_steps():
-        if k % check_every != 0:
-            continue
-        n_checked += 1
-        g_i = p.coord_gradient(x, i)
+    x = trace.x0.copy()
+    for a in range(0, end, chunk):
+        b = min(a + chunk, end)
+        c = coords[a:b]
+        new = values[a:b]
+        old = path_start_values(x, c, new)
+        g, g_tilde = p.coord_grads_along(x, c, new)
+        # x_b by assignment: the last value each coordinate takes in the chunk
+        c_last, pos = np.unique(c[::-1], return_index=True)
+        x[c_last] = new[::-1][pos]
+
+        w_c = w[c]
         if option == OPTION_I:
-            x_t = x.copy()
-            x_t[i] = new
-            gi_tilde = p.coord_gradient(x_t, i)
-            z_i = g_i - gi_tilde + w[i] * (new - old)
-            z_eff = max(0.0, abs(z_i) - _z_noise(g_i, gi_tilde, w[i], old, new))
+            z = g - g_tilde + w_c * (new - old)
+            z_eff = np.maximum(0.0, np.abs(z) - _z_noise(g, g_tilde, w_c, old, new))
         else:
-            z_i = 0.0
-            z_eff = 0.0
-        replayed = _replay_coord(p, old, g_i, z_i, omegas[k], w[i], i)
-        err = abs(replayed - new)
-        if err > REPLAY_TOL:
-            raise ReplayError(k, err)
-        if new == old:
-            continue  # no move; the correction vanishes with it
-        disp = w[i] * (new - old) ** 2
-        beta_ratio = (z_eff * z_eff / w[i]) / disp
-        if beta_ratio > beta_hat_sq:
-            beta_hat_sq = beta_ratio
-            worst_beta_k = k
-        zeta_ratio = (f[k] - f[k + 1] + _f_noise(f[k])) / disp
-        if zeta_ratio < zeta_hat:
-            zeta_hat = zeta_ratio
-            worst_zeta_k = k
+            z = z_eff = np.zeros(b - a)
+        replayed = np.clip(old - (omegas[a:b] / w_c) * (g - z),
+                           lower[c], upper[c])
+        err = np.abs(replayed - new)
+        checked = np.arange(a, b) % check_every == 0
+        failed = np.flatnonzero(checked & (err > REPLAY_TOL))
+        if failed.size:
+            raise ReplayError(a + int(failed[0]), float(err[failed[0]]))
+        n_checked += int(np.count_nonzero(checked))
+
+        # a step that does not move has no correction and is skipped
+        ks = np.flatnonzero(checked & (new != old))
+        if ks.size == 0:
+            continue
+        w_k = w_c[ks]
+        # float_power calls the C pow, as a Python float's ``** 2`` does;
+        # pow is not always correctly rounded, so d * d can differ in the
+        # last ulp and move zeta_hat
+        disp = w_k * np.float_power(new[ks] - old[ks], 2.0)
+        beta = (z_eff[ks] * z_eff[ks] / w_k) / disp
+        f_k = f[a + ks]
+        zeta = (f_k - f[a + ks + 1] + _f_noise(f_k)) / disp
+        # first index of the extreme, as a strict running comparison finds;
+        # a NaN ratio never wins
+        j = int(np.argmax(np.where(np.isnan(beta), -np.inf, beta)))
+        if beta[j] > beta_hat_sq:
+            beta_hat_sq = float(beta[j])
+            worst_beta_k = a + int(ks[j])
+        j = int(np.argmin(np.where(np.isnan(zeta), np.inf, zeta)))
+        if zeta[j] < zeta_hat:
+            zeta_hat = float(zeta[j])
+            worst_zeta_k = a + int(ks[j])
+    if end < len(trace):
+        raise ValueError(f"recorded value at iteration {end} is not finite")
     passed = _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma_val)
     return Certificate(
         framework="rcfdm", option=option,

@@ -3,12 +3,20 @@
 These deliberately avoid the library's solver paths: box-constrained
 quadratics are solved by exhaustive active-set enumeration, tiny duals by
 grid search with refinement, gradients by central differences, and the
-Hoffman maximization by dense sampling of the unit sphere.
+Hoffman maximization by dense sampling of the unit sphere.  The rcfdm
+certificate has a step-by-step reference that evaluates the scalar
+coordinate gradient twice per step.
 """
 
 import itertools
 
 import numpy as np
+
+from fdmkit.geometry import check_weights
+from fdmkit.problems import global_lipschitz_bound
+from fdmkit.solvers import OPTION_I, OPTION_II
+from fdmkit.verify import (REPLAY_TOL, Certificate, ReplayError,
+                           _certificate_pass, _f_noise, _z_noise)
 
 
 def box_qp_oracle(hessian, linear, lower, upper, tol=1e-9):
@@ -137,3 +145,52 @@ def one_sided_allowance(samples, confidence_z=2.3263):
     samples = np.asarray(samples, float)
     se = samples.std(ddof=1) / np.sqrt(samples.shape[0])
     return confidence_z * se
+
+
+def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
+    """Coordinate-mode certificate by a scalar walk over ``iter_steps``.
+
+    Each checked step calls ``p.coord_gradient`` at x_k and at x_k with the
+    new value, each from scratch, so a step costs a full gradient image.
+    """
+    option = option or trace.option
+    w = check_weights(trace.w if w is None else w, p.n)
+    gamma = p.gamma(w)
+    lfw = global_lipschitz_bound(p.lipschitz, w)
+    beta_sq_theory = 0.0 if option == OPTION_II else 2.0 * (lfw**2 + 1.0)
+    beta_hat_sq, zeta_hat = 0.0, np.inf
+    worst_beta_k = worst_zeta_k = None
+    n_checked = 0
+    f, omegas = trace.f, trace.omegas
+    for k, x, i, old, new in trace.iter_steps():
+        if k % check_every != 0:
+            continue
+        n_checked += 1
+        g_i = p.coord_gradient(x, i)
+        if option == OPTION_I:
+            x_t = x.copy()
+            x_t[i] = new
+            gi_tilde = p.coord_gradient(x_t, i)
+            z_i = g_i - gi_tilde + w[i] * (new - old)
+            z_eff = max(0.0, abs(z_i) - _z_noise(g_i, gi_tilde, w[i], old, new))
+        else:
+            z_i = z_eff = 0.0
+        replayed = p.box.clip_coord(old - (omegas[k] / w[i]) * (g_i - z_i), i)
+        err = abs(replayed - new)
+        if err > REPLAY_TOL:
+            raise ReplayError(k, err)
+        if new == old:
+            continue
+        disp = w[i] * (new - old) ** 2
+        beta_ratio = (z_eff * z_eff / w[i]) / disp
+        if beta_ratio > beta_hat_sq:
+            beta_hat_sq, worst_beta_k = beta_ratio, k
+        zeta_ratio = (f[k] - f[k + 1] + _f_noise(f[k])) / disp
+        if zeta_ratio < zeta_hat:
+            zeta_hat, worst_zeta_k = zeta_ratio, k
+    return Certificate(
+        framework="rcfdm", option=option, beta_hat_sq=float(beta_hat_sq),
+        zeta_hat=float(zeta_hat), beta_sq_theory=float(beta_sq_theory),
+        zeta_theory=gamma, n_checked=n_checked, worst_beta_k=worst_beta_k,
+        worst_zeta_k=worst_zeta_k,
+        passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma))

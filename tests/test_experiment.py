@@ -7,6 +7,7 @@ import pytest
 
 import fdmkit.experiment as expmod
 from fdmkit import fixtures
+from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
                                load_config, run_experiment, validate_pipeline,
                                validate_report, write_trace_csv)
@@ -58,6 +59,7 @@ class TestConfigValidation:
         ("gap", "n_seeds", 0), ("gap", "n_seeds", None),
         ("gap", "epsilons", []), ("gap", "epsilons", [0.1, -0.1]),
         ("gap", "epsilons", [0.0]),
+        ("verify", "check_every", 0), ("verify", "check_every", -3),
     ])
     def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
         raw = svm_config(tmp_path)
@@ -328,3 +330,14 @@ class TestCli:
         report = json.loads((tmp_path / "o2" / "report.json").read_text())
         assert [e["seed"] for e in report["seeds"]] == [9]
         assert report["seeds"][0]["iterations"] == 12
+
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "-1"),
+                                             ("--workers", "0"),
+                                             ("--max-iters", "-5")])
+    def test_invalid_override_exit_1(self, flag, value, tmp_path, capsys):
+        # overrides pass the config checks, so a bad one fails before any seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(svm_config(tmp_path)))
+        assert cli_main(["solve", "--config", str(cfg_path), flag, value]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures
 from fdmkit.geometry import Box
@@ -66,21 +67,27 @@ def test_state_cache_matches_direct_oracles(name, standard_problems, rng):
     p = standard_problems[name]
     x = _random_feasible(p, rng)
     st = p.start_state(x)
+    def agrees(i):
+        return st.coord_grad(i) == pytest.approx(p.coord_gradient(st.x, i),
+                                                 rel=1e-9, abs=1e-12)
+
     for _ in range(50):
         i = int(rng.integers(p.n))
         new = float(np.clip(st.x[i] + rng.uniform(-0.4, 0.4),
                             p.box.lower[i], p.box.upper[i]))
+        st.coord_grad(i)  # as a solver step does before it moves i
         st.set_coord(i, new)
         # a derivative cached by the state must not outlive a coordinate move
-        j = int(rng.integers(p.n))
-        assert st.coord_grad(j) == pytest.approx(p.coord_gradient(st.x, j),
-                                                 rel=1e-9, abs=1e-12)
+        assert agrees(i)
+        assert agrees(int(rng.integers(p.n)))
     assert st.objective() == pytest.approx(p.value(st.x), rel=1e-10, abs=1e-12)
-    i = int(rng.integers(p.n))
-    assert st.coord_grad(i) == pytest.approx(p.coord_gradient(st.x, i),
-                                             rel=1e-9, abs=1e-12)
     np.testing.assert_allclose(st.gradient(), p.gradient(st.x),
                                rtol=1e-9, atol=1e-12)
+    # nor a rebuild of the whole iterate
+    i = int(rng.integers(p.n))
+    st.coord_grad(i)
+    st.set_x(_random_feasible(p, rng))
+    assert agrees(i)
 
 
 def _custom_h_lasso():
@@ -104,6 +111,68 @@ def test_batched_values_match_value(name, standard_problems, rng):
     batched = p.values(X)
     assert batched.shape == (300,)
     np.testing.assert_allclose(batched, [p.value(x) for x in X], rtol=1e-12)
+
+
+# Path gradients accumulate the moves with one cumulative sum and dot
+# products in another order than coord_gradient; both agree to this
+# tolerance relative to the largest gradient on the path (and 1).
+PATH_GRAD_RTOL = 1e-10
+
+
+def _random_path(p, rng, kinds):
+    """Coordinates and values of a path from a random feasible start: a
+    'stay' keeps the coordinate's value, a 'bound' moves it onto a finite
+    bound, a 'free' move draws a feasible value."""
+    x = _random_feasible(p, rng)
+    cur = x.copy()
+    coords = rng.integers(p.n, size=len(kinds))
+    values = np.empty(len(kinds))
+    for r, (i, kind) in enumerate(zip(coords, kinds)):
+        bounds = [b for b in (p.box.lower[i], p.box.upper[i]) if np.isfinite(b)]
+        if kind == "stay" or (kind == "bound" and not bounds):
+            values[r] = cur[i]
+        elif kind == "bound":
+            values[r] = bounds[rng.integers(len(bounds))]
+        else:
+            values[r] = _random_feasible(p, rng)[i]
+        cur[i] = values[r]
+    return x, coords, values
+
+
+@pytest.mark.parametrize("name", ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8",
+                                  "lasso_d5", "erm_logistic_n20",
+                                  "quadratic_diag_n5", "quadratic_box_n8",
+                                  "lasso_custom_h"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["stay", "bound", "free"]), max_size=40))
+def test_coord_grads_along_matches_coord_gradient(name, standard_problems,
+                                                  seed, kinds):
+    p = (_custom_h_lasso() if name == "lasso_custom_h"
+         else standard_problems[name])
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x, coords, values = _random_path(p, rng, kinds)
+    g_before, g_after = p.coord_grads_along(x, coords, values)
+    want_before, want_after = [], []
+    for i, v in zip(coords, values):
+        want_before.append(p.coord_gradient(x, i))
+        x[i] = v
+        want_after.append(p.coord_gradient(x, i))
+    want = np.array(want_before + want_after)
+    tol = PATH_GRAD_RTOL * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(np.concatenate([g_before, g_after]), want,
+                               rtol=0.0, atol=tol)
+
+
+def test_coord_grads_along_rejects_bad_paths(standard_problems):
+    p = standard_problems["svm_dual_n4"]
+    x = np.full(4, 0.5)
+    g_before, g_after = p.coord_grads_along(x, [], [])
+    assert g_before.shape == g_after.shape == (0,)
+    for coords, values in (([4], [0.1]), ([-1], [0.1]), ([0], [np.nan]),
+                           ([0, 1], [0.1])):
+        with pytest.raises(ValueError):
+            p.coord_grads_along(x, coords, values)
 
 
 _NON_FINITE_BUILDS = {

@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures, solvers
 from fdmkit.geometry import Box
@@ -174,6 +175,22 @@ class TestTraceReconstruction:
             np.testing.assert_array_equal(tr.iterate(k), x)
             if k < len(tr):
                 x[tr.coords[k]] = tr.new_values[k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), record_every=st.integers(1, 70),
+           option=st.sampled_from(["I", "II"]))
+    def test_iterate_matches_step_walk(self, seed, record_every, option):
+        p = fixtures.svm_dual_toy(n=8, d=10)
+        tr = run_scdm(p, SolverConfig(max_iters=60, seed=seed,
+                                      record_every=record_every), option)
+        x_walk = tr.x0
+        for k, x, i, old, new in tr.iter_steps():
+            np.testing.assert_array_equal(tr.iterate(k), x)
+            x_walk = x.copy()
+            x_walk[i] = new
+        np.testing.assert_array_equal(tr.iterate(len(tr)), x_walk)
+        # the last snapshot is the solver's own final iterate
+        np.testing.assert_array_equal(tr.final_x, tr.snapshots()[1][-1])
 
     def test_snapshots_stack_record_points_and_final(self):
         p = fixtures.lasso_small()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdmkit import fixtures
+from fdmkit import fixtures, verify
 from fdmkit.geometry import Box, project_box
 from fdmkit.problems import QuadraticProblem, global_lipschitz_bound
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
@@ -9,6 +9,7 @@ from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
 from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
                            check_trace_invariants, cyclic_constants,
                            default_rfdm_check_every, reconstruct_z_option1)
+from oracles import check_rcfdm_scalar
 
 
 def separable_quadratic(L):
@@ -114,6 +115,12 @@ class TestCheckRcfdm:
         with pytest.raises(ValueError):
             check_rcfdm(tr, p)
 
+    def test_nonpositive_check_every_rejected(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        tr = run_scdm(p, SolverConfig(max_iters=5))
+        with pytest.raises(ValueError, match="check_every"):
+            check_rcfdm(tr, p, check_every=0)
+
     def test_certificate_monotone_in_prefix(self):
         p = fixtures.lasso_small()
         certs = []
@@ -129,6 +136,104 @@ class TestCheckRcfdm:
         cert = check_rcfdm(tr, p)
         assert cert.passed
         assert cert.zeta_hat >= p.gamma(p.lipschitz) * (1 - 1e-9)
+
+
+def _replay_chunk(monkeypatch, p, steps):
+    """Make check_rcfdm walk ``p``'s traces in chunks of ``steps`` steps."""
+    monkeypatch.setattr(verify, "_REPLAY_CHUNK_BYTES", 8 * p.image_dim * steps)
+
+
+_FIXTURES = ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8", "lasso_d5",
+             "erm_logistic_n20", "quadratic_diag_n5", "quadratic_box_n8"]
+
+
+class TestRcfdmMatchesScalarReplay:
+    """The chunked replay against the step-by-step reference in oracles."""
+
+    @pytest.mark.parametrize("chunk", [None, 97])
+    @pytest.mark.parametrize("option", ["I", "II"])
+    @pytest.mark.parametrize("name", _FIXTURES)
+    def test_certificate_matches(self, name, option, chunk, standard_problems,
+                                 monkeypatch):
+        p = standard_problems[name]
+        if chunk is not None:
+            _replay_chunk(monkeypatch, p, chunk)
+        tr = run_scdm(p, SolverConfig(max_iters=2000, seed=0), option)
+        got = check_rcfdm(tr, p)
+        want = check_rcfdm_scalar(tr, p)
+        assert got.zeta_hat == want.zeta_hat
+        assert got.worst_zeta_k == want.worst_zeta_k
+        assert got.n_checked == want.n_checked == len(tr)
+        assert got.passed == want.passed
+        # only the reordered gradient sums move beta_hat, at its rounding floor
+        assert abs(got.beta_hat_sq - want.beta_hat_sq) <= 1e-12 * got.beta_sq_theory
+
+    @pytest.mark.parametrize("name", ["svm_dual_n8", "lasso_d5", "erm_logistic_n20"])
+    def test_check_every_matches(self, name, standard_problems, monkeypatch):
+        p = standard_problems[name]
+        _replay_chunk(monkeypatch, p, 50)
+        tr = run_scdm(p, SolverConfig(max_iters=500, seed=1), "I")
+        got = check_rcfdm(tr, p, check_every=7)
+        want = check_rcfdm_scalar(tr, p, check_every=7)
+        assert got.n_checked == want.n_checked == len(range(0, 500, 7))
+        assert (got.zeta_hat, got.worst_zeta_k) == (want.zeta_hat, want.worst_zeta_k)
+
+
+class TestRcfdmReplayErrors:
+    """Corrupted recorded values on traces walked in chunks of 50 steps."""
+
+    STEPS = 300
+    CHUNK = 50
+
+    @pytest.fixture(params=["svm_dual_n8", "lasso_d5", "erm_logistic_n20"])
+    def case(self, request, standard_problems, monkeypatch):
+        p = standard_problems[request.param]
+        _replay_chunk(monkeypatch, p, self.CHUNK)
+        tr = run_scdm(p, SolverConfig(max_iters=self.STEPS, seed=3), "I")
+        return p, tr
+
+    @staticmethod
+    def corrupt(tr, k):
+        tr._new_values[k] += 1.7
+
+    @pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, 2 * CHUNK, STEPS - 1])
+    def test_reported_at_corrupted_step(self, case, k):
+        p, tr = case
+        self.corrupt(tr, k)
+        with pytest.raises(ReplayError) as err:
+            check_rcfdm(tr, p)
+        assert err.value.k == k
+
+    def test_first_of_two_corruptions_reported(self, case):
+        p, tr = case
+        self.corrupt(tr, 2 * self.CHUNK + 7)
+        self.corrupt(tr, 17)
+        with pytest.raises(ReplayError) as err:
+            check_rcfdm(tr, p)
+        assert err.value.k == 17
+
+    def test_unchecked_corruption_as_reference(self, case):
+        # with check_every=3 the corrupted step 50 is walked, not replayed;
+        # the iterate it moved breaks the replay of the next checked step
+        p, tr = case
+        self.corrupt(tr, self.CHUNK)
+        outcomes = []
+        for check in (check_rcfdm, check_rcfdm_scalar):
+            with pytest.raises(ReplayError) as err:
+                check(tr, p, check_every=3)
+            outcomes.append(err.value.k)
+        assert outcomes == [self.CHUNK + 1] * 2
+
+    def test_non_finite_value_raises_value_error(self, case):
+        p, tr = case
+        tr._new_values[self.CHUNK + 3] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            check_rcfdm(tr, p)
+        # an earlier replay failure is still reported first
+        self.corrupt(tr, 5)
+        with pytest.raises(ReplayError) as err:
+            check_rcfdm(tr, p)
+        assert err.value.k == 5
 
 
 # ---------------------------------------------------------------------------
