@@ -12,7 +12,8 @@ from .geometry import (Box, check_weights, project_box, projected_gradient,
 from .problems import (ErmProblem, LassoBoxProblem, Problem, ProblemState,
                        QuadraticProblem, SliceMinError, SvmDualProblem,
                        check_coord_strong_convexity, global_lipschitz_bound,
-                       lasso_lift, lasso_project_back, minimize_slice)
+                       lasso_lift, lasso_project_back, minimize_slice,
+                       minimize_slices)
 from .solvers import (OPTION_I, OPTION_II, DivergenceError, SolverConfig,
                       Trace, run_cyclic_cd, run_projected_gradient, run_scdm,
                       scdm_step_option1, scdm_step_option2)
@@ -41,8 +42,8 @@ __all__ = [
     "weighted_dual_norm_sq",
     "Problem", "ProblemState", "QuadraticProblem", "SvmDualProblem",
     "ErmProblem", "LassoBoxProblem", "SliceMinError", "minimize_slice",
-    "lasso_lift", "lasso_project_back", "check_coord_strong_convexity",
-    "global_lipschitz_bound",
+    "minimize_slices", "lasso_lift", "lasso_project_back",
+    "check_coord_strong_convexity", "global_lipschitz_bound",
     "OPTION_I", "OPTION_II", "SolverConfig", "Trace", "DivergenceError",
     "run_scdm", "run_cyclic_cd", "run_projected_gradient",
     "scdm_step_option1", "scdm_step_option2",

@@ -20,6 +20,8 @@ from .geometry import Box, check_weights, _check_vector
 
 SLICE_DERIV_TOL = 1e-12
 SLICE_MAX_ITER = 50
+# Geometric steps allowed to bracket a slice minimizer.
+_BRACKET_MAX_STEPS = 200
 
 # Largest argument whose exponential is finite.
 _EXP_MAX_ARG = float(np.log(np.finfo(float).max))
@@ -46,12 +48,15 @@ class SliceMinError(RuntimeError):
 
 def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
                    tol: float = SLICE_DERIV_TOL,
-                   max_iter: int = SLICE_MAX_ITER) -> float:
+                   max_iter: int = SLICE_MAX_ITER,
+                   d0: float | None = None) -> float:
     """Minimize a strictly convex differentiable slice over ``[lo, hi]``.
 
     ``deriv_and_curv(t)`` returns the first and second derivative at ``t``.
     Newton steps are safeguarded by bisection on a sign-change bracket, so
     the iteration cannot leave the bracket even for poorly scaled slices.
+    A caller that already has the derivative at ``t0`` (inside the bounds)
+    passes it as ``d0``, and the slice is not evaluated there again.
     """
     if lo > -np.inf and deriv_and_curv(lo)[0] >= 0.0:
         return lo
@@ -59,7 +64,8 @@ def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
         return hi
 
     t = min(max(t0, lo), hi)
-    d0 = deriv_and_curv(t)[0]
+    if d0 is None:
+        d0 = deriv_and_curv(t)[0]
     if abs(d0) <= tol:
         return t
 
@@ -69,25 +75,25 @@ def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
     if d0 > 0.0:
         b = t
         a = t
-        for _ in range(200):
+        for _ in range(_BRACKET_MAX_STEPS):
             a = max(lo, a - step)
             da = deriv_and_curv(a)[0]
             if da <= 0.0:
                 break
             step *= 2.0
         else:
-            raise SliceMinError(200, da)
+            raise SliceMinError(_BRACKET_MAX_STEPS, da)
     else:
         a = t
         b = t
-        for _ in range(200):
+        for _ in range(_BRACKET_MAX_STEPS):
             b = min(hi, b + step)
             db = deriv_and_curv(b)[0]
             if db >= 0.0:
                 break
             step *= 2.0
         else:
-            raise SliceMinError(200, db)
+            raise SliceMinError(_BRACKET_MAX_STEPS, db)
 
     t = 0.5 * (a + b)
     for _ in range(max_iter):
@@ -106,6 +112,66 @@ def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
             return t
         t = t_new
     raise SliceMinError(max_iter, abs(d))
+
+
+def minimize_slices(deriv_and_curv, t0, d0, tol: float = SLICE_DERIV_TOL,
+                    max_iter: int = SLICE_MAX_ITER) -> np.ndarray:
+    """Minimize many strictly convex differentiable slices over the real line.
+
+    Slice ``e`` starts at ``t0[e]``, where its derivative is ``d0[e]``.
+    ``deriv_and_curv(t, idx)`` returns the first and second derivatives of
+    the slices ``idx`` (an index array) at the points ``t``.  Every slice
+    follows the bracket expansion, Newton, bisection and collapse rules of
+    :func:`minimize_slice` with ``lo = -inf`` and ``hi = inf``, so given the
+    same derivatives it takes the same steps to the same result; each
+    iteration evaluates only the slices still running.  Raises
+    :class:`SliceMinError` if any slice fails.
+    """
+    t = np.array(t0, dtype=float)
+    d0 = np.asarray(d0, dtype=float)
+    a = t.copy()
+    b = t.copy()
+    step = np.maximum(1.0, np.abs(t)) * 0.5
+    down = d0 > 0.0
+    running = np.flatnonzero(~(np.abs(d0) <= tol))
+
+    idx = running
+    for _ in range(_BRACKET_MAX_STEPS):
+        if idx.size == 0:
+            break
+        dn = down[idx]
+        probe = np.where(dn, a[idx] - step[idx], b[idx] + step[idx])
+        d = deriv_and_curv(probe, idx)[0]
+        a[idx] = np.where(dn, probe, a[idx])
+        b[idx] = np.where(dn, b[idx], probe)
+        open_ = ~np.where(dn, d <= 0.0, d >= 0.0)
+        idx, residual = idx[open_], d[open_]
+        step[idx] *= 2.0
+    else:
+        if idx.size:
+            raise SliceMinError(_BRACKET_MAX_STEPS, float(residual[0]))
+
+    idx = running
+    t[idx] = 0.5 * (a[idx] + b[idx])
+    for _ in range(max_iter):
+        if idx.size == 0:
+            return t
+        ti = t[idx]
+        d, c = deriv_and_curv(ti, idx)
+        pos = d > 0.0
+        ai = np.where(pos, a[idx], ti)
+        bi = np.where(pos, ti, b[idx])
+        mid = 0.5 * (ai + bi)
+        curved = c > 0.0
+        t_new = np.where(curved, ti - d / np.where(curved, c, 1.0), mid)
+        t_new = np.where((ai < t_new) & (t_new < bi), t_new, mid)
+        # converged, or the bracket has collapsed to float resolution
+        go = ~(np.abs(d) <= tol) & (t_new != ti)
+        idx, residual = idx[go], np.abs(d[go])
+        a[idx], b[idx], t[idx] = ai[go], bi[go], t_new[go]
+    if idx.size:
+        raise SliceMinError(max_iter, float(residual[0]))
+    return t
 
 
 class ProblemState(ABC):
@@ -227,6 +293,33 @@ class Problem(ABC):
         ``images[r]`` and whose coordinate ``coords[r]`` is ``xi[r]``;
         ``cols`` is ``_image_columns(coords)``."""
 
+    # Batched from-scratch oracles over an (m, n) stack of points.  Only the
+    # families whose box can be free implement them: they serve the
+    # expectation-mode certificate, which enumerates every coordinate slice.
+
+    def _images(self, X) -> np.ndarray:
+        """Rows ``(m, image_dim)``: the linear image of each row of ``X``."""
+        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
+
+    def _gradients_at(self, X, images) -> np.ndarray:
+        """Full gradient at each row of ``X``, whose images are ``images``."""
+        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
+
+    def _values_at(self, X, images) -> np.ndarray:
+        """Objective at each row of ``X``, whose images are ``images``."""
+        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
+
+    def slice_minimizers(self, X, images, grads) -> np.ndarray:
+        """Minimizer of every coordinate slice at every row of ``X``.
+
+        Entry ``(r, j)`` minimizes f over coordinate j with the others fixed
+        at ``X[r]``; ``images`` and ``grads`` are ``_images(X)`` and
+        ``_gradients_at(X, images)``, and a Newton solve starts from
+        ``grads``.  Agrees with :meth:`ProblemState.exact_coord_min` to the
+        slice solver's tolerance; the sums are ordered differently.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
+
     @abstractmethod
     def start_state(self, x0) -> ProblemState: ...
 
@@ -341,6 +434,20 @@ class QuadraticProblem(Problem):
 
     def _coord_grads_at(self, coords, images, xi, cols):
         return images[np.arange(coords.shape[0]), coords]
+
+    def _images(self, X):
+        return X @ self.hessian.T + self.linear
+
+    def _gradients_at(self, X, images):
+        return images
+
+    def _values_at(self, X, images):
+        # x'(Hx + c) + c'x = x'Hx + 2 c'x
+        return 0.5 * _row_dots(X, images + self.linear)
+
+    def slice_minimizers(self, X, images, grads):
+        # slice curvature is exactly H_ii: the clipped Newton point
+        return np.clip(X - grads / self.lipschitz, self.box.lower, self.box.upper)
 
     def coord_curvature_floor(self) -> np.ndarray:
         return np.diag(self.hessian).copy()
@@ -646,9 +753,7 @@ class ErmProblem(Problem):
 
     def values(self, X) -> np.ndarray:
         X = self._check_stack(X)
-        U = X @ self.points.T
-        return (np.mean(self._lo.values(U, self.labels), axis=1)
-                + 0.5 * self.lam * _row_dots(X, X))
+        return self._values_at(X, self._images(X))
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_point(x)
@@ -669,6 +774,35 @@ class ErmProblem(Problem):
     def _coord_grads_at(self, coords, images, xi, cols):
         d1 = self._lo.deriv(images, self.labels)
         return _row_dots(d1, cols) / self.n_points + self.lam * xi
+
+    def _images(self, X):
+        return X @ self.points.T
+
+    def _gradients_at(self, X, images):
+        d1 = self._lo.deriv(images, self.labels)
+        return d1 @ self.points / self.n_points + self.lam * X
+
+    def _values_at(self, X, images):
+        return (np.mean(self._lo.values(images, self.labels), axis=1)
+                + 0.5 * self.lam * _row_dots(X, X))
+
+    def slice_minimizers(self, X, images, grads):
+        if self.loss == "squared":
+            # exact quadratic slices; their curvature is L_i
+            return X - grads / self.lipschitz
+        m, n = X.shape
+        x = X.ravel()
+        cols, cols_sq = self.points.T, self._points_sq.T
+        y, inv_n, lam = self.labels, 1.0 / self.n_points, self.lam
+
+        def deriv_and_curv(t, idx):
+            r, j = np.divmod(idx, n)
+            col = cols[j]
+            d1, d2 = self._lo.deriv_pair(images[r] + (t - x[idx])[:, None] * col, y)
+            return (_row_dots(d1, col) * inv_n + lam * t,
+                    _row_dots(d2, cols_sq[j]) * inv_n + lam)
+
+        return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
 
     def coord_curvature_floor(self) -> np.ndarray:
         # Loss curvature is nonnegative, so lam is a uniform floor.
@@ -723,11 +857,12 @@ class ErmState(ProblemState):
         p = self.p
         col = p.points[:, i]
         xi = self.x[i]
+        g = self.coord_grad(i)
         if p.loss == "squared":
             # Squared-loss slices are exact quadratics.
             curv = 2.0 * col @ col / p.n_points + p.lam
-            return xi - self.coord_grad(i) / curv
-        if abs(self.coord_grad(i)) <= SLICE_DERIV_TOL:
+            return xi - g / curv
+        if abs(g) <= SLICE_DERIV_TOL:
             return xi
         col_sq = p._points_sq[:, i]
         y, inv_n, lam = p.labels, 1.0 / p.n_points, p.lam
@@ -737,7 +872,7 @@ class ErmState(ProblemState):
             return (float(d1 @ col) * inv_n + lam * t,
                     float(d2 @ col_sq) * inv_n + lam)
 
-        return minimize_slice(deriv_and_curv, xi, -np.inf, np.inf)
+        return minimize_slice(deriv_and_curv, xi, -np.inf, np.inf, d0=g)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ Two modes:
   conditional expectations over the coordinate choice are computed exactly by
   enumerating all n candidate coordinates at each checked iteration, never by
   Monte Carlo.
+
+Both modes walk the trace in chunks sized by the problem's image dimension
+and evaluate a chunk with batched array operations.  Everything is rebuilt
+from scratch at the chunk's iterates, never read from the solver's
+incremental caches: coordinate mode evaluates gradients along the chunk's
+path from one image, and expectation mode solves the n candidate slices of
+all the chunk's checked iterations in one batched call.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ _EPS = float(np.finfo(float).eps)
 _AUDIT_BLOCK = 256
 # Bytes of one (chunk, image_dim) temporary of the rcfdm replay.
 _REPLAY_CHUNK_BYTES = 1 << 20
+# Bytes of one (candidate rows, image_dim) temporary of the rfdm
+# enumeration.  On the 200x20 logistic benchmark run, 1 MiB chunks raised the
+# peak memory from 44 to 51 MB and one chunk for the whole trace to 168 MB,
+# neither of them faster.
+_RFDM_CHUNK_BYTES = 1 << 17
 
 
 def _f_noise(f_k):
@@ -154,9 +166,24 @@ def reconstruct_z_option1(p: Problem, x_k, i: int, x_tilde_i: float, w,
     return ZReconstruction(k=k, i=i, z=z, dual_norm_sq=float(dual), mode=mode)
 
 
-def _replay_coord(p: Problem, x_i: float, g_i: float, z_i: float,
-                  omega: float, w_i: float, i: int) -> float:
-    return p.box.clip_coord(x_i - (omega / w_i) * (g_i - z_i), i)
+def _assign_last(x: np.ndarray, coords: np.ndarray, values: np.ndarray) -> None:
+    """Apply a run of coordinate assignments to ``x`` in place: each
+    coordinate takes the last value the run assigns it."""
+    c_last, pos = np.unique(coords[::-1], return_index=True)
+    x[c_last] = values[::-1][pos]
+
+
+def _fold_max(ratios, ks, best: float, best_k):
+    """Fold a chunk's ratios into a running maximum ``(best, best_k)``.
+
+    The first index of the largest ratio wins, as a strict running
+    comparison finds, and a NaN ratio never wins.
+    """
+    if ratios.size:
+        j = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
+        if ratios[j] > best:
+            return float(ratios[j]), int(ks[j])
+    return best, best_k
 
 
 def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
@@ -211,9 +238,7 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
         new = values[a:b]
         old = path_start_values(x, c, new)
         g, g_tilde = p.coord_grads_along(x, c, new)
-        # x_b by assignment: the last value each coordinate takes in the chunk
-        c_last, pos = np.unique(c[::-1], return_index=True)
-        x[c_last] = new[::-1][pos]
+        _assign_last(x, c, new)  # x_b
 
         w_c = w[c]
         if option == OPTION_I:
@@ -232,8 +257,6 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
 
         # a step that does not move has no correction and is skipped
         ks = np.flatnonzero(checked & (new != old))
-        if ks.size == 0:
-            continue
         w_k = w_c[ks]
         # float_power calls the C pow, as a Python float's ``** 2`` does;
         # pow is not always correctly rounded, so d * d can differ in the
@@ -242,16 +265,11 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
         beta = (z_eff[ks] * z_eff[ks] / w_k) / disp
         f_k = f[a + ks]
         zeta = (f_k - f[a + ks + 1] + _f_noise(f_k)) / disp
-        # first index of the extreme, as a strict running comparison finds;
-        # a NaN ratio never wins
-        j = int(np.argmax(np.where(np.isnan(beta), -np.inf, beta)))
-        if beta[j] > beta_hat_sq:
-            beta_hat_sq = float(beta[j])
-            worst_beta_k = a + int(ks[j])
-        j = int(np.argmin(np.where(np.isnan(zeta), np.inf, zeta)))
-        if zeta[j] < zeta_hat:
-            zeta_hat = float(zeta[j])
-            worst_zeta_k = a + int(ks[j])
+        beta_hat_sq, worst_beta_k = _fold_max(beta, a + ks, beta_hat_sq,
+                                              worst_beta_k)
+        neg_zeta, worst_zeta_k = _fold_max(-zeta, a + ks, -zeta_hat,
+                                           worst_zeta_k)
+        zeta_hat = -neg_zeta
     if end < len(trace):
         raise ValueError(f"recorded value at iteration {end} is not finite")
     passed = _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma_val)
@@ -283,6 +301,18 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
     squared displacement are computed exactly by enumerating all n candidate
     coordinates.  Theory constants:
     ``beta^2 = 2[(L_f^W)^2 + 1] + (n - 1) max_i L_i^2/w_i^2``, ``zeta = gamma``.
+
+    The checked iterations are processed in chunks of m, with m as large as
+    keeps an ``(m * n, image_dim)`` array within about 128 KiB, and at least
+    1.  The chunk's iterates are rebuilt by assigning the recorded values,
+    and everything at them is evaluated from scratch, independently of the
+    solver's incremental caches: their images and full gradients, all
+    ``m * n`` slice minimizers in one :meth:`Problem.slice_minimizers` call,
+    and each candidate's coordinate gradient and objective from the image
+    moved along the candidate's column.  The realized steps are replayed
+    (hard :class:`ReplayError` beyond 1e-9) before the chunk's slices are
+    solved.  A non-finite recorded value raises ``ValueError`` unless a
+    replay fails at an earlier checked iteration.
     """
     if not p.box.is_free():
         raise ValueError("expectation-mode certification requires an unconstrained problem")
@@ -296,74 +326,91 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
     beta_sq_theory = 2.0 * (lfw**2 + 1.0) + (n - 1) * r_sq
     if check_every is None:
         check_every = default_rfdm_check_every(n, len(trace))
+    if check_every < 1:
+        raise ValueError("check_every must be >= 1")
+
+    coords = trace.coords
+    values = trace.new_values
+    omegas = trace.omegas
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    end = int(non_finite[0]) if non_finite.size else len(trace)
+    checked = np.arange(0, end, check_every)
+    chunk = max(1, _RFDM_CHUNK_BYTES // (8 * n * p.image_dim))
 
     beta_hat_sq = 0.0
     zeta_hat = np.inf
     worst_beta_k = None
     worst_zeta_k = None
-    n_checked = 0
-    f = trace.f
-    omegas = trace.omegas
-    for k, x, i, old, new in trace.iter_steps():
-        if k % check_every != 0:
-            continue
-        n_checked += 1
-        grad = p.gradient(x)
+    x = trace.x0.copy()
+    at = 0  # x is x_at
+    for start in range(0, checked.size, chunk):
+        ks = checked[start:start + chunk]
+        m = ks.size
+        X = np.empty((m, n))
+        for r, k in enumerate(ks):
+            _assign_last(x, coords[at:k], values[at:k])
+            at = k
+            X[r] = x
+        U = p._images(X)
+        G = p._gradients_at(X, U)
+
+        # replay the realized steps (other coordinates cancel exactly)
+        rows = np.arange(m)
+        i = coords[ks]
+        new = values[ks]
+        old = X[rows, i]
+        col_i = p._image_columns(i)
+        g_i = G[rows, i]
+        g_new = p._coord_grads_at(i, U + col_i * (new - old)[:, None], new, col_i)
+        z_real = g_i - g_new + w[i] * (new - old)
+        replayed = np.clip(old - (omegas[ks] / w[i]) * (g_i - z_real),
+                           p.box.lower[i], p.box.upper[i])
+        err = np.abs(replayed - new)
+        failed = np.flatnonzero(err > REPLAY_TOL)
+        if failed.size:
+            raise ReplayError(int(ks[failed[0]]), float(err[failed[0]]))
+
+        # candidate (r, j): row r with coordinate j at its slice minimizer
+        tilde = p.slice_minimizers(X, U, G)
+        j = np.tile(np.arange(n), m)
+        cols = p._image_columns(j)
+        U_c = U[np.repeat(rows, n)] + cols * (tilde - X).reshape(-1, 1)
+        g_tilde = p._coord_grads_at(j, U_c, tilde.ravel(), cols).reshape(m, n)
+        X_c = np.repeat(X, n, axis=0)
+        X_c[np.arange(m * n), j] = tilde.ravel()
+        f_next = p._values_at(X_c, U_c).reshape(m, n)
+
         # Entries below the gradient's rounding scale cannot be measured, and
         # the coordinate solves only drive slice derivatives to the inner
         # tolerance, so entries that close to zero are unresolved as well.
-        g_noise = (64.0 * _EPS * max(1.0, float(np.max(np.abs(grad))))
+        g_noise = (64.0 * _EPS * np.maximum(1.0, np.max(np.abs(G), axis=1))
                    + SLICE_DERIV_TOL)
-        g_eff = np.maximum(0.0, np.abs(grad) - g_noise)
-        g_eff_dual_sq = float(np.dot(g_eff * g_eff, 1.0 / w))
-        e_z = 0.0
-        e_disp = 0.0
-        e_f_next = 0.0
-        x_t = x.copy()
-        st = p.start_state(x)  # one cache for all n slice solves at x_k
-        for j in range(n):
-            tilde_j = st.exact_coord_min(j)
-            x_t[j] = tilde_j
-            gj_tilde = p.coord_gradient(x_t, j)
-            z_jj = grad[j] - gj_tilde + w[j] * (tilde_j - x[j])
-            z_eff = max(0.0, abs(z_jj)
-                        - _z_noise(grad[j], gj_tilde, w[j], x[j], tilde_j))
-            e_f_next += p.value(x_t)
-            x_t[j] = x[j]
-            # choosing j: coordinate j carries z_jj, others keep the gradient
-            e_z += z_eff * z_eff / w[j] + (g_eff_dual_sq
-                                           - g_eff[j] * g_eff[j] / w[j])
-            e_disp += w[j] * (tilde_j - x[j]) ** 2
-        e_z /= n
-        e_disp /= n
-        e_f_next /= n
-        # replay the realized step (other coordinates cancel exactly)
-        g_i = grad[i]
-        x_ti = x.copy()
-        x_ti[i] = new
-        z_real = g_i - p.coord_gradient(x_ti, i) + w[i] * (new - old)
-        replayed = _replay_coord(p, old, g_i, z_real, omegas[k], w[i], i)
-        err = abs(replayed - new)
-        if err > REPLAY_TOL:
-            raise ReplayError(k, err)
-        if e_disp == 0.0:
-            continue
-        beta_ratio = e_z / e_disp
-        if beta_ratio > beta_hat_sq:
-            beta_hat_sq = beta_ratio
-            worst_beta_k = k
-        # recompute f(x_k) from scratch so both sides share one rounding regime
-        f_here = p.value(x)
-        zeta_ratio = (f_here - e_f_next + _f_noise(f_here)) / e_disp
-        if zeta_ratio < zeta_hat:
-            zeta_hat = zeta_ratio
-            worst_zeta_k = k
+        g_eff_sq = np.maximum(0.0, np.abs(G) - g_noise[:, None]) ** 2 / w
+        z = G - g_tilde + w * (tilde - X)
+        z_eff = np.maximum(0.0, np.abs(z) - _z_noise(G, g_tilde, w, X, tilde))
+        # choosing j: coordinate j carries z_jj, others keep the gradient
+        e_z = np.sum(z_eff * z_eff / w
+                     + (np.sum(g_eff_sq, axis=1, keepdims=True) - g_eff_sq),
+                     axis=1) / n
+        e_disp = np.sum(w * np.float_power(tilde - X, 2.0), axis=1) / n
+        f_here = p._values_at(X, U)
+        decrease = f_here - np.sum(f_next, axis=1) / n + _f_noise(f_here)
+
+        moved = e_disp != 0.0
+        ks, e_disp = ks[moved], e_disp[moved]
+        beta_hat_sq, worst_beta_k = _fold_max(e_z[moved] / e_disp, ks,
+                                              beta_hat_sq, worst_beta_k)
+        neg_zeta, worst_zeta_k = _fold_max(-decrease[moved] / e_disp, ks,
+                                           -zeta_hat, worst_zeta_k)
+        zeta_hat = -neg_zeta
+    if end < len(trace):
+        raise ValueError(f"recorded value at iteration {end} is not finite")
     passed = _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma_val)
     return Certificate(
         framework="rfdm", option=OPTION_I,
         beta_hat_sq=float(beta_hat_sq), zeta_hat=float(zeta_hat),
         beta_sq_theory=float(beta_sq_theory), zeta_theory=gamma_val,
-        n_checked=n_checked, worst_beta_k=worst_beta_k,
+        n_checked=int(checked.size), worst_beta_k=worst_beta_k,
         worst_zeta_k=worst_zeta_k, passed=passed,
         eta_hat=float(beta_hat_sq),
         inputs={"l_f_w": lfw, "gamma": gamma_val, "r_sq": r_sq,

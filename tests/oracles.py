@@ -5,7 +5,9 @@ quadratics are solved by exhaustive active-set enumeration, tiny duals by
 grid search with refinement, gradients by central differences, and the
 Hoffman maximization by dense sampling of the unit sphere.  The rcfdm
 certificate has a step-by-step reference that evaluates the scalar
-coordinate gradient twice per step.
+coordinate gradient twice per step, and the rfdm certificate one that
+solves each of the n candidate slices of a checked step through a scalar
+state.
 """
 
 import itertools
@@ -13,10 +15,11 @@ import itertools
 import numpy as np
 
 from fdmkit.geometry import check_weights
-from fdmkit.problems import global_lipschitz_bound
+from fdmkit.problems import SLICE_DERIV_TOL, global_lipschitz_bound
 from fdmkit.solvers import OPTION_I, OPTION_II
-from fdmkit.verify import (REPLAY_TOL, Certificate, ReplayError,
-                           _certificate_pass, _f_noise, _z_noise)
+from fdmkit.verify import (_EPS, REPLAY_TOL, Certificate, ReplayError,
+                           _certificate_pass, _f_noise, _z_noise,
+                           default_rfdm_check_every)
 
 
 def box_qp_oracle(hessian, linear, lower, upper, tol=1e-9):
@@ -194,3 +197,78 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
         zeta_theory=gamma, n_checked=n_checked, worst_beta_k=worst_beta_k,
         worst_zeta_k=worst_zeta_k,
         passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma))
+
+
+def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
+    """Expectation-mode certificate by a scalar walk over ``iter_steps``.
+
+    At each checked step every candidate coordinate is solved through one
+    state built at x_k, and its coordinate gradient and objective are
+    evaluated from scratch at the candidate point.  A ``ratios`` dict
+    receives ``k -> (beta ratio, zeta ratio)`` for every step that moves.
+    """
+    w = check_weights(trace.w if w is None else w, p.n)
+    gamma = p.gamma(w)
+    lfw = global_lipschitz_bound(p.lipschitz, w)
+    r_sq = float(np.max((p.lipschitz / w) ** 2))
+    n = p.n
+    beta_sq_theory = 2.0 * (lfw**2 + 1.0) + (n - 1) * r_sq
+    if check_every is None:
+        check_every = default_rfdm_check_every(n, len(trace))
+    beta_hat_sq, zeta_hat = 0.0, np.inf
+    worst_beta_k = worst_zeta_k = None
+    n_checked = 0
+    omegas = trace.omegas
+    for k, x, i, old, new in trace.iter_steps():
+        if k % check_every != 0:
+            continue
+        n_checked += 1
+        grad = p.gradient(x)
+        g_noise = (64.0 * _EPS * max(1.0, float(np.max(np.abs(grad))))
+                   + SLICE_DERIV_TOL)
+        g_eff = np.maximum(0.0, np.abs(grad) - g_noise)
+        g_eff_dual_sq = float(np.dot(g_eff * g_eff, 1.0 / w))
+        e_z = e_disp = e_f_next = 0.0
+        x_t = x.copy()
+        st = p.start_state(x)
+        for j in range(n):
+            tilde_j = st.exact_coord_min(j)
+            x_t[j] = tilde_j
+            gj_tilde = p.coord_gradient(x_t, j)
+            z_jj = grad[j] - gj_tilde + w[j] * (tilde_j - x[j])
+            z_eff = max(0.0, abs(z_jj)
+                        - _z_noise(grad[j], gj_tilde, w[j], x[j], tilde_j))
+            e_f_next += p.value(x_t)
+            x_t[j] = x[j]
+            e_z += z_eff * z_eff / w[j] + (g_eff_dual_sq
+                                           - g_eff[j] * g_eff[j] / w[j])
+            e_disp += w[j] * (tilde_j - x[j]) ** 2
+        e_z /= n
+        e_disp /= n
+        e_f_next /= n
+        g_i = grad[i]
+        x_ti = x.copy()
+        x_ti[i] = new
+        z_real = g_i - p.coord_gradient(x_ti, i) + w[i] * (new - old)
+        replayed = p.box.clip_coord(old - (omegas[k] / w[i]) * (g_i - z_real), i)
+        err = abs(replayed - new)
+        if err > REPLAY_TOL:
+            raise ReplayError(k, err)
+        if e_disp == 0.0:
+            continue
+        beta_ratio = e_z / e_disp
+        if beta_ratio > beta_hat_sq:
+            beta_hat_sq, worst_beta_k = beta_ratio, k
+        f_here = p.value(x)
+        zeta_ratio = (f_here - e_f_next + _f_noise(f_here)) / e_disp
+        if ratios is not None:
+            ratios[k] = (beta_ratio, zeta_ratio)
+        if zeta_ratio < zeta_hat:
+            zeta_hat, worst_zeta_k = zeta_ratio, k
+    return Certificate(
+        framework="rfdm", option=OPTION_I, beta_hat_sq=float(beta_hat_sq),
+        zeta_hat=float(zeta_hat), beta_sq_theory=float(beta_sq_theory),
+        zeta_theory=gamma, n_checked=n_checked, worst_beta_k=worst_beta_k,
+        worst_zeta_k=worst_zeta_k,
+        passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma),
+        eta_hat=float(beta_hat_sq))

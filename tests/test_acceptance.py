@@ -113,8 +113,10 @@ def test_criterion_03_coordinate_framework_constants_svm():
 def test_criterion_04_expectation_framework_constants_erm():
     p = fixtures.erm_logistic()
     w = p.lipschitz
+    t0 = time.perf_counter()
     tr = run_scdm(p, SolverConfig(max_iters=2000, seed=0), "I")
     cert = check_rfdm(tr, p, w, check_every=1)
+    elapsed = time.perf_counter() - t0
     lfw = global_lipschitz_bound(p.lipschitz, w)
     r_sq = float(np.max((p.lipschitz / w) ** 2))
     bound = 2.0 * (lfw**2 + 1.0) + (p.n - 1) * r_sq
@@ -124,7 +126,7 @@ def test_criterion_04_expectation_framework_constants_erm():
     _report(4, "expectation-mode constants on logistic ERM", ok,
             f"n=20, every iteration enumerated: beta_hat^2="
             f"{cert.beta_hat_sq:.4g} <= {bound:.4g}, zeta_hat="
-            f"{cert.zeta_hat:.4g} >= gamma={gamma:.4g}")
+            f"{cert.zeta_hat:.4g} >= gamma={gamma:.4g}; runtime {elapsed:.1f}s")
 
 
 def _domination_check(p, n_seeds=64):

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures
 from fdmkit.geometry import Box
-from fdmkit.problems import (ErmProblem, LassoBoxProblem, QuadraticProblem,
+from fdmkit.problems import (_LOSSES, SLICE_DERIV_TOL, ErmProblem,
+                             LassoBoxProblem, QuadraticProblem, SliceMinError,
                              SvmDualProblem, check_coord_strong_convexity,
                              expit, global_lipschitz_bound, lasso_lift,
-                             lasso_project_back)
+                             lasso_project_back, minimize_slice,
+                             minimize_slices)
 from oracles import fd_gradient, grid_min_2d, svm_dual_batch
 
 
@@ -219,6 +221,118 @@ def test_batched_values_reject_wrong_shape(standard_problems):
         p.values(np.zeros(p.n))
     with pytest.raises(ValueError):
         p.values(np.zeros((3, p.n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# batched slice solves
+
+
+def _erm_slices(loss, seed, n_slices):
+    """Random l2-regularized ERM slices t -> mean(loss(u + t c)) + lam t^2/2,
+    as a batched and a per-slice ``deriv_and_curv``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m = int(rng.integers(1, 20))
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    U = rng.standard_normal((n_slices, m)) * scale
+    C = rng.standard_normal((n_slices, m)) * scale
+    y = np.where(rng.standard_normal(m) > 0.0, 1.0, -1.0)
+    lam = 10.0 ** rng.uniform(-3.0, 1.0)
+    lo = _LOSSES[loss]
+
+    def batched(t, idx):
+        d1, d2 = lo.deriv_pair(U[idx] + t[:, None] * C[idx], y)
+        return ((d1 * C[idx]).sum(axis=1) / m + lam * t,
+                (d2 * C[idx] ** 2).sum(axis=1) / m + lam)
+
+    def single(e):
+        def deriv_and_curv(t):
+            d, c = batched(np.array([t]), np.array([e]))
+            return float(d[0]), float(c[0])
+        return deriv_and_curv
+
+    return batched, single, rng
+
+
+def _collapsed(deriv_and_curv, t):
+    """The derivative changes sign within a few ulps of ``t``."""
+    gap = 4.0 * np.spacing(abs(t))
+    return deriv_and_curv(t - gap)[0] <= 0.0 <= deriv_and_curv(t + gap)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       loss=st.sampled_from(["logistic", "squared_hinge"]),
+       starts=st.lists(st.sampled_from(["near", "far", "optimum"]),
+                       min_size=1, max_size=8))
+def test_minimize_slices_matches_minimize_slice(seed, loss, starts):
+    batched, single, rng = _erm_slices(loss, seed, len(starts))
+    t0 = np.empty(len(starts))
+    for e, kind in enumerate(starts):
+        if kind == "near":
+            t0[e] = rng.standard_normal()
+        elif kind == "far":
+            t0[e] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 6.0)
+        else:  # a start whose derivative is (numerically) zero
+            t0[e] = minimize_slice(single(e), 0.0, -np.inf, np.inf)
+    d0 = batched(t0, np.arange(len(starts)))[0]
+    try:
+        wants = [minimize_slice(single(e), t0[e], -np.inf, np.inf)
+                 for e in range(len(starts))]
+    except SliceMinError:
+        # a far start can take more bisections than the iteration cap
+        with pytest.raises(SliceMinError):
+            minimize_slices(batched, t0, d0)
+        return
+    got = minimize_slices(batched, t0, d0)
+    for e, (t, want) in enumerate(zip(got, wants)):
+        assert abs(t - want) <= 1e-9 * max(1.0, abs(want))
+        assert (abs(single(e)(t)[0]) <= SLICE_DERIV_TOL
+                or _collapsed(single(e), t))
+        if starts[e] == "optimum":
+            assert t == t0[e]
+
+
+def test_minimize_slices_too_few_iterations_raise():
+    batched, single, _ = _erm_slices("logistic", 5, 3)
+    t0 = np.array([0.0, 1e4, -1e5])
+    d0 = batched(t0, np.arange(3))[0]
+    with pytest.raises(SliceMinError):
+        minimize_slice(single(1), t0[1], -np.inf, np.inf, max_iter=2)
+    with pytest.raises(SliceMinError):
+        minimize_slices(batched, t0, d0, max_iter=2)
+
+
+def _batched_slice_problems():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    A = rng.standard_normal((15, 4))
+    y = np.where(rng.standard_normal(15) > 0.0, 1.0, -1.0)
+    probs = {loss: ErmProblem(A, y, lam=0.05, loss=loss) for loss in _LOSSES}
+    probs["quadratic_free"] = QuadraticProblem(
+        np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]),
+        np.array([1.0, -2.0, 0.5]))
+    probs["quadratic_box"] = fixtures.quadratic_box()
+    return probs
+
+
+@pytest.mark.parametrize("name", sorted(_batched_slice_problems()))
+def test_batched_oracles_match_scalar_oracles(name, rng):
+    p = _batched_slice_problems()[name]
+    X = np.array([_random_feasible(p, rng) for _ in range(6)])
+    U = p._images(X)
+    G = p._gradients_at(X, U)
+    tilde = p.slice_minimizers(X, U, G)
+    for r, x in enumerate(X):
+        np.testing.assert_allclose(G[r], p.gradient(x), rtol=1e-12, atol=1e-14)
+        assert p._values_at(X, U)[r] == pytest.approx(p.value(x), rel=1e-12)
+        st_ = p.start_state(x)
+        want = np.array([st_.exact_coord_min(j) for j in range(p.n)])
+        np.testing.assert_allclose(tilde[r], want, rtol=1e-9, atol=1e-9)
+
+
+def test_batched_oracles_absent_without_free_box(standard_problems):
+    p = standard_problems["svm_dual_n4"]
+    with pytest.raises(NotImplementedError):
+        p.slice_minimizers(np.zeros((1, p.n)), None, None)
 
 
 # ---------------------------------------------------------------------------

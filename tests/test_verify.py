@@ -3,13 +3,13 @@ import pytest
 
 from fdmkit import fixtures, verify
 from fdmkit.geometry import Box, project_box
-from fdmkit.problems import QuadraticProblem, global_lipschitz_bound
+from fdmkit.problems import ErmProblem, QuadraticProblem, global_lipschitz_bound
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
-from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
+from fdmkit.verify import (ReplayError, _f_noise, check_rcfdm, check_rfdm,
                            check_trace_invariants, cyclic_constants,
                            default_rfdm_check_every, reconstruct_z_option1)
-from oracles import check_rcfdm_scalar
+from oracles import check_rcfdm_scalar, check_rfdm_scalar
 
 
 def separable_quadratic(L):
@@ -286,6 +286,138 @@ class TestCheckRfdm:
     def test_check_every_default_budget(self):
         assert default_rfdm_check_every(10, 1000) == 1
         assert default_rfdm_check_every(20, 10_000) == 2
+
+    @pytest.mark.parametrize("check_every", [0, -2])
+    def test_nonpositive_check_every_rejected(self, check_every):
+        p = separable_quadratic([1.0, 2.0])
+        tr = run_scdm(p, SolverConfig(max_iters=5, seed=0,
+                                      x0=np.array([1.0, 1.0])), option="I")
+        with pytest.raises(ValueError, match="check_every"):
+            check_rfdm(tr, p, check_every=check_every)
+
+
+def _rfdm_chunk(monkeypatch, p, steps):
+    """Make check_rfdm enumerate ``p``'s traces in chunks of ``steps``
+    checked steps."""
+    monkeypatch.setattr(verify, "_RFDM_CHUNK_BYTES",
+                        8 * p.n * p.image_dim * steps)
+
+
+def _rfdm_problem(name):
+    if name == "separable_quadratic":
+        return separable_quadratic([1.0, 2.0, 3.0, 4.0, 5.0])
+    rng = np.random.Generator(np.random.Philox(key=21))
+    A = rng.standard_normal((30, 6))
+    y = np.where(rng.standard_normal(30) > 0.0, 1.0, -1.0)
+    return ErmProblem(A, y, lam=0.05, loss=name)
+
+
+def _zeta_tolerance(tr, p, k):
+    """``2 * _f_noise(f_k) / e_disp`` at step k: the rounding of the
+    objective difference that zeta divides, at its worst step."""
+    x = tr.iterate(k)
+    st = p.start_state(x)
+    e_disp = np.mean([tr.w[j] * (st.exact_coord_min(j) - x[j]) ** 2
+                      for j in range(p.n)])
+    return 2.0 * _f_noise(p.value(x)) / e_disp
+
+
+class TestRfdmMatchesScalarEnumeration:
+    """The chunked enumeration against the step-by-step reference in oracles.
+
+    The traces stop while the gradient is well above its rounding (max |g|
+    is 2e-6 at the end of the logistic trace).  Near the optimum beta is a
+    ratio of rounding-level quantities: on the same trace run to 200 steps
+    the worst beta step has max |g| = 8e-9, and there the two enumerations
+    differ by 2.4e-10 times beta_sq_theory.
+    """
+
+    STEPS = 120
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("check_every", [1, 3])
+    @pytest.mark.parametrize("name", ["logistic", "squared", "squared_hinge",
+                                      "separable_quadratic"])
+    def test_certificate_matches(self, name, check_every, chunk, monkeypatch):
+        p = _rfdm_problem(name)
+        if chunk is not None:
+            _rfdm_chunk(monkeypatch, p, chunk)
+        x0 = np.linspace(-1.5, 2.0, p.n)
+        tr = run_scdm(p, SolverConfig(max_iters=self.STEPS, seed=2, x0=x0), "I")
+        got = check_rfdm(tr, p, check_every=check_every)
+        ratios = {}
+        want = check_rfdm_scalar(tr, p, check_every=check_every, ratios=ratios)
+        assert got.n_checked == want.n_checked == len(range(0, self.STEPS,
+                                                            check_every))
+        assert got.passed == want.passed
+        assert got.eta_hat == got.beta_hat_sq
+        # the reordered sums move beta_hat at its rounding floor, and zeta_hat
+        # by the rounding of the objective decrease it divides
+        beta_tol = 1e-12 * got.beta_sq_theory
+        zeta_tol = _zeta_tolerance(tr, p, want.worst_zeta_k)
+        assert abs(got.beta_hat_sq - want.beta_hat_sq) <= beta_tol
+        assert abs(got.zeta_hat - want.zeta_hat) <= zeta_tol
+        # The worst steps are equal unless the reference's own ratios tie
+        # within those bounds: with w = L every step of a quadratic (and of
+        # squared-loss ERM) has zeta = 1/2 in exact arithmetic.
+        assert (got.worst_beta_k == want.worst_beta_k
+                or abs(ratios[got.worst_beta_k][0] - want.beta_hat_sq) <= beta_tol)
+        assert (got.worst_zeta_k == want.worst_zeta_k
+                or abs(ratios[got.worst_zeta_k][1] - want.zeta_hat) <= zeta_tol)
+
+
+class TestRfdmReplayErrors:
+    """Corrupted recorded values on a logistic trace enumerated in chunks of
+    four checked steps."""
+
+    STEPS = 41
+    CHUNK = 4
+
+    @pytest.fixture
+    def case(self, standard_problems, monkeypatch):
+        p = standard_problems["erm_logistic_n20"]
+        _rfdm_chunk(monkeypatch, p, self.CHUNK)
+        tr = run_scdm(p, SolverConfig(max_iters=self.STEPS, seed=3), "I")
+        return p, tr
+
+    @staticmethod
+    def corrupt(tr, k, delta=1.7):
+        tr._new_values[k] += delta
+
+    @pytest.mark.parametrize("delta", [1.7, 1e-6])
+    @pytest.mark.parametrize("k", [2 * CHUNK, 3 * CHUNK - 1, STEPS - 1])
+    def test_reported_at_corrupted_step(self, case, k, delta):
+        p, tr = case
+        self.corrupt(tr, k, delta)
+        with pytest.raises(ReplayError) as err:
+            check_rfdm(tr, p, check_every=1)
+        assert err.value.k == k
+
+    def test_unchecked_corruption(self, case):
+        # with check_every=3 the last step, 40, is walked but never replayed
+        p, tr = case
+        self.corrupt(tr, self.STEPS - 1)
+        cert = check_rfdm(tr, p, check_every=3)
+        assert cert.n_checked == len(range(0, self.STEPS, 3))
+        # an unchecked step earlier on moves the iterate of the next checked one
+        self.corrupt(tr, 13)
+        outcomes = []
+        for check in (check_rfdm, check_rfdm_scalar):
+            with pytest.raises(ReplayError) as err:
+                check(tr, p, check_every=3)
+            outcomes.append(err.value.k)
+        assert outcomes == [15, 15]
+
+    def test_non_finite_value_raises_value_error(self, case):
+        p, tr = case
+        tr._new_values[10] = np.nan
+        with pytest.raises(ValueError, match="iteration 10 is not finite"):
+            check_rfdm(tr, p, check_every=1)
+        # an earlier replay failure is still reported first
+        self.corrupt(tr, 5)
+        with pytest.raises(ReplayError) as err:
+            check_rfdm(tr, p, check_every=1)
+        assert err.value.k == 5
 
 
 # ---------------------------------------------------------------------------
