@@ -67,6 +67,8 @@ class Box:
         up.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        # Python floats: clip_coord runs once per coordinate step
+        object.__setattr__(self, "_bounds", list(zip(lo.tolist(), up.tolist())))
 
     @property
     def n(self) -> int:
@@ -116,7 +118,8 @@ class Box:
         return np.clip(x, self.lower, self.upper)
 
     def clip_coord(self, value: float, i: int) -> float:
-        return float(min(max(value, self.lower[i]), self.upper[i]))
+        lo, up = self._bounds[i]
+        return float(min(max(value, lo), up))
 
 
 def weighted_norm_sq(x, w) -> float:

@@ -1,13 +1,18 @@
-"""Smooth box-constrained problems with coordinate-gradient oracles.
+"""Smooth box-constrained problems, each family defined once in image space.
 
-Every problem exposes its dimension, feasible :class:`~fdmkit.geometry.Box`,
-per-coordinate gradient Lipschitz constants ``L_i`` and, where the coordinate
-slice is an exact quadratic, a closed-form coordinate minimizer (otherwise a
-safeguarded 1-D Newton solve is used).
+All four families (box quadratics, the SVM dual, l2-ERM and the doubled lasso)
+have the form f(x) = h(Ex) + (terms simple in x), the weak-strong-convexity
+class of Wang & Lin (JMLR 2014).  A family states its objective, gradients
+and coordinate slices through the linear image ``Ex`` (see :class:`Problem`);
+the scalar, path and batched oracles, the coordinate minimizers and the
+incremental state of a solver run are all derived from that one definition.
+Where a slice is not an exact quadratic, a safeguarded 1-D Newton solve
+minimizes it.
 
 Problem instances are immutable after construction and shareable across
 concurrent runs; the incremental caches used by the solvers live in the
-mutable state objects returned by :meth:`Problem.start_state`, one per run.
+mutable :class:`ProblemState` returned by :meth:`Problem.start_state`, one
+per run.
 """
 
 from __future__ import annotations
@@ -174,56 +179,79 @@ def minimize_slices(deriv_and_curv, t0, d0, tol: float = SLICE_DERIV_TOL,
     return t
 
 
-class ProblemState(ABC):
-    """Mutable per-run cache owning the current iterate.
+def _dot(A: np.ndarray, B: np.ndarray):
+    """Inner product of two vectors (BLAS ``@``, whose summation order the
+    solver states rely on), or of each row of two equally shaped stacks."""
+    return float(A @ B) if A.ndim == 1 else np.einsum("ij,ij->i", A, B)
 
-    ``objective`` / ``coord_grad`` are exact functions of the cached
-    quantities, so consecutive objective values recorded by a solver are
-    mutually consistent (monotone descent is preserved to rounding).
-    """
 
-    x: np.ndarray
-
-    @abstractmethod
-    def objective(self) -> float: ...
-
-    @abstractmethod
-    def coord_grad(self, i: int) -> float: ...
-
-    @abstractmethod
-    def gradient(self) -> np.ndarray: ...
-
-    @abstractmethod
-    def set_coord(self, i: int, new: float) -> None: ...
-
-    @abstractmethod
-    def exact_coord_min(self, i: int) -> float:
-        """Minimizer of the i-th coordinate slice over X_i (does not mutate)."""
-
-    def set_x(self, x_new: np.ndarray) -> None:
-        """Replace the whole iterate (full-vector methods); rebuilds caches.
-
-        ``x_new`` must be a float vector of length n.  The state keeps it as
-        its iterate without a copy, so the caller must not modify it later.
-        """
-        self._rebuild(x_new)
-
-    @abstractmethod
-    def _rebuild(self, x: np.ndarray) -> None: ...
+def _rows(fn, U: np.ndarray) -> np.ndarray:
+    """A callable of one image, applied to one image or to each row of a stack."""
+    return fn(U) if U.ndim == 1 else np.array([fn(u) for u in U])
 
 
 class Problem(ABC):
-    """Abstract smooth problem over a coordinate box."""
+    """A smooth problem over a coordinate box, defined once in image space.
+
+    A family states f(x) = h(Ex) + (terms simple in x) through these hooks,
+    each over one point ``(n,)`` or a stack ``(m, n)`` of points:
+
+    - ``_images(X)``: the linear image (``Ex`` plus any offset), and
+      ``_cols``, whose row i is the change of the image per unit move of x_i;
+    - ``_values_at(X, images)``: the objective;
+    - ``_phi(images)``: the image-space derivative the gradient needs;
+    - ``_grad(X, phi)``: the gradient, and ``_coord_grad(i, xi, phi, cols)``:
+      partial i at a point whose coordinate i is ``xi`` (``cols = _cols[i]``);
+    - either ``_slice_curv``, the exact curvature of every coordinate slice
+      (exact quadratic slices), or ``_slice_deriv_curv(t, images, cols, j)``,
+      slice j's first and second derivative at t from the image moved there.
+
+    Everything else is derived here: the scalar, path and batched oracles,
+    both coordinate minimizers and the :class:`ProblemState` of a run.
+    """
 
     n: int
     box: Box
     lipschitz: np.ndarray
-    image_dim: int  # length of the linear image the gradient depends on
+    _cols: np.ndarray
+    _slice_curv: np.ndarray | None = None
+    # f is a quadratic in x whose slice curvature is _slice_curv, so a state
+    # updates it by an exact Taylor step instead of evaluating it
+    _tracks_f = False
+
+    @property
+    def image_dim(self) -> int:
+        """Length of the linear image the gradient depends on."""
+        return self._cols.shape[1]
 
     @abstractmethod
-    def value(self, x) -> float: ...
+    def _images(self, X) -> np.ndarray: ...
 
     @abstractmethod
+    def _values_at(self, X, images): ...
+
+    def _phi(self, images) -> np.ndarray:
+        return images
+
+    @abstractmethod
+    def _grad(self, X, phi) -> np.ndarray: ...
+
+    @abstractmethod
+    def _coord_grad(self, i, xi, phi, cols): ...
+
+    _slice_deriv_curv = None  # the Newton families' slices
+
+    def coord_curvature_floor(self) -> np.ndarray:
+        """Per-coordinate lower bound on the slice curvature, valid on all of X
+        (the exact curvature where the slices are exact quadratics)."""
+        return self._slice_curv.copy()
+
+    # -- derived oracles -----------------------------------------------------
+
+    def value(self, x) -> float:
+        x = self._check_point(x)
+        return float(self._values_at(x, self._images(x)))
+
     def values(self, X) -> np.ndarray:
         """Objective at each row of an ``(m, n)`` stack of points.
 
@@ -231,12 +259,29 @@ class Problem(ABC):
         checked for finiteness nor for feasibility, so an audit can evaluate
         corrupted points; results agree with :meth:`value` to rounding.
         """
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"point stack must have shape (m, {self.n}), "
+                             f"got {X.shape}")
+        return self._values_at(X, self._images(X))
 
-    @abstractmethod
-    def gradient(self, x) -> np.ndarray: ...
+    def gradient(self, x) -> np.ndarray:
+        x = self._check_point(x)
+        return self._gradients_at(x, self._images(x))
 
-    @abstractmethod
-    def coord_gradient(self, x, i: int) -> float: ...
+    def coord_gradient(self, x, i: int) -> float:
+        x = self._check_point(x)
+        return float(self._coord_grads_at(i, self._images(x), x[i], self._cols[i]))
+
+    def _gradients_at(self, X, images) -> np.ndarray:
+        """Full gradient at each row of ``X``, whose images are ``images``."""
+        return self._grad(X, self._phi(images))
+
+    def _coord_grads_at(self, coords, images, xi, cols):
+        """Partial derivative ``coords[r]`` at a point whose image is
+        ``images[r]`` and whose coordinate ``coords[r]`` is ``xi[r]``;
+        ``cols`` is ``_cols[coords]``."""
+        return self._coord_grad(coords, xi, self._phi(images), cols)
 
     def coord_grads_along(self, x, coords, values) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate gradients along a path of single-coordinate moves.
@@ -247,11 +292,9 @@ class Problem(ABC):
         partial derivative at ``x_r`` and ``g_after[r]`` the same partial at
         ``x_{r+1}``.
 
-        The linear image of ``x`` that the gradient depends on is built from
-        scratch, and the path's moves are accumulated in image space with one
-        cumulative sum, so a path of length b costs O(b * image_dim) time and
-        memory.  The results agree with :meth:`coord_gradient` at each point
-        to rounding; the sums are ordered differently.
+        The image of ``x`` is built from scratch and the moves accumulated in
+        image space with one cumulative sum: O(b * image_dim) for a path of
+        length b.  Agrees with :meth:`coord_gradient` to rounding.
         """
         x = self._check_point(x)
         coords = np.asarray(coords, dtype=np.int64)
@@ -265,77 +308,58 @@ class Problem(ABC):
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
         olds = path_start_values(x, coords, values)
-        cols = self._image_columns(coords)
+        cols = self._cols[coords]
         images = cols * (values - olds)[:, None]
         np.cumsum(images, axis=0, out=images)
-        image0 = self._image(x)
+        image0 = self._images(x)
         images += image0
-        g_after = self._coord_grads_at(coords, images, values, cols)
+        phi = self._phi(images)
+        g_after = self._coord_grad(coords, values, phi, cols)
         g_before = np.concatenate([
             self._coord_grads_at(coords[:1], image0[None, :], olds[:1], cols[:1]),
-            self._coord_grads_at(coords[1:], images[:-1], olds[1:], cols[1:]),
+            self._coord_grad(coords[1:], olds[1:], phi[:-1], cols[1:]),
         ])
         return g_before, g_after
-
-    @abstractmethod
-    def _image(self, x: np.ndarray) -> np.ndarray:
-        """The linear image of ``x`` (length ``image_dim``) that the
-        gradient depends on."""
-
-    @abstractmethod
-    def _image_columns(self, coords: np.ndarray) -> np.ndarray:
-        """Rows ``(b, image_dim)``: the change of the image per unit move
-        of each coordinate in ``coords``."""
-
-    @abstractmethod
-    def _coord_grads_at(self, coords, images, xi, cols) -> np.ndarray:
-        """Partial derivative ``coords[r]`` at a point whose image is
-        ``images[r]`` and whose coordinate ``coords[r]`` is ``xi[r]``;
-        ``cols`` is ``_image_columns(coords)``."""
-
-    # Batched from-scratch oracles over an (m, n) stack of points.  Only the
-    # families whose box can be free implement them: they serve the
-    # expectation-mode certificate, which enumerates every coordinate slice.
-
-    def _images(self, X) -> np.ndarray:
-        """Rows ``(m, image_dim)``: the linear image of each row of ``X``."""
-        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
-
-    def _gradients_at(self, X, images) -> np.ndarray:
-        """Full gradient at each row of ``X``, whose images are ``images``."""
-        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
-
-    def _values_at(self, X, images) -> np.ndarray:
-        """Objective at each row of ``X``, whose images are ``images``."""
-        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
 
     def slice_minimizers(self, X, images, grads) -> np.ndarray:
         """Minimizer of every coordinate slice at every row of ``X``.
 
         Entry ``(r, j)`` minimizes f over coordinate j with the others fixed
         at ``X[r]``; ``images`` and ``grads`` are ``_images(X)`` and
-        ``_gradients_at(X, images)``, and a Newton solve starts from
-        ``grads``.  Agrees with :meth:`ProblemState.exact_coord_min` to the
-        slice solver's tolerance; the sums are ordered differently.
+        ``_gradients_at(X, images)``.  Exact quadratic slices take the clipped
+        Newton point, others :func:`minimize_slices` from ``grads`` on a free
+        box (``NotImplementedError`` otherwise).  Agrees with
+        :meth:`ProblemState.exact_coord_min` to the slice solver's tolerance.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no batched oracles")
+        if self._slice_curv is not None:
+            return np.clip(X - grads / self._slice_curv,
+                           self.box.lower, self.box.upper)
+        if not self.box.is_free():
+            raise NotImplementedError(
+                f"{type(self).__name__} has no batched solver for boxed slices")
+        m, n = X.shape
+        x = X.ravel()
 
-    @abstractmethod
-    def start_state(self, x0) -> ProblemState: ...
+        def deriv_and_curv(t, idx):
+            r, j = np.divmod(idx, n)
+            cols = self._cols[j]
+            return self._slice_deriv_curv(
+                t, images[r] + (t - x[idx])[:, None] * cols, cols, j)
 
-    @abstractmethod
-    def coord_curvature_floor(self) -> np.ndarray:
-        """Per-coordinate lower bound on the slice curvature, valid on all of X."""
+        return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
+
+    def exact_coord_min(self, x, i: int) -> float:
+        """One-off exact coordinate minimizer (builds a throwaway state)."""
+        return self.start_state(x).exact_coord_min(i)
+
+    def start_state(self, x0) -> "ProblemState":
+        """A fresh run state at a copy of ``x0``, which must lie in the box."""
+        return ProblemState(self, self._check_feasible(x0).copy())
 
     def gamma(self, w) -> float:
         """Coordinate strong-convexity modulus wrt ``||.||_W``: min_i floor_i/(2 w_i)."""
         w = check_weights(w, self.n)
         return float(np.min(self.coord_curvature_floor() / (2.0 * w)))
-
-    def exact_coord_min(self, x, i: int) -> float:
-        """One-off exact coordinate minimizer (builds a throwaway state)."""
-        st = self.start_state(np.array(x, dtype=float))
-        return st.exact_coord_min(i)
 
     def _check_point(self, x) -> np.ndarray:
         x = _check_vector(x, self.n)
@@ -343,12 +367,90 @@ class Problem(ABC):
             raise ValueError("point has non-finite entries")
         return x
 
-    def _check_stack(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"point stack must have shape (m, {self.n}), "
-                             f"got {X.shape}")
-        return X
+    def _check_feasible(self, x) -> np.ndarray:
+        x = self._check_point(x)
+        if not self.box.contains(x):
+            raise ValueError("point is outside the box")
+        return x
+
+
+class ProblemState:
+    """Mutable per-run state owning the current iterate.
+
+    It keeps x and its image, moved by ``image += delta * _cols[i]`` (the
+    residual update of Nesterov, SIAM J. Optim. 2012, and Richtarik & Takac,
+    arXiv:1107.2848); ``phi`` and the last ``(i, g_i)`` until the image
+    moves; and f where the problem tracks it (else ``f`` is None).  Recorded
+    objectives are exact functions of these, so descent holds to rounding.
+    """
+
+    __slots__ = ("p", "x", "image", "f", "_phi", "_gi", "_g", "_cols", "_curv")
+
+    def __init__(self, p: Problem, x: np.ndarray):
+        self.p = p
+        # list items read faster than numpy rows and scalars in a step loop
+        self._cols = list(p._cols)
+        self._curv = None if p._slice_curv is None else p._slice_curv.tolist()
+        self.set_x(x)
+
+    def set_x(self, x: np.ndarray) -> None:
+        """Replace the whole iterate (full-vector methods); rebuilds caches.
+        ``x`` (float, length n) is kept without a copy: do not modify it later."""
+        self.x = x
+        self.image = self.p._images(x)
+        self._phi = None
+        self._gi = -1
+        self.f = float(self.p._values_at(x, self.image)) if self.p._tracks_f else None
+
+    def _image_deriv(self) -> np.ndarray:
+        if self._phi is None:
+            self._phi = self.p._phi(self.image)
+        return self._phi
+
+    def objective(self) -> float:
+        if self.f is not None:
+            return self.f
+        return float(self.p._values_at(self.x, self.image))
+
+    def coord_grad(self, i: int) -> float:
+        # A step asks for g_i twice (choosing the move, then set_coord).
+        if self._gi != i:
+            phi = self._phi if self._phi is not None else self._image_deriv()
+            self._g = float(self.p._coord_grad(i, self.x[i], phi, self._cols[i]))
+            self._gi = i
+        return self._g
+
+    def gradient(self) -> np.ndarray:
+        return self.p._grad(self.x, self._image_deriv())
+
+    def set_coord(self, i: int, new: float) -> None:
+        delta = new - float(self.x[i])
+        if delta == 0.0:
+            return
+        if self.f is not None:
+            self.f += self.coord_grad(i) * delta + 0.5 * self._curv[i] * delta * delta
+        self.image += delta * self._cols[i]
+        self.x[i] = new
+        self._phi = None
+        self._gi = -1
+
+    def exact_coord_min(self, i: int) -> float:
+        """Minimizer of the i-th coordinate slice over X_i (does not mutate)."""
+        p = self.p
+        g = self.coord_grad(i)
+        xi = float(self.x[i])
+        if self._curv is not None:
+            return p.box.clip_coord(xi - g / self._curv[i], i)
+        lo, hi = p.box._bounds[i]
+        if abs(g) <= SLICE_DERIV_TOL and lo == -np.inf and hi == np.inf:
+            return xi  # minimize_slice's answer, without building the slice
+        col = self._cols[i]
+        image = self.image
+
+        def deriv_and_curv(t):
+            return p._slice_deriv_curv(t, image + (t - xi) * col, col, i)
+
+        return minimize_slice(deriv_and_curv, xi, lo, hi, d0=g)
 
 
 def _require_finite(**arrays) -> None:
@@ -356,11 +458,6 @@ def _require_finite(**arrays) -> None:
     for name, a in arrays.items():
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{name} has non-finite entries")
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two equally shaped 2-d arrays."""
-    return np.einsum("ij,ij->i", A, B)
 
 
 def path_start_values(x: np.ndarray, coords: np.ndarray,
@@ -388,7 +485,13 @@ def global_lipschitz_bound(lipschitz, w) -> float:
 
 
 class QuadraticProblem(Problem):
-    """f(x) = 0.5 x'Hx + c'x over a box, H symmetric PSD with H_ii > 0."""
+    """f(x) = 0.5 x'Hx + c'x over a box, H symmetric PSD with H_ii > 0.
+
+    The image is the gradient Hx + c, and every slice is an exact quadratic
+    with curvature H_ii.
+    """
+
+    _tracks_f = True
 
     def __init__(self, hessian, linear, box: Box | None = None):
         H = np.ascontiguousarray(hessian, dtype=float)
@@ -409,88 +512,21 @@ class QuadraticProblem(Problem):
         if self.box.n != n:
             raise ValueError("box dimension mismatch")
         self.lipschitz = d.copy()
-        self.image_dim = n
-
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return float(0.5 * x @ self.hessian @ x + self.linear @ x)
-
-    def values(self, X) -> np.ndarray:
-        X = self._check_stack(X)
-        return 0.5 * _row_dots(X @ self.hessian, X) + X @ self.linear
-
-    def gradient(self, x) -> np.ndarray:
-        return self._image(self._check_point(x))
-
-    def coord_gradient(self, x, i: int) -> float:
-        x = self._check_point(x)
-        return float(self.hessian[i] @ x + self.linear[i])
-
-    def _image(self, x):
-        return self.hessian @ x + self.linear  # the gradient itself
-
-    def _image_columns(self, coords):
-        return self.hessian[:, coords].T
-
-    def _coord_grads_at(self, coords, images, xi, cols):
-        return images[np.arange(coords.shape[0]), coords]
+        self._cols = self.hessian.T
+        self._slice_curv = self.lipschitz
 
     def _images(self, X):
         return X @ self.hessian.T + self.linear
 
-    def _gradients_at(self, X, images):
-        return images
-
     def _values_at(self, X, images):
         # x'(Hx + c) + c'x = x'Hx + 2 c'x
-        return 0.5 * _row_dots(X, images + self.linear)
+        return 0.5 * _dot(X, images + self.linear)
 
-    def slice_minimizers(self, X, images, grads):
-        # slice curvature is exactly H_ii: the clipped Newton point
-        return np.clip(X - grads / self.lipschitz, self.box.lower, self.box.upper)
+    def _grad(self, X, phi):
+        return phi.copy()
 
-    def coord_curvature_floor(self) -> np.ndarray:
-        return np.diag(self.hessian).copy()
-
-    def start_state(self, x0) -> "QuadraticState":
-        return QuadraticState(self, self._check_point(x0).copy())
-
-
-class QuadraticState(ProblemState):
-    __slots__ = ("p", "x", "g", "f")
-
-    def __init__(self, p: QuadraticProblem, x: np.ndarray):
-        self.p = p
-        self._rebuild(x)
-
-    def _rebuild(self, x: np.ndarray) -> None:
-        self.x = x
-        self.g = self.p._image(x)
-        self.f = float(0.5 * x @ self.p.hessian @ x + self.p.linear @ x)
-
-    def objective(self) -> float:
-        return self.f
-
-    def coord_grad(self, i: int) -> float:
-        return float(self.g[i])
-
-    def gradient(self) -> np.ndarray:
-        return self.g.copy()
-
-    def set_coord(self, i: int, new: float) -> None:
-        delta = new - self.x[i]
-        if delta == 0.0:
-            return
-        gi = self.g[i]
-        self.f += gi * delta + 0.5 * self.p.hessian[i, i] * delta * delta
-        self.g += delta * self.p.hessian[:, i]
-        self.x[i] = new
-
-    def exact_coord_min(self, i: int) -> float:
-        # Slice curvature is exactly H_ii, so the minimizer is the clipped
-        # Newton point.
-        t = self.x[i] - self.g[i] / self.p.hessian[i, i]
-        return self.p.box.clip_coord(t, i)
+    def _coord_grad(self, i, xi, phi, cols):
+        return phi[i] if phi.ndim == 1 else phi[np.arange(phi.shape[0]), i]
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +540,13 @@ class SvmDualProblem(Problem):
 
         f(x) = (1 / (2 lam n^2)) x'Qx - (1/n) 1'x,   Q_ij = y_i y_j <a_i, a_j>
 
-    over the unit cube, with ``L_i = ||a_i||^2 / (lam n^2)``.  The gradient is
-    evaluated through the primal-weight representation (the label-scaled data
-    combination), never by materializing Q, so memory stays O(nd).
+    over the unit cube, with ``L_i = ||a_i||^2 / (lam n^2)``.  The image is
+    the unnormalized primal combination ``sum_i x_i y_i a_i``, so Q is never
+    materialized and memory stays O(nd); slices are exact quadratics with
+    curvature ``L_i``.
     """
+
+    _tracks_f = True
 
     def __init__(self, features, labels, lam: float):
         A = np.ascontiguousarray(features, dtype=float)
@@ -530,50 +569,29 @@ class SvmDualProblem(Problem):
         self.ya = A * y[:, None]
         self.box = Box.unit(self.n)
         self.lipschitz = row_sq / (self.lam * self.n**2)
-        self.image_dim = self.d
+        self._cols = self.ya
+        self._slice_curv = self.lipschitz
+        self._scale = 1.0 / (self.lam * self.n**2)
 
-    def _require_feasible(self, x: np.ndarray) -> None:
-        if not self.box.contains(x):
-            raise ValueError("dual point is outside [0, 1]^n")
+    def _images(self, X):
+        return X @ self.ya
+
+    def _values_at(self, X, images):
+        return (_dot(images, images) / (2.0 * self.lam * self.n**2)
+                - X.sum(axis=-1) / self.n)
+
+    def _grad(self, X, phi):
+        return phi @ self.ya.T * self._scale - 1.0 / self.n
+
+    def _coord_grad(self, i, xi, phi, cols):
+        return _dot(cols, phi) * self._scale - 1.0 / self.n
 
     def value(self, x) -> float:
-        x = self._check_point(x)
-        self._require_feasible(x)
-        pw = self._image(x)
-        return float(pw @ pw / (2.0 * self.lam * self.n**2) - np.sum(x) / self.n)
-
-    def values(self, X) -> np.ndarray:
-        X = self._check_stack(X)
-        PW = X @ self.ya
-        return (_row_dots(PW, PW) / (2.0 * self.lam * self.n**2)
-                - np.sum(X, axis=1) / self.n)
-
-    def gradient(self, x) -> np.ndarray:
-        pw = self._image(self._check_point(x))
-        return (self.ya @ pw) / (self.lam * self.n**2) - 1.0 / self.n
-
-    def coord_gradient(self, x, i: int) -> float:
-        pw = self._image(self._check_point(x))
-        return float(self.ya[i] @ pw / (self.lam * self.n**2) - 1.0 / self.n)
-
-    def _image(self, x):
-        return self.ya.T @ x
-
-    def _image_columns(self, coords):
-        return self.ya[coords]
-
-    def _coord_grads_at(self, coords, images, xi, cols):
-        return _row_dots(cols, images) / (self.lam * self.n**2) - 1.0 / self.n
-
-    def coord_curvature_floor(self) -> np.ndarray:
-        # Slices are exact quadratics with curvature Q_ii/(lam n^2) = L_i.
-        return self.lipschitz.copy()
+        return super().value(self._check_feasible(x))
 
     def primal_weights(self, x) -> np.ndarray:
         """Primal point w(x) = (1/(lam n)) sum_i x_i y_i a_i."""
-        x = self._check_point(x)
-        self._require_feasible(x)
-        return self._image(x) / (self.lam * self.n)
+        return self._images(self._check_feasible(x)) / (self.lam * self.n)
 
     def primal_value(self, weights) -> float:
         """Hinge-loss primal objective at a weight vector."""
@@ -584,64 +602,13 @@ class SvmDualProblem(Problem):
 
     def duality_gap(self, x) -> float:
         """Duality gap G(x) = P(w(x)) + f(x); zero exactly at optimality."""
-        return self.primal_value(self.primal_weights(x)) + self.value(x)
+        x = self._check_point(x)
+        return self._gap_at(self._images(x), self.value(x))
 
-    def start_state(self, x0) -> "SvmDualState":
-        x0 = self._check_point(x0).copy()
-        self._require_feasible(x0)
-        return SvmDualState(self, x0)
-
-
-class SvmDualState(ProblemState):
-    __slots__ = ("p", "x", "pw", "sum_x", "f", "scale", "_g_last")
-
-    def __init__(self, p: SvmDualProblem, x: np.ndarray):
-        self.p = p
-        self._rebuild(x)
-
-    def _rebuild(self, x: np.ndarray) -> None:
-        self.x = x
-        self.pw = self.p._image(x)  # unnormalized primal combination
-        self.sum_x = float(np.sum(x))
-        self.scale = 1.0 / (self.p.lam * self.p.n**2)
-        self.f = float(self.pw @ self.pw * 0.5 * self.scale - self.sum_x / self.p.n)
-        self._g_last = None
-
-    def objective(self) -> float:
-        return self.f
-
-    def coord_grad(self, i: int) -> float:
-        # A step asks for g_i twice (choosing the move, then set_coord), so
-        # the last (i, g_i) is kept until pw changes.
-        if self._g_last is None or self._g_last[0] != i:
-            self._g_last = (i, float(self.p.ya[i] @ self.pw * self.scale
-                                     - 1.0 / self.p.n))
-        return self._g_last[1]
-
-    def gradient(self) -> np.ndarray:
-        return (self.p.ya @ self.pw) * self.scale - 1.0 / self.p.n
-
-    def set_coord(self, i: int, new: float) -> None:
-        delta = new - self.x[i]
-        if delta == 0.0:
-            return
-        gi = self.coord_grad(i)
-        self.f += gi * delta + 0.5 * self.p.lipschitz[i] * delta * delta
-        self.pw += delta * self.p.ya[i]
-        self.sum_x += delta
-        self.x[i] = new
-        self._g_last = None
-
-    def exact_coord_min(self, i: int) -> float:
-        t = self.x[i] - self.coord_grad(i) / self.p.lipschitz[i]
-        return self.p.box.clip_coord(t, i)
-
-    def duality_gap(self) -> float:
-        w = self.pw / (self.p.lam * self.p.n)
-        margins = self.p.ya @ w
-        primal = float(np.mean(np.maximum(0.0, 1.0 - margins))
-                       + 0.5 * self.p.lam * w @ w)
-        return primal + self.f
+    def _gap_at(self, image, f: float) -> float:
+        """The duality gap at a point whose image is ``image`` and whose
+        objective is ``f``; solver runs stop on it through ``gap_tol``."""
+        return self.primal_value(image / (self.lam * self.n)) + f
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +682,11 @@ class ErmProblem(Problem):
 
     f(x) = (1/N) sum_j loss(a_j'x; y_j) + (lam/2) x'x.
 
+    The image is the margins ``Ax`` and ``phi`` the loss derivative there.
     Coordinate Lipschitz constants: the loss curvature is bounded by 1/4
     (logistic) or 2 (squared, squared hinge), so L_c = c_max/N * sum_j
-    a_{j,c}^2 + lam.  The regularizer makes every slice lam-strongly convex.
+    a_{j,c}^2 + lam.  The regularizer makes every slice lam-strongly convex;
+    squared-loss slices are exact quadratics with curvature L_c.
     """
 
     def __init__(self, points, labels, lam: float, loss: str = "logistic"):
@@ -740,139 +709,39 @@ class ErmProblem(Problem):
         self.n_points = A.shape[0]
         self.n = A.shape[1]
         self.box = Box.free(self.n)
-        self._points_sq = A * A
-        col_sq = self._points_sq.sum(axis=0)
-        self.lipschitz = self._lo.curv_max * col_sq / self.n_points + self.lam
-        self.image_dim = self.n_points
-
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        u = self._image(x)
-        return float(np.mean(self._lo.values(u, self.labels))
-                     + 0.5 * self.lam * x @ x)
-
-    def values(self, X) -> np.ndarray:
-        X = self._check_stack(X)
-        return self._values_at(X, self._images(X))
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        d1 = self._lo.deriv(self._image(x), self.labels)
-        return self.points.T @ d1 / self.n_points + self.lam * x
-
-    def coord_gradient(self, x, i: int) -> float:
-        x = self._check_point(x)
-        d1 = self._lo.deriv(self._image(x), self.labels)
-        return float(d1 @ self.points[:, i] / self.n_points + self.lam * x[i])
-
-    def _image(self, x):
-        return self.points @ x  # the margins
-
-    def _image_columns(self, coords):
-        return self.points[:, coords].T
-
-    def _coord_grads_at(self, coords, images, xi, cols):
-        d1 = self._lo.deriv(images, self.labels)
-        return _row_dots(d1, cols) / self.n_points + self.lam * xi
+        points_sq = A * A
+        self.lipschitz = (self._lo.curv_max * points_sq.sum(axis=0) / self.n_points
+                          + self.lam)
+        self._cols = self.points.T
+        self._cols_sq = points_sq.T
+        self._inv_n = 1.0 / self.n_points
+        if loss == "squared":
+            self._slice_curv = self.lipschitz
 
     def _images(self, X):
         return X @ self.points.T
 
-    def _gradients_at(self, X, images):
-        d1 = self._lo.deriv(images, self.labels)
-        return d1 @ self.points / self.n_points + self.lam * X
-
     def _values_at(self, X, images):
-        return (np.mean(self._lo.values(images, self.labels), axis=1)
-                + 0.5 * self.lam * _row_dots(X, X))
+        return (self._lo.values(images, self.labels).mean(axis=-1)
+                + 0.5 * self.lam * _dot(X, X))
 
-    def slice_minimizers(self, X, images, grads):
-        if self.loss == "squared":
-            # exact quadratic slices; their curvature is L_i
-            return X - grads / self.lipschitz
-        m, n = X.shape
-        x = X.ravel()
-        cols, cols_sq = self.points.T, self._points_sq.T
-        y, inv_n, lam = self.labels, 1.0 / self.n_points, self.lam
+    def _phi(self, images):
+        return self._lo.deriv(images, self.labels)
 
-        def deriv_and_curv(t, idx):
-            r, j = np.divmod(idx, n)
-            col = cols[j]
-            d1, d2 = self._lo.deriv_pair(images[r] + (t - x[idx])[:, None] * col, y)
-            return (_row_dots(d1, col) * inv_n + lam * t,
-                    _row_dots(d2, cols_sq[j]) * inv_n + lam)
+    def _grad(self, X, phi):
+        return phi @ self.points / self.n_points + self.lam * X
 
-        return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
+    def _coord_grad(self, i, xi, phi, cols):
+        return _dot(phi, cols) / self.n_points + self.lam * xi
+
+    def _slice_deriv_curv(self, t, images, cols, j):
+        d1, d2 = self._lo.deriv_pair(images, self.labels)
+        return (_dot(d1, cols) * self._inv_n + self.lam * t,
+                _dot(d2, self._cols_sq[j]) * self._inv_n + self.lam)
 
     def coord_curvature_floor(self) -> np.ndarray:
         # Loss curvature is nonnegative, so lam is a uniform floor.
         return np.full(self.n, self.lam)
-
-    def start_state(self, x0) -> "ErmState":
-        return ErmState(self, self._check_point(x0).copy())
-
-
-class ErmState(ProblemState):
-    __slots__ = ("p", "x", "u", "sq_x", "_d1")
-
-    def __init__(self, p: ErmProblem, x: np.ndarray):
-        self.p = p
-        self._rebuild(x)
-
-    def _rebuild(self, x: np.ndarray) -> None:
-        self.x = x
-        self.u = self.p._image(x)
-        self.sq_x = float(x @ x)
-        self._d1 = None
-
-    def _loss_deriv(self) -> np.ndarray:
-        """Loss derivative at the margins ``u``, cached until ``u`` changes."""
-        if self._d1 is None:
-            self._d1 = self.p._lo.deriv(self.u, self.p.labels)
-        return self._d1
-
-    def objective(self) -> float:
-        return float(np.mean(self.p._lo.values(self.u, self.p.labels))
-                     + 0.5 * self.p.lam * self.sq_x)
-
-    def coord_grad(self, i: int) -> float:
-        d1 = self._loss_deriv()
-        return float(d1 @ self.p.points[:, i] / self.p.n_points
-                     + self.p.lam * self.x[i])
-
-    def gradient(self) -> np.ndarray:
-        d1 = self._loss_deriv()
-        return self.p.points.T @ d1 / self.p.n_points + self.p.lam * self.x
-
-    def set_coord(self, i: int, new: float) -> None:
-        delta = new - self.x[i]
-        if delta == 0.0:
-            return
-        self.sq_x += 2.0 * self.x[i] * delta + delta * delta
-        self.u += delta * self.p.points[:, i]
-        self.x[i] = new
-        self._d1 = None
-
-    def exact_coord_min(self, i: int) -> float:
-        p = self.p
-        col = p.points[:, i]
-        xi = self.x[i]
-        g = self.coord_grad(i)
-        if p.loss == "squared":
-            # Squared-loss slices are exact quadratics.
-            curv = 2.0 * col @ col / p.n_points + p.lam
-            return xi - g / curv
-        if abs(g) <= SLICE_DERIV_TOL:
-            return xi
-        col_sq = p._points_sq[:, i]
-        y, inv_n, lam = p.labels, 1.0 / p.n_points, p.lam
-
-        def deriv_and_curv(t):
-            d1, d2 = p._lo.deriv_pair(self.u + (t - xi) * col, y)
-            return (float(d1 @ col) * inv_n + lam * t,
-                    float(d2 @ col_sq) * inv_n + lam)
-
-        return minimize_slice(deriv_and_curv, xi, -np.inf, np.inf, d0=g)
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +772,11 @@ class LassoBoxProblem(Problem):
 
         f([x+; x-]) = h(A (x+ - x-)) + q'(x+ - x-) + l1 1'x+ + l1 1'x-
 
-    over ``[0, inf)^{2d}``.  Default inner function: least squares
-    ``h(u) = 0.5 ||u - b||^2`` (strong convexity modulus 1).  A custom
-    strongly convex ``h`` can be supplied via value/gradient/curvature
+    over ``[0, inf)^{2d}``.  The image is ``A (x+ - x-)`` and ``phi`` is
+    ``h'`` there; lifted coordinate j + d moves the image along ``-A[:, j]``.
+    Default inner function: least squares ``h(u) = 0.5 ||u - b||^2``
+    (strong convexity modulus 1), whose slices are exact quadratics.  A
+    custom strongly convex ``h`` can be supplied via value/gradient/curvature
     callables plus curvature bounds.
     """
 
@@ -929,13 +800,11 @@ class LassoBoxProblem(Problem):
                 raise ValueError("custom h requires h_value, h_grad and h_curv")
             self.target = None
             self._custom_h = (h_value, h_grad, h_curv)
-            self._h_quadratic = False
         else:
             b = np.zeros(m) if target is None else _check_vector(target, m, "target")
             _require_finite(target=b)
             self.target = b.copy()
             self._custom_h = None
-            self._h_quadratic = True
             h_curv_max = 1.0
             sigma_h = 1.0
         self.h_curv_max = float(h_curv_max)
@@ -947,26 +816,17 @@ class LassoBoxProblem(Problem):
         self.n = 2 * d
         self.box = Box.nonneg(self.n)
         self.lipschitz = np.tile(self.h_curv_max * col_sq, 2)
-        self.image_dim = m
+        # rows are strided column views, as the dots of the states need
+        self._cols = np.concatenate([self.design, -self.design], axis=1).T
+        self._q_lift = np.concatenate([self.q, -self.q])
+        if self._custom_h is None:
+            self._slice_curv = self.lipschitz
 
-    def _split(self, z: np.ndarray):
-        return z[:self.d_orig], z[self.d_orig:]
-
-    def _h_value(self, u) -> float:
+    def _h_value(self, U):
         if self._custom_h is not None:
-            return float(self._custom_h[0](u))
-        r = u - self.target
-        return 0.5 * float(r @ r)
-
-    def _h_grad(self, u) -> np.ndarray:
-        if self._custom_h is not None:
-            return self._custom_h[1](u)
-        return u - self.target
-
-    def _h_curv(self, u) -> np.ndarray:
-        if self._custom_h is not None:
-            return self._custom_h[2](u)
-        return np.ones(u.shape[0])
+            return _rows(self._custom_h[0], U)
+        R = U - self.target
+        return 0.5 * _dot(R, R)
 
     def inner_value(self, v) -> float:
         """Original-space smooth part ``h(Av) + q'v`` plus the l1 term."""
@@ -974,132 +834,33 @@ class LassoBoxProblem(Problem):
         return float(self._h_value(self.design @ v) + self.q @ v
                      + self.l1 * np.sum(np.abs(v)))
 
-    def value(self, z) -> float:
-        z = self._check_point(z)
-        xp, xm = self._split(z)
-        v = xp - xm
-        return float(self._h_value(self.design @ v) + self.q @ v
-                     + self.l1 * (np.sum(xp) + np.sum(xm)))
+    def _images(self, Z):
+        d = self.d_orig
+        return (Z[..., :d] - Z[..., d:]) @ self.design.T
 
-    def values(self, Z) -> np.ndarray:
-        Z = self._check_stack(Z)
-        Xp, Xm = Z[:, :self.d_orig], Z[:, self.d_orig:]
-        V = Xp - Xm
-        U = V @ self.design.T
-        if self._custom_h is None:
-            R = U - self.target
-            h = 0.5 * _row_dots(R, R)
-        else:
-            h = np.array([self._h_value(u) for u in U])
-        return (h + V @ self.q
-                + self.l1 * (np.sum(Xp, axis=1) + np.sum(Xm, axis=1)))
+    def _values_at(self, Z, images):
+        d = self.d_orig
+        return (self._h_value(images) + (Z[..., :d] - Z[..., d:]) @ self.q
+                + self.l1 * Z.sum(axis=-1))
 
-    def gradient(self, z) -> np.ndarray:
-        r = self._h_grad(self._image(self._check_point(z)))
-        g = self.design.T @ r + self.q
-        return np.concatenate([g + self.l1, -g + self.l1])
+    def _phi(self, images):
+        if self._custom_h is not None:
+            return _rows(self._custom_h[1], images)
+        return images - self.target
 
-    def coord_gradient(self, z, i: int) -> float:
-        r = self._h_grad(self._image(self._check_point(z)))
-        j, sign = (i, 1.0) if i < self.d_orig else (i - self.d_orig, -1.0)
-        return float(sign * (self.design[:, j] @ r + self.q[j]) + self.l1)
+    def _grad(self, Z, phi):
+        g = phi @ self.design + self.q
+        return np.concatenate([g + self.l1, -g + self.l1], axis=-1)
 
-    def _image(self, z):
-        xp, xm = self._split(z)
-        return self.design @ (xp - xm)
+    def _coord_grad(self, i, xi, phi, cols):
+        return _dot(cols, phi) + self._q_lift[i] + self.l1
 
-    def _signed_columns(self, coords):
-        """Original column index and sign of each lifted coordinate."""
-        lifted_minus = coords >= self.d_orig
-        return (np.where(lifted_minus, coords - self.d_orig, coords),
-                np.where(lifted_minus, -1.0, 1.0))
-
-    def _image_columns(self, coords):
-        j, sign = self._signed_columns(coords)
-        return self.design[:, j].T * sign[:, None]
-
-    def _coord_grads_at(self, coords, images, xi, cols):
-        j, sign = self._signed_columns(coords)
-        if self._custom_h is None:
-            R = images - self.target
-        else:
-            R = np.array([self._h_grad(u) for u in images]).reshape(images.shape)
-        return _row_dots(cols, R) + sign * self.q[j] + self.l1
+    def _slice_deriv_curv(self, t, images, cols, j):
+        return (self._coord_grad(j, t, self._phi(images), cols),
+                _dot(_rows(self._custom_h[2], images), cols * cols))
 
     def coord_curvature_floor(self) -> np.ndarray:
         return np.tile(self.sigma_h * self._col_sq, 2)
-
-    def start_state(self, x0) -> "LassoState":
-        x0 = self._check_point(x0).copy()
-        if not self.box.contains(x0):
-            raise ValueError("lifted start point must be nonnegative")
-        return LassoState(self, x0)
-
-
-class LassoState(ProblemState):
-    __slots__ = ("p", "x", "u", "_r")
-
-    def __init__(self, p: LassoBoxProblem, x: np.ndarray):
-        self.p = p
-        self._rebuild(x)
-
-    def _rebuild(self, x: np.ndarray) -> None:
-        self.x = x
-        self.u = self.p._image(x)
-        self._r = None
-
-    def _h_grad(self) -> np.ndarray:
-        """Gradient of h at ``u``, cached until ``u`` changes."""
-        if self._r is None:
-            self._r = self.p._h_grad(self.u)
-        return self._r
-
-    def _col(self, i: int):
-        if i < self.p.d_orig:
-            return i, 1.0
-        return i - self.p.d_orig, -1.0
-
-    def objective(self) -> float:
-        xp, xm = self.p._split(self.x)
-        return float(self.p._h_value(self.u) + self.p.q @ (xp - xm)
-                     + self.p.l1 * np.sum(self.x))
-
-    def coord_grad(self, i: int) -> float:
-        j, sign = self._col(i)
-        r = self._h_grad()
-        return float(sign * (self.p.design[:, j] @ r + self.p.q[j]) + self.p.l1)
-
-    def gradient(self) -> np.ndarray:
-        r = self._h_grad()
-        g = self.p.design.T @ r + self.p.q
-        return np.concatenate([g + self.p.l1, -g + self.p.l1])
-
-    def set_coord(self, i: int, new: float) -> None:
-        delta = new - self.x[i]
-        if delta == 0.0:
-            return
-        j, sign = self._col(i)
-        self.u += sign * delta * self.p.design[:, j]
-        self.x[i] = new
-        self._r = None
-
-    def exact_coord_min(self, i: int) -> float:
-        p = self.p
-        j, sign = self._col(i)
-        xi = self.x[i]
-        if p._h_quadratic:
-            # Least-squares slices are exact quadratics with curvature
-            # ||A[:, j]||^2.
-            t = xi - self.coord_grad(i) / p._col_sq[j]
-            return max(t, 0.0)
-        col = sign * p.design[:, j]
-
-        def deriv_and_curv(t):
-            u = self.u + (t - xi) * col
-            return (float(col @ p._h_grad(u) + sign * p.q[j] + p.l1),
-                    float(p._h_curv(u) @ (col * col)))
-
-        return minimize_slice(deriv_and_curv, xi, 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,10 @@ class SolverConfig:
     Lipschitz constants, the natural scaling for Option II).  ``omega`` is a
     constant step size; a per-iteration schedule may be supplied instead, in
     which case ``omega_bar`` must give its positive floor.  Coordinate
-    sampling is uniform over the ``n`` coordinates.
+    sampling is uniform over the ``n`` coordinates.  ``gap_tol`` stops a run
+    once the duality gap, evaluated every ``gap_every`` iterations, reaches
+    it; it applies only to problems with a duality gap (the SVM dual) and is
+    ignored on the others.
     """
 
     w: Optional[np.ndarray] = None
@@ -344,7 +347,8 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
     gap_every = cfg.gap_every or record_every
     stall_window = cfg.stall_window or pass_len
     state = p.start_state(x0)
-    gap_of = getattr(state, "duality_gap", None) if cfg.gap_tol else None
+    # the gap rule of a problem that has a duality gap, at the state's image
+    gap_of = getattr(p, "_gap_at", None) if cfg.gap_tol else None
     trace = Trace(x0, w, method, option, cfg.seed, record_every, cfg.max_iters)
     f = trace._f
     f[0] = state.objective()
@@ -372,7 +376,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
         trace._append(i, new, f_next, disp, omega_k,
                       time.perf_counter() - t_start, state.x)
         if gap_of is not None and kk % gap_every == 0:
-            gap = trace.gaps[kk] = gap_of()
+            gap = trace.gaps[kk] = gap_of(state.image, f_next)
             if gap <= cfg.gap_tol:
                 stop = "gap"
                 break
@@ -405,18 +409,19 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
                 stacklevel=2,
             )
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    draws = rng.integers(p.n, size=cfg.max_iters) if cfg.max_iters else []
+    draws = rng.integers(p.n, size=cfg.max_iters).tolist() if cfg.max_iters else []
+    w_of = w.tolist()  # Python floats read faster than numpy scalars
 
     def step(state: ProblemState, k: int, omega_k: float):
-        i = int(draws[k])
+        i = draws[k]
         old = float(state.x[i])
         if option == OPTION_I:
             new = state.exact_coord_min(i)
         else:
-            new = p.box.clip_coord(old - (omega_k / w[i]) * state.coord_grad(i), i)
+            new = p.box.clip_coord(old - (omega_k / w_of[i]) * state.coord_grad(i), i)
         state.set_coord(i, new)
         delta = new - old
-        return i, new, w[i] * delta * delta
+        return i, new, w_of[i] * delta * delta
 
     return _drive(p, cfg, w, step, "scdm", option, (omega_of, omega_bar),
                   record_every=cfg.record_every or p.n, pass_len=p.n)
@@ -430,6 +435,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
     """
     cfg.validate()
     w = cfg.resolve_w(p)
+    w_of = w.tolist()
 
     def step(state: ProblemState, k: int, omega_k: float):
         disp = 0.0
@@ -437,7 +443,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
             old = float(state.x[i])
             new = state.exact_coord_min(i)
             state.set_coord(i, new)
-            disp += w[i] * (new - old) ** 2
+            disp += w_of[i] * (new - old) ** 2
         return -1, np.nan, disp
 
     return _drive(p, cfg, w, step, "cyclic")

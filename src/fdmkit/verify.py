@@ -359,7 +359,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
         i = coords[ks]
         new = values[ks]
         old = X[rows, i]
-        col_i = p._image_columns(i)
+        col_i = p._cols[i]
         g_i = G[rows, i]
         g_new = p._coord_grads_at(i, U + col_i * (new - old)[:, None], new, col_i)
         z_real = g_i - g_new + w[i] * (new - old)
@@ -373,7 +373,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
         # candidate (r, j): row r with coordinate j at its slice minimizer
         tilde = p.slice_minimizers(X, U, G)
         j = np.tile(np.arange(n), m)
-        cols = p._image_columns(j)
+        cols = p._cols[j]
         U_c = U[np.repeat(rows, n)] + cols * (tilde - X).reshape(-1, 1)
         g_tilde = p._coord_grads_at(j, U_c, tilde.ravel(), cols).reshape(m, n)
         X_c = np.repeat(X, n, axis=0)

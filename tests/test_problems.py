@@ -63,10 +63,11 @@ def test_coordinate_lipschitz_constants_hold(name, standard_problems, rng):
         assert change <= p.lipschitz[i] * abs(d) + 1e-10
 
 
-@pytest.mark.parametrize("name", ["svm_dual_n4", "lasso_d5", "erm_logistic_n20",
-                                  "quadratic_box_n8"])
+@pytest.mark.parametrize("name", [*fixtures.standard_fixtures(), "erm_logistic",
+                                  "erm_squared", "erm_squared_hinge",
+                                  "lasso_custom_h"])
 def test_state_cache_matches_direct_oracles(name, standard_problems, rng):
-    p = standard_problems[name]
+    p = _problem(name, standard_problems)
     x = _random_feasible(p, rng)
     st = p.start_state(x)
     def agrees(i):
@@ -78,8 +79,14 @@ def test_state_cache_matches_direct_oracles(name, standard_problems, rng):
         new = float(np.clip(st.x[i] + rng.uniform(-0.4, 0.4),
                             p.box.lower[i], p.box.upper[i]))
         st.coord_grad(i)  # as a solver step does before it moves i
+        phi = st._image_deriv()
+        st.set_coord(i, float(st.x[i]))
+        # a zero-length move keeps the cached image-space derivative
+        assert st._phi is phi
+        moved = new != st.x[i]
         st.set_coord(i, new)
         # a derivative cached by the state must not outlive a coordinate move
+        assert (st._phi is None) == moved
         assert agrees(i)
         assert agrees(int(rng.integers(p.n)))
     assert st.objective() == pytest.approx(p.value(st.x), rel=1e-10, abs=1e-12)
@@ -89,7 +96,21 @@ def test_state_cache_matches_direct_oracles(name, standard_problems, rng):
     i = int(rng.integers(p.n))
     st.coord_grad(i)
     st.set_x(_random_feasible(p, rng))
+    assert st._phi is None
     assert agrees(i)
+    assert st.objective() == pytest.approx(p.value(st.x), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8",
+                                  "lasso_d5", "quadratic_box_n8"])
+def test_start_state_rejects_infeasible_start(name, standard_problems):
+    p = standard_problems[name]
+    x = p.box.clip(np.zeros(p.n))
+    x[0] = p.box.upper[0] + 1.0 if np.isfinite(p.box.upper[0]) else -1.0
+    with pytest.raises(ValueError, match="outside the box"):
+        p.start_state(x)
+    with pytest.raises(ValueError, match="outside the box"):
+        p.start_state(np.full(p.n, 5.0 if np.isfinite(p.box.upper[0]) else -5.0))
 
 
 def _custom_h_lasso():
@@ -102,13 +123,22 @@ def _custom_h_lasso():
                            h_curv=lambda u: np.cosh(u - b))
 
 
+def _problem(name, standard_problems):
+    """A standard fixture, the custom-h lasso, or ``erm_<loss>`` on a small
+    random data set."""
+    if name == "lasso_custom_h":
+        return _custom_h_lasso()
+    if name.startswith("erm_") and name[4:] in _LOSSES:
+        return _batched_slice_problems()[name[4:]]
+    return standard_problems[name]
+
+
 @pytest.mark.parametrize("name", ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8",
                                   "lasso_d5", "erm_logistic_n20",
                                   "quadratic_diag_n5", "quadratic_box_n8",
                                   "lasso_custom_h"])
 def test_batched_values_match_value(name, standard_problems, rng):
-    p = (_custom_h_lasso() if name == "lasso_custom_h"
-         else standard_problems[name])
+    p = _problem(name, standard_problems)
     X = np.stack([_random_feasible(p, rng) for _ in range(300)])
     batched = p.values(X)
     assert batched.shape == (300,)
@@ -150,8 +180,7 @@ def _random_path(p, rng, kinds):
        kinds=st.lists(st.sampled_from(["stay", "bound", "free"]), max_size=40))
 def test_coord_grads_along_matches_coord_gradient(name, standard_problems,
                                                   seed, kinds):
-    p = (_custom_h_lasso() if name == "lasso_custom_h"
-         else standard_problems[name])
+    p = _problem(name, standard_problems)
     rng = np.random.Generator(np.random.Philox(key=seed))
     x, coords, values = _random_path(p, rng, kinds)
     g_before, g_after = p.coord_grads_along(x, coords, values)
@@ -311,6 +340,8 @@ def _batched_slice_problems():
         np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]),
         np.array([1.0, -2.0, 0.5]))
     probs["quadratic_box"] = fixtures.quadratic_box()
+    probs["svm_dual"] = fixtures.svm_dual_toy(n=4, d=4, seed=17)
+    probs["lasso"] = fixtures.lasso_small()
     return probs
 
 
@@ -329,10 +360,13 @@ def test_batched_oracles_match_scalar_oracles(name, rng):
         np.testing.assert_allclose(tilde[r], want, rtol=1e-9, atol=1e-9)
 
 
-def test_batched_oracles_absent_without_free_box(standard_problems):
-    p = standard_problems["svm_dual_n4"]
+def test_custom_h_lasso_has_no_batched_slice_solver(rng):
+    # its Newton slices have a lower bound, which minimize_slices lacks
+    p = _custom_h_lasso()
+    X = np.array([_random_feasible(p, rng) for _ in range(2)])
+    U = p._images(X)
     with pytest.raises(NotImplementedError):
-        p.slice_minimizers(np.zeros((1, p.n)), None, None)
+        p.slice_minimizers(X, U, p._gradients_at(X, U))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +462,10 @@ class TestSvmDual:
         for _ in range(100):
             i = int(rng.integers(p.n))
             st.set_coord(i, st.exact_coord_min(i))
-            assert st.duality_gap() >= -1e-10
+            # the gap a solver run stops on, from the state's image and f
+            gap = p._gap_at(st.image, st.objective())
+            assert gap >= -1e-10
+            assert gap == pytest.approx(p.duality_gap(st.x), rel=1e-9, abs=1e-12)
 
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError):
