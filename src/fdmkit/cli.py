@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--epsilon", type=float,
                          help="override the stopping/gap tolerance")
         cmd.add_argument("--max-iters", type=int, help="override iteration budget")
-        cmd.add_argument("--workers", type=int, help="worker pool size")
         return cmd
 
     add_run_command("solve", "run the solver and write traces")
@@ -86,8 +85,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         raw["gap"]["epsilons"] = [args.epsilon]
     if args.max_iters is not None:
         raw["solver"]["max_iters"] = args.max_iters
-    if args.workers is not None:
-        raw["workers"] = args.workers
     return ExperimentConfig.from_dict(raw)
 
 

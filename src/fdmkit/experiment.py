@@ -1,7 +1,7 @@
 """Experiment configuration, orchestration and machine-readable reports.
 
 A validated :class:`ExperimentConfig` drives: dataset construction, problem
-assembly, per-seed solver runs in a worker pool, optional certification and
+assembly, per-seed solver runs in this process, optional certification and
 rate/gap analyses, and serialization (one trace CSV per seed plus one
 aggregate JSON report validated against the shipped schema).
 
@@ -11,7 +11,6 @@ with equal hash produce byte-identical report bodies modulo the timing block.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -61,6 +60,9 @@ def _take(d: dict, allowed: dict, where: str) -> dict:
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment.  Its seeds run one after another in the calling
+    process; a ``workers`` key must be a positive integer and is ignored."""
+
     problem: dict
     dataset: Optional[dict]
     solver: dict
@@ -70,7 +72,6 @@ class ExperimentConfig:
     rates: dict
     gap: dict
     output_dir: str
-    workers: Optional[int]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -125,7 +126,8 @@ class ExperimentConfig:
                 ("workers", top["workers"], True),
                 ("solver.omega", solver["omega"], False),
                 ("solver.record_every", solver["record_every"], True),
-                ("verify.check_every", verify["check_every"], True)):
+                ("verify.check_every", verify["check_every"], True),
+                ("rates.reference_iters", rates["reference_iters"], True)):
             if value is not None:
                 _require_positive(value, name, integer)
         _require_positive(gap["n_seeds"], "gap.n_seeds", integer=True)
@@ -141,8 +143,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         return cls(problem=problem, dataset=dataset, solver=solver,
                    seeds=list(seeds), epsilon=top["epsilon"], verify=verify,
-                   rates=rates, gap=gap, output_dir=top["output_dir"],
-                   workers=top["workers"])
+                   rates=rates, gap=gap, output_dir=top["output_dir"])
 
     def semantic_dict(self) -> dict:
         """The semantics-affecting portion (drives the config hash)."""
@@ -258,6 +259,15 @@ def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
         raise ConfigError("verify.rcfdm requires solver kind 'scdm'")
     if cfg.gap["enabled"] and not isinstance(p, SvmDualProblem):
         raise ConfigError("the duality-gap experiment requires an svm-dual problem")
+    try:
+        sc = _solver_config(cfg, p, 0)
+        sc.resolve_w(p)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver.w: {exc}") from None
+    try:
+        sc.resolve_x0(p)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver.x0: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +281,7 @@ def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig
         max_iters=cfg.solver["max_iters"],
         seed=seed,
         record_every=cfg.solver["record_every"],
-        x0=None if cfg.solver["x0"] is None else np.asarray(cfg.solver["x0"], float),
+        x0=cfg.solver["x0"],
         gap_tol=cfg.epsilon,
         stall_tol=cfg.solver["stall_tol"],
     )
@@ -285,11 +295,6 @@ def run_single(p: Problem, cfg: ExperimentConfig, seed: int) -> Trace:
     if kind == "cyclic":
         return run_cyclic_cd(p, sc)
     return run_projected_gradient(p, sc)
-
-
-def _pool_entry(args):
-    p, cfg, seed = args
-    return seed, run_single(p, cfg, seed)
 
 
 def reference_solve(p: Problem, iters: Optional[int] = None,
@@ -414,27 +419,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
     w = resolve_w(cfg.solver["w"], problem)
 
-    workers = cfg.workers or os.cpu_count() or 1
-    jobs = [(problem, cfg, seed) for seed in cfg.seeds]
     traces: dict[int, Trace] = {}
     failures: dict[int, str] = {}
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_pool_entry, job): job[2] for job in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                seed = futs[fut]
-                try:
-                    _, tr = fut.result()
-                    traces[seed] = tr
-                except Exception as exc:  # noqa: BLE001 - isolate per seed
-                    failures[seed] = f"{type(exc).__name__}: {exc}"
-    else:
-        for job in jobs:
-            seed = job[2]
-            try:
-                traces[seed] = run_single(problem, cfg, seed)
-            except Exception as exc:  # noqa: BLE001 - isolate per seed
-                failures[seed] = f"{type(exc).__name__}: {exc}"
+    for seed in cfg.seeds:
+        try:
+            traces[seed] = run_single(problem, cfg, seed)
+        except Exception as exc:  # noqa: BLE001 - isolate per seed
+            failures[seed] = f"{type(exc).__name__}: {exc}"
 
     reference = None
     f_star = None
@@ -455,6 +446,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             rc = rate_rfdm(kappa_hat, problem.gamma(w), 0.0, 1.0, lfw)
         rate_block = rc.as_dict()
 
+    # built per call, so a caller may replace check_rcfdm or check_rfdm
+    every = cfg.verify["check_every"]
+    checkers = [c for c in (("rcfdm", check_rcfdm, every or 1),
+                            ("rfdm", check_rfdm, every)) if cfg.verify[c[0]]]
     seed_entries = []
     trace_paths = {}
     all_certs_passed = True
@@ -474,26 +469,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "final_f": float(tr.f[len(tr)]), "trace_csv": csv_name,
             "certificates": [],
         }
-        if cfg.verify["rcfdm"]:
+        for framework, check, check_every in checkers:
             try:
-                cert = check_rcfdm(tr, problem, w,
-                                   check_every=cfg.verify["check_every"] or 1)
+                cert = check(tr, problem, w, check_every=check_every)
                 entry["certificates"].append(cert.as_dict())
                 all_certs_passed = all_certs_passed and cert.passed
             except ReplayError as exc:
                 entry["certificates"].append(
-                    {"framework": "rcfdm", "passed": False,
-                     "replay_error": str(exc)})
-                all_certs_passed = False
-        if cfg.verify["rfdm"]:
-            try:
-                cert = check_rfdm(tr, problem, w,
-                                  check_every=cfg.verify["check_every"])
-                entry["certificates"].append(cert.as_dict())
-                all_certs_passed = all_certs_passed and cert.passed
-            except ReplayError as exc:
-                entry["certificates"].append(
-                    {"framework": "rfdm", "passed": False,
+                    {"framework": framework, "passed": False,
                      "replay_error": str(exc)})
                 all_certs_passed = False
         if cfg.rates["measured"] and f_star is not None:

@@ -602,8 +602,9 @@ class SvmDualProblem(Problem):
 
     def duality_gap(self, x) -> float:
         """Duality gap G(x) = P(w(x)) + f(x); zero exactly at optimality."""
-        x = self._check_point(x)
-        return self._gap_at(self._images(x), self.value(x))
+        x = self._check_feasible(x)
+        image = self._images(x)
+        return self._gap_at(image, float(self._values_at(x, image)))
 
     def _gap_at(self, image, f: float) -> float:
         """The duality gap at a point whose image is ``image`` and whose

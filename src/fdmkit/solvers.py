@@ -95,6 +95,8 @@ class SolverConfig:
         x0 = np.ascontiguousarray(self.x0, dtype=float).copy()
         if x0.shape != (p.n,):
             raise ValueError("x0 dimension mismatch")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 has non-finite entries")
         if not p.box.contains(x0):
             raise ValueError("x0 is infeasible")
         return x0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -60,6 +61,8 @@ class TestConfigValidation:
         ("gap", "epsilons", []), ("gap", "epsilons", [0.1, -0.1]),
         ("gap", "epsilons", [0.0]),
         ("verify", "check_every", 0), ("verify", "check_every", -3),
+        ("rates", "reference_iters", 0), ("rates", "reference_iters", 1.5),
+        ("rates", "reference_iters", -4),
     ])
     def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
         raw = svm_config(tmp_path)
@@ -156,11 +159,23 @@ class TestRunExperiment:
         csv2 = (tmp_path / "b" / "trace_seed0.csv").read_bytes()
         assert csv1 == csv2
 
-    def test_worker_pool_matches_serial(self, tmp_path):
+    def test_seeds_run_in_calling_process(self, tmp_path, monkeypatch):
+        real = expmod.run_single
+        pids = {}
+
+        def recording(problem, cfg, seed):
+            pids[seed] = os.getpid()
+            return real(problem, cfg, seed)
+
+        monkeypatch.setattr(expmod, "run_single", recording)
         serial = run_experiment(ExperimentConfig.from_dict(
             svm_config(tmp_path, output_dir=str(tmp_path / "s"), workers=1)))
+        assert pids == {0: os.getpid(), 1: os.getpid()}
+        pids.clear()
         pooled = run_experiment(ExperimentConfig.from_dict(
             svm_config(tmp_path, output_dir=str(tmp_path / "p"), workers=2)))
+        # a worker pool would record the workers' pids, or none at all
+        assert pids == {0: os.getpid(), 1: os.getpid()}
         b1, b2 = serial.report.copy(), pooled.report.copy()
         b1.pop("timing"), b2.pop("timing")
         assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
@@ -300,9 +315,12 @@ class TestCli:
         assert entry["error"].startswith("DivergenceError: ")
         assert report["failed_seeds"] == [0]
 
-    def test_import_loads_no_scipy(self):
-        code = ("import sys, fdmkit, fdmkit.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    @pytest.mark.parametrize("package", ["scipy", "concurrent",
+                                         "multiprocessing"])
+    def test_import_loads_no_scipy(self, package):
+        # nor a process pool: every seed runs in the calling process
+        code = ("import sys, fdmkit, fdmkit.cli; print(sorted(m for m in "
+                f"sys.modules if m.split('.')[0] == {package!r}))")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert res.stdout.strip() == "[]"
@@ -332,7 +350,6 @@ class TestCli:
         assert report["seeds"][0]["iterations"] == 12
 
     @pytest.mark.parametrize("flag, value", [("--epsilon", "-1"),
-                                             ("--workers", "0"),
                                              ("--max-iters", "-5")])
     def test_invalid_override_exit_1(self, flag, value, tmp_path, capsys):
         # overrides pass the config checks, so a bad one fails before any seed
@@ -340,4 +357,37 @@ class TestCli:
         cfg_path.write_text(json.dumps(svm_config(tmp_path)))
         assert cli_main(["solve", "--config", str(cfg_path), flag, value]) == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_flag_unrecognized(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(svm_config(tmp_path)))
+        assert cli_main(["solve", "--config", str(cfg_path),
+                         "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("solve", "solver", "x0", [0.0, 0.0]),
+        ("solve", "solver", "x0", [0.0, "a", 0.0]),
+        ("solve", "solver", "x0", [0.0, float("inf"), 0.0]),
+        ("solve", "solver", "x0", {"a": 1}),
+        ("solve", "solver", "w", [1.0, -1.0, 1.0]),
+        ("rates", "solver", "w", [1.0, 1.0]),
+        ("rates", "rates", "reference_iters", 1.5),
+        ("rates", "rates", "reference_iters", 0),
+    ], ids=["x0-short", "x0-string", "x0-inf", "x0-object", "w-negative",
+            "w-short", "reference_iters-fraction", "reference_iters-zero"])
+    def test_bad_start_weights_or_reference_fail_before_seeds(
+            self, command, section, key, value, tmp_path, capsys):
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3],
+                           "linear": [1, -1, 1]},
+               "seeds": [0, 1], "output_dir": str(tmp_path / "out")}
+        raw.setdefault(section, {})[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        # 1e400 is how a config file spells an infinite entry
+        cfg_path.write_text(json.dumps(raw).replace("Infinity", "1e400"))
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and key in err
         assert not (tmp_path / "out").exists()

@@ -455,6 +455,16 @@ class TestSvmDual:
             x = rng.uniform(0, 1, 2)
             assert p.duality_gap(x) >= p.value(x) - f_star - 1e-9
 
+    def test_gap_is_primal_plus_dual_value(self, rng):
+        p = fixtures.svm_dual_toy(n=8, d=10)
+        for _ in range(20):
+            x = rng.uniform(0, 1, p.n)
+            assert p.duality_gap(x) == (p.primal_value(p.primal_weights(x))
+                                        + p.value(x))
+        for bad in (np.full(p.n, 2.0), np.full(p.n, np.nan)):
+            with pytest.raises(ValueError):
+                p.duality_gap(bad)
+
     def test_gap_nonnegative_along_trace(self, rng):
         p = fixtures.svm_dual_toy(n=8, d=10)
         x = rng.uniform(0, 1, p.n)

@@ -297,7 +297,8 @@ class TestProjectedGradient:
         with pytest.raises(DivergenceError) as err:
             run_projected_gradient(p, cfg)
         assert err.value.k >= 1
-        # the error crosses the worker pool intact
+        # the solvers are public and may run in a caller's own process pool,
+        # so the error must survive pickling intact
         back = pickle.loads(pickle.dumps(err.value))
         assert (str(back), back.k, back.f_values) == (
             str(err.value), err.value.k, err.value.f_values)
