@@ -16,7 +16,7 @@ from .problems import (ErmProblem, LassoBoxProblem, Problem, ProblemState,
                        minimize_slices)
 from .solvers import (OPTION_I, OPTION_II, DivergenceError, SolverConfig,
                       Trace, run_cyclic_cd, run_projected_gradient, run_scdm,
-                      scdm_step_option1, scdm_step_option2)
+                      run_scdm_seeds, scdm_step_option1, scdm_step_option2)
 from .verify import (Certificate, CyclicConstants, InvariantReport,
                      ReplayError, ZReconstruction, check_rcfdm, check_rfdm,
                      check_trace_invariants, cyclic_constants,
@@ -45,7 +45,7 @@ __all__ = [
     "minimize_slices", "lasso_lift", "lasso_project_back",
     "check_coord_strong_convexity", "global_lipschitz_bound",
     "OPTION_I", "OPTION_II", "SolverConfig", "Trace", "DivergenceError",
-    "run_scdm", "run_cyclic_cd", "run_projected_gradient",
+    "run_scdm", "run_scdm_seeds", "run_cyclic_cd", "run_projected_gradient",
     "scdm_step_option1", "scdm_step_option2",
     "Certificate", "CyclicConstants", "InvariantReport", "ReplayError",
     "ZReconstruction", "check_rcfdm", "check_rfdm", "check_trace_invariants",

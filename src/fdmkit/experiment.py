@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -31,21 +32,30 @@ from .rates import (GapReport, estimate_kappa_f, measured_rate,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
 from .solvers import (OPTION_I, OPTION_II, SolverConfig, Trace, run_cyclic_cd,
-                      run_projected_gradient, run_scdm)
+                      run_projected_gradient, run_scdm, run_scdm_seeds)
 from .verify import check_rcfdm, check_rfdm, ReplayError
 
 SCHEMA_VERSION = 1
+
+# Coordinate draws one batch of mean_gap_experiment's seeds holds (8 MB).
+_GAP_DRAW_ELEMS = 1 << 20
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require_positive(value, name: str, integer: bool = False) -> None:
+def _require_positive(value, name: str, integer: bool = False,
+                      zero_ok: bool = False) -> None:
+    """Reject all but a finite positive (``zero_ok``: nonnegative) number;
+    a bool is not a number here."""
     kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (value >= 0 if zero_ok else value > 0)
+            or not math.isfinite(value)):
+        sign = "nonnegative" if zero_ok else "positive"
         kind = "integer" if integer else "number"
-        raise ConfigError(f"{name} must be a positive {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite {sign} {kind}, got {value!r}")
 
 
 def _take(d: dict, allowed: dict, where: str) -> dict:
@@ -107,8 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver kind {solver['kind']!r}")
         if solver["kind"] == "scdm" and solver["option"] not in (OPTION_I, OPTION_II):
             raise ConfigError("solver.option must be 'I' or 'II'")
-        if not isinstance(solver["max_iters"], int) or solver["max_iters"] < 0:
-            raise ConfigError("solver.max_iters must be a nonnegative integer")
+        _require_positive(solver["max_iters"], "solver.max_iters", integer=True,
+                          zero_ok=True)
         if not (isinstance(solver["w"], (list, tuple))
                 or solver["w"] in ("L", "ones")):
             raise ConfigError("solver.w must be 'L', 'ones' or an explicit vector")
@@ -130,6 +140,8 @@ class ExperimentConfig:
                 ("rates.reference_iters", rates["reference_iters"], True)):
             if value is not None:
                 _require_positive(value, name, integer)
+        if solver["stall_tol"] is not None:
+            _require_positive(solver["stall_tol"], "solver.stall_tol", zero_ok=True)
         _require_positive(gap["n_seeds"], "gap.n_seeds", integer=True)
         if not isinstance(gap["epsilons"], (list, tuple)) or not gap["epsilons"]:
             raise ConfigError("gap.epsilons must be a nonempty list")
@@ -314,9 +326,17 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
                         reference=None) -> list[GapReport]:
     """Multi-seed duality-gap means against the theoretical iteration bound.
 
-    Runs exact coordinate minimization from the origin with w = L for each
-    seed up to the largest bound, recording gaps every n iterations, and
-    fills each :class:`GapReport` with the observed mean behavior.
+    Runs exact coordinate minimization from the origin with w = L for the
+    seeds ``seed_base .. seed_base + n_seeds - 1`` up to the largest bound,
+    and fills each :class:`GapReport` with the observed mean behavior: the
+    mean gap every n iterations and at each bound.
+
+    The seeds advance together through :func:`run_scdm_seeds`, in batches
+    whose coordinate draws fit one block of ``_GAP_DRAW_ELEMS`` entries.  At
+    each of those iterations one :meth:`SvmDualProblem.duality_gap` call
+    evaluates the batch's stack of iterates, and the gaps are added in seed
+    order, so the means equal those of one ``run_scdm`` per seed bit for
+    bit.  No iterate is kept past its evaluation.
     """
     if reference is None:
         reference = reference_solve(p)
@@ -336,23 +356,28 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
             r.mean_gap_at_bound = float(p.duality_gap(p.box.clip(np.zeros(p.n))))
             r.n_seeds = n_seeds
         return reports
-    record = p.n
-    ks = np.arange(0, k_max + 1, record)
+    ks = range(0, k_max + 1, p.n)
     gap_sum = np.zeros(len(ks))
     final_gaps = {r.iteration_bound: 0.0 for r in reports}
-    for s in range(n_seeds):
-        sc = SolverConfig(max_iters=k_max, seed=seed_base + s)
-        tr = run_scdm(p, sc, option=OPTION_I)
-        for j, k in enumerate(ks):
-            gap_sum[j] += p.duality_gap(tr.iterate(int(k)))
-        for kb in final_gaps:
-            final_gaps[kb] += p.duality_gap(tr.iterate(int(kb)))
+    batch = max(1, _GAP_DRAW_ELEMS // k_max)
+    sc = SolverConfig(max_iters=k_max)
+    for first in range(seed_base, seed_base + n_seeds, batch):
+        seeds = range(first, min(first + batch, seed_base + n_seeds))
+        for k, X, _ in run_scdm_seeds(p, sc, seeds, OPTION_I,
+                                      at=[*ks, *final_gaps]):
+            gaps = p.duality_gap(X).tolist()
+            if k % p.n == 0:
+                for gap in gaps:
+                    gap_sum[k // p.n] += gap
+            if k in final_gaps:
+                for gap in gaps:
+                    final_gaps[k] += gap
     mean_gaps = gap_sum / n_seeds
     for r in reports:
         r.n_seeds = n_seeds
         r.mean_gap_at_bound = final_gaps[r.iteration_bound] / n_seeds
         hit = np.nonzero(mean_gaps <= r.epsilon)[0]
-        r.observed_iteration = int(ks[hit[0]]) if len(hit) else None
+        r.observed_iteration = ks[hit[0]] if len(hit) else None
     return reports
 
 

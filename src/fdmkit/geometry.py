@@ -97,7 +97,11 @@ class Box:
         return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
-        x = _check_vector(x, self.n)
+        """Whether ``x``, or every row of an ``(m, n)`` stack, lies in the box
+        up to ``tol``."""
+        x = np.asarray(x, dtype=float)
+        if not (x.ndim == 2 and x.shape[1] == self.n):
+            x = _check_vector(x, self.n)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def violation(self, x) -> float:

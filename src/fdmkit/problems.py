@@ -181,8 +181,14 @@ def minimize_slices(deriv_and_curv, t0, d0, tol: float = SLICE_DERIV_TOL,
 
 def _dot(A: np.ndarray, B: np.ndarray):
     """Inner product of two vectors (BLAS ``@``, whose summation order the
-    solver states rely on), or of each row of two equally shaped stacks."""
-    return float(A @ B) if A.ndim == 1 else np.einsum("ij,ij->i", A, B)
+    solver states rely on), or of each row of two equally shaped stacks.
+
+    A stack goes through the same BLAS dot once per row, so each entry
+    equals the vector call on that row bit for bit.
+    """
+    if A.ndim == 1:
+        return float(A @ B)
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _rows(fn, U: np.ndarray) -> np.ndarray:
@@ -595,21 +601,42 @@ class SvmDualProblem(Problem):
 
     def primal_value(self, weights) -> float:
         """Hinge-loss primal objective at a weight vector."""
-        weights = _check_vector(weights, self.d, "weights")
-        margins = self.ya @ weights
+        return float(self._primal_at(_check_vector(weights, self.d, "weights")))
+
+    def _primal_at(self, W):
+        """The primal objective at one weight vector or at each row of a
+        stack, each row through the BLAS calls of the single vector."""
+        margins = np.matmul(self.ya, W[..., None])[..., 0]
         hinge = np.maximum(0.0, 1.0 - margins)
-        return float(np.mean(hinge) + 0.5 * self.lam * weights @ weights)
+        return np.mean(hinge, axis=-1) + _dot(0.5 * self.lam * W, W)
 
-    def duality_gap(self, x) -> float:
-        """Duality gap G(x) = P(w(x)) + f(x); zero exactly at optimality."""
-        x = self._check_feasible(x)
-        image = self._images(x)
-        return self._gap_at(image, float(self._values_at(x, image)))
+    def duality_gap(self, x):
+        """Duality gap G(x) = P(w(x)) + f(x); zero exactly at optimality.
 
-    def _gap_at(self, image, f: float) -> float:
-        """The duality gap at a point whose image is ``image`` and whose
-        objective is ``f``; solver runs stop on it through ``gap_tol``."""
-        return self.primal_value(image / (self.lam * self.n)) + f
+        ``x`` may also be an ``(m, n)`` stack of feasible points: the result
+        is then the array of their gaps, each equal bit for bit to the call
+        on that row.
+        """
+        X = np.ascontiguousarray(x, dtype=float)
+        if X.ndim == 1:
+            X = self._check_feasible(X)
+            images = self._images(X)
+        elif X.ndim == 2 and X.shape[1] == self.n:
+            if not (np.all(np.isfinite(X)) and self.box.contains(X)):
+                raise ValueError("a point of the stack is non-finite or "
+                                 "outside the box")
+            images = np.matmul(X[:, None, :], self.ya)[:, 0]
+        else:
+            raise ValueError(f"points must have shape ({self.n},) or "
+                             f"(m, {self.n}), got {X.shape}")
+        return self._gap_at(images, self._values_at(X, images))
+
+    def _gap_at(self, image, f):
+        """The duality gap at a point (or a stack of points) whose image is
+        ``image`` and whose objective is ``f``; solver runs stop on it
+        through ``gap_tol``."""
+        gap = self._primal_at(image / (self.lam * self.n)) + f
+        return float(gap) if image.ndim == 1 else gap
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +28,8 @@ OPTION_II = "II"
 
 # Snapshot entries a trace allocates up front (8 MB).
 _SNAPSHOT_BLOCK_ELEMS = 1 << 20
+# Steps of a seed-batched run between two reads of its objectives.
+_LOCKSTEP_CHUNK = 512
 
 
 class DivergenceError(RuntimeError):
@@ -108,6 +111,10 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
         if self.gap_tol is not None and self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
+        tol = self.stall_tol
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)
+                                or not 0.0 <= tol < math.inf):
+            raise ValueError("stall_tol must be a finite nonnegative number")
 
 
 class Trace:
@@ -333,10 +340,10 @@ def scdm_step_option2(p: Problem, x, i: int, omega: float, w) -> np.ndarray:
 # runners
 
 
-def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
-           option: Optional[str] = None, omega=(lambda k: 1.0, 1.0),
-           record_every: int = 1, pass_len: int = 1,
-           abort_on_increase: bool = False) -> Trace:
+def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
+           step, method: str, option: Optional[str] = None,
+           omega=(lambda k: 1.0, 1.0), record_every: int = 1,
+           pass_len: int = 1, abort_on_increase: bool = False) -> Trace:
     """The feasible-descent loop shared by every method.
 
     ``step(state, k, omega_k)`` moves ``state`` to iterate k+1 and returns
@@ -345,7 +352,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
     one pass of ``pass_len`` iterations.
     """
     omega_of, omega_bar = omega
-    x0 = cfg.resolve_x0(p)
     gap_every = cfg.gap_every or record_every
     stall_window = cfg.stall_window or pass_len
     state = p.start_state(x0)
@@ -390,6 +396,35 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, step, method: str,
     return trace
 
 
+def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
+    """The set-up :func:`run_scdm` and :func:`run_scdm_seeds` share.
+
+    Checks the option and ``cfg``, warns when an Option II step size is
+    unsafe, and returns ``(w, (omega_of, omega_bar), x0, draws)``: column r
+    of the ``(max_iters, len(seeds))`` array ``draws`` holds the coordinates
+    seed ``seeds[r]`` draws from its own Philox stream.
+    """
+    if option not in (OPTION_I, OPTION_II):
+        raise ValueError(f"option must be 'I' or 'II', got {option!r}")
+    cfg.validate()
+    w = cfg.resolve_w(p)
+    omega = cfg.resolve_omega(default=1.0)
+    if option == OPTION_II:
+        safe = float(np.min(w / p.lipschitz))
+        if omega[0](0) > safe * (1.0 + 1e-12):
+            warnings.warn(
+                "Option II step size exceeds min_i w_i/L_i; descent and the "
+                "zero-correction rate guarantee no longer apply",
+                stacklevel=3,
+            )
+    x0 = cfg.resolve_x0(p)
+    draws = np.empty((cfg.max_iters, len(seeds)), dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        draws[:, r] = rng.integers(p.n, size=cfg.max_iters)
+    return w, omega, x0, draws
+
+
 def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
     """Stochastic coordinate descent, uniform coordinate sampling.
 
@@ -397,21 +432,8 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
     the projected coordinate-gradient step with step size omega_k / w_i.
     Start point defaults to the projection of the origin onto the box.
     """
-    if option not in (OPTION_I, OPTION_II):
-        raise ValueError(f"option must be 'I' or 'II', got {option!r}")
-    cfg.validate()
-    w = cfg.resolve_w(p)
-    omega_of, omega_bar = cfg.resolve_omega(default=1.0)
-    if option == OPTION_II:
-        safe = float(np.min(w / p.lipschitz))
-        if omega_of(0) > safe * (1.0 + 1e-12):
-            warnings.warn(
-                "Option II step size exceeds min_i w_i/L_i; descent and the "
-                "zero-correction rate guarantee no longer apply",
-                stacklevel=2,
-            )
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    draws = rng.integers(p.n, size=cfg.max_iters).tolist() if cfg.max_iters else []
+    w, omega, x0, draws = _scdm_setup(p, cfg, option, [cfg.seed])
+    draws = draws[:, 0].tolist()
     w_of = w.tolist()  # Python floats read faster than numpy scalars
 
     def step(state: ProblemState, k: int, omega_k: float):
@@ -425,8 +447,130 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
         delta = new - old
         return i, new, w_of[i] * delta * delta
 
-    return _drive(p, cfg, w, step, "scdm", option, (omega_of, omega_bar),
+    return _drive(p, cfg, w, x0, step, "scdm", option, omega,
                   record_every=cfg.record_every or p.n, pass_len=p.n)
+
+
+def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
+                   option: str = OPTION_I, at=None):
+    """:func:`run_scdm` for many seeds at once, advanced in lockstep.
+
+    The S seeds' iterates are the rows of one ``(S, n)`` array with an
+    ``(S, image_dim)`` stack of images, and one iteration moves every row
+    with a few numpy calls.  Row r draws its coordinates from seed
+    ``seeds[r]``'s Philox stream, exactly as ``run_scdm`` with ``cfg.seed =
+    seeds[r]`` does, and takes the same floating-point operations, so its
+    iterates and tracked objectives equal that run's bit for bit.
+
+    Returns an iterator of ``(k, X, f)`` for each iteration k in ``at``
+    (default: every k from 0 to ``max_iters``): ``X`` is the ``(S, n)``
+    stack of x_k, ``f`` the objectives f(x_k).  Both are buffers the run
+    keeps moving; copy what must outlive the next step.  ``cfg.seed`` and
+    ``cfg.record_every`` are ignored, and nothing is recorded between the
+    requested iterations.
+
+    Runs apply to problems whose runs track f as a quadratic with exact
+    slices (the SVM dual and the quadratics) and stop on the budget alone.
+    ERM and lasso, whose runs evaluate f afresh at every step, and
+    ``gap_tol`` and ``stall_tol`` raise ``ValueError``; run those one seed
+    at a time with :func:`run_scdm`.  Set-up errors raise here, a
+    non-finite objective while iterating.
+    """
+    if not p._tracks_f:
+        raise ValueError(f"{type(p).__name__} has no batched SCDM: a run does "
+                         "not track its f as a quadratic; use run_scdm per seed")
+    if cfg.gap_tol is not None or cfg.stall_tol is not None:
+        raise ValueError("batched SCDM runs stop on the budget alone; "
+                         "gap_tol and stall_tol need run_scdm per seed")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("batched SCDM needs at least one seed")
+    w, (omega_of, omega_bar), x0, draws = _scdm_setup(p, cfg, option, seeds)
+    k_max = cfg.max_iters
+    at = range(k_max + 1) if at is None else sorted(set(int(k) for k in at))
+    if at and not (at[0] >= 0 and at[-1] <= k_max):
+        raise ValueError(f"requested iterations must lie in [0, {k_max}]")
+    state = p.start_state(x0)
+    if not math.isfinite(state.f):
+        raise DivergenceError(0, [state.f], "objective is not finite at the start")
+    return _lockstep(p, option, omega_of, omega_bar, w, state, seeds, draws, at)
+
+
+def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
+              draws, at):
+    """The iteration of :func:`run_scdm_seeds`, one row per seed.
+
+    Each step is ``ProblemState``'s (``exact_coord_min`` or the Option II
+    step, then ``set_coord``) done on every row at once, with the same
+    operations.  The steps run in chunks that end at the requested
+    iterations; a chunk gathers its per-coordinate constants up front and
+    collects the objective's increments, which one cumulative sum then adds
+    in step order, as the serial state adds them one by one.
+    """
+    S, n = len(seeds), p.n
+    X = np.tile(state.x, (S, 1))
+    x_flat = X.reshape(-1)
+    row_start = np.arange(S) * n
+    images = np.tile(state.image, (S, 1))
+    f = np.full(S, state.f)
+    cols, curv = p._cols, p._slice_curv
+    half_curv = 0.5 * curv
+    lower, upper = p.box.lower, p.box.upper
+    wanted = iter(at)
+    due = next(wanted, None)
+    k = 0
+    while due is not None:
+        stop = min(k + _LOCKSTEP_CHUNK, due)
+        coords = draws[k:stop]
+        flat_at = coords + row_start
+        curv_at, half_at = curv[coords], half_curv[coords]
+        lower_at, upper_at, w_at = lower[coords], upper[coords], w[coords]
+        # row 0 holds f_k; row t + 1 the increment of step k + t, summed below
+        f_path = np.empty((stop - k + 1, S))
+        f_path[0] = f
+        low = None
+        for t in range(stop - k):
+            omega_k = omega_of(k + t)
+            if omega_k < omega_bar:
+                low, f_path = k + t, f_path[:t + 1]
+                break
+            i = coords[t]
+            xi = x_flat[flat_at[t]]
+            col = cols.take(i, axis=0)
+            g = p._coord_grad(i, xi, p._phi(images), col)
+            if option == OPTION_I:
+                new = xi - g / curv_at[t]
+            else:
+                new = xi - (omega_k / w_at[t]) * g
+            # clip_coord's min(max(new, lo), hi), signed zeros included
+            lo, hi = lower_at[t], upper_at[t]
+            np.copyto(new, lo, where=lo > new)
+            np.copyto(new, hi, where=hi < new)
+            delta = new - xi
+            # set_coord leaves a row whose coordinate does not move untouched:
+            # adding -0.0 leaves every value as it is, signed zeros included
+            stay = delta == 0.0
+            inc = f_path[t + 1]
+            np.add(g * delta, half_at[t] * delta * delta, out=inc)
+            inc[stay] = -0.0
+            np.multiply(col, delta[:, None], out=col)
+            col[stay] = -0.0
+            images += col
+            np.copyto(new, xi, where=stay)
+            x_flat[flat_at[t]] = new
+        np.add.accumulate(f_path, axis=0, out=f_path)
+        bad = ~np.isfinite(f_path)
+        if bad.any():
+            t, r = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+            raise DivergenceError(k + t, [f_path[t, r]], "objective is not finite "
+                                  f"at iteration {k + t} (seed {seeds[r]})")
+        if low is not None:
+            raise ValueError(f"omega schedule dropped below its floor at k={low}")
+        f = f_path[-1]
+        k = stop
+        if k == due:
+            yield k, X, f
+            due = next(wanted, None)
 
 
 def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
@@ -448,7 +592,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
             disp += w_of[i] * (new - old) ** 2
         return -1, np.nan, disp
 
-    return _drive(p, cfg, w, step, "cyclic")
+    return _drive(p, cfg, w, cfg.resolve_x0(p), step, "cyclic")
 
 
 def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
@@ -471,4 +615,5 @@ def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
         state.set_x(x_next)
         return -1, np.nan, disp
 
-    return _drive(p, cfg, w, step, "pgd", omega=omega, abort_on_increase=True)
+    return _drive(p, cfg, w, cfg.resolve_x0(p), step, "pgd", omega=omega,
+                  abort_on_increase=True)

@@ -56,10 +56,15 @@ def _f_noise(f_k):
     return 32.0 * _EPS * np.maximum(1.0, np.abs(f_k))
 
 
-def _z_noise(g_here, g_tilde, w_i, old, new):
+def _z_noise(g_here, g_tilde, w_i, old, new, g_origin):
     """Absolute rounding scale of the reconstructed correction entry;
-    elementwise on arrays."""
-    return 32.0 * _EPS * (abs(g_here) + abs(g_tilde)
+    elementwise on arrays.
+
+    A coordinate gradient is its value at the origin, ``g_origin``, plus a
+    part that varies with x.  Near a minimizer the two parts cancel, so the
+    rounding of g follows their size, not the size of g alone.
+    """
+    return 32.0 * _EPS * (abs(g_here) + abs(g_tilde) + 2.0 * abs(g_origin)
                           + w_i * (abs(old) + abs(new)))
 
 
@@ -232,6 +237,7 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
     worst_zeta_k = None
     n_checked = 0
     x = trace.x0.copy()
+    g_origin = p.gradient(np.zeros(p.n))
     for a in range(0, end, chunk):
         b = min(a + chunk, end)
         c = coords[a:b]
@@ -243,7 +249,8 @@ def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
         w_c = w[c]
         if option == OPTION_I:
             z = g - g_tilde + w_c * (new - old)
-            z_eff = np.maximum(0.0, np.abs(z) - _z_noise(g, g_tilde, w_c, old, new))
+            z_eff = np.maximum(0.0, np.abs(z) - _z_noise(g, g_tilde, w_c, old, new,
+                                                            g_origin[c]))
         else:
             z = z_eff = np.zeros(b - a)
         replayed = np.clip(old - (omegas[a:b] / w_c) * (g - z),
@@ -342,6 +349,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
     worst_beta_k = None
     worst_zeta_k = None
     x = trace.x0.copy()
+    g_origin = p.gradient(np.zeros(n))
     at = 0  # x is x_at
     for start in range(0, checked.size, chunk):
         ks = checked[start:start + chunk]
@@ -387,7 +395,8 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
                    + SLICE_DERIV_TOL)
         g_eff_sq = np.maximum(0.0, np.abs(G) - g_noise[:, None]) ** 2 / w
         z = G - g_tilde + w * (tilde - X)
-        z_eff = np.maximum(0.0, np.abs(z) - _z_noise(G, g_tilde, w, X, tilde))
+        z_eff = np.maximum(0.0, np.abs(z) - _z_noise(G, g_tilde, w, X, tilde,
+                                                     g_origin))
         # choosing j: coordinate j carries z_jj, others keep the gradient
         e_z = np.sum(z_eff * z_eff / w
                      + (np.sum(g_eff_sq, axis=1, keepdims=True) - g_eff_sq),

@@ -165,6 +165,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
     worst_beta_k = worst_zeta_k = None
     n_checked = 0
     f, omegas = trace.f, trace.omegas
+    g_origin = p.gradient(np.zeros(p.n))
     for k, x, i, old, new in trace.iter_steps():
         if k % check_every != 0:
             continue
@@ -175,7 +176,8 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
             x_t[i] = new
             gi_tilde = p.coord_gradient(x_t, i)
             z_i = g_i - gi_tilde + w[i] * (new - old)
-            z_eff = max(0.0, abs(z_i) - _z_noise(g_i, gi_tilde, w[i], old, new))
+            z_eff = max(0.0, abs(z_i) - _z_noise(g_i, gi_tilde, w[i], old, new,
+                                                   g_origin[i]))
         else:
             z_i = z_eff = 0.0
         replayed = p.box.clip_coord(old - (omegas[k] / w[i]) * (g_i - z_i), i)
@@ -219,6 +221,7 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
     worst_beta_k = worst_zeta_k = None
     n_checked = 0
     omegas = trace.omegas
+    g_origin = p.gradient(np.zeros(n))
     for k, x, i, old, new in trace.iter_steps():
         if k % check_every != 0:
             continue
@@ -237,7 +240,8 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
             gj_tilde = p.coord_gradient(x_t, j)
             z_jj = grad[j] - gj_tilde + w[j] * (tilde_j - x[j])
             z_eff = max(0.0, abs(z_jj)
-                        - _z_noise(grad[j], gj_tilde, w[j], x[j], tilde_j))
+                        - _z_noise(grad[j], gj_tilde, w[j], x[j], tilde_j,
+                                 g_origin[j]))
             e_f_next += p.value(x_t)
             x_t[j] = x[j]
             e_z += z_eff * z_eff / w[j] + (g_eff_dual_sq

@@ -16,7 +16,7 @@ from fdmkit.rates import (estimate_kappa_f, hoffman_theta_bruteforce,
                           rate_rcfdm_zero_z, svm_sigma_sq)
 from fdmkit.datasets import correlated_rows
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
-                            run_projected_gradient, run_scdm,
+                            run_projected_gradient, run_scdm, run_scdm_seeds,
                             scdm_step_option1, scdm_step_option2)
 from fdmkit.verify import (check_rcfdm, check_rfdm, check_trace_invariants,
                            cyclic_constants)
@@ -138,8 +138,9 @@ def _domination_check(p, n_seeds=64):
     init = p.value(x0) - f_star + 0.5 * float(w @ (x0 - x_star) ** 2)
     # keep the bound's right side above the float cancellation floor
     k_max = min(2000, int(np.log(1e-9 / init) / np.log(1.0 - c)))
-    excess = np.array([run_scdm(p, SolverConfig(max_iters=k_max, seed=s),
-                                "II").f for s in range(n_seeds)]) - f_star
+    # f_k of every seed at every k, one row per seed
+    runs = run_scdm_seeds(p, SolverConfig(max_iters=k_max), range(n_seeds), "II")
+    excess = np.stack([f.copy() for _, _, f in runs], axis=1) - f_star
     mean = excess.mean(axis=0)
     se = excess.std(axis=0, ddof=1) / np.sqrt(n_seeds)
     rhs = (1.0 - c) ** np.arange(k_max + 1) * init

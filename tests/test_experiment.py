@@ -10,8 +10,10 @@ import fdmkit.experiment as expmod
 from fdmkit import fixtures
 from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
-                               load_config, run_experiment, validate_pipeline,
-                               validate_report, write_trace_csv)
+                               load_config, mean_gap_experiment,
+                               reference_solve, run_experiment,
+                               validate_pipeline, validate_report,
+                               write_trace_csv)
 from fdmkit.solvers import SolverConfig, run_scdm
 from fdmkit.verify import Certificate
 
@@ -227,6 +229,35 @@ class TestRunExperiment:
         assert len(reports) == 1
         assert reports[0]["mean_gap_at_bound"] <= 0.5
 
+    @pytest.mark.parametrize("draw_elems", [None, 1])
+    def test_mean_gap_equals_one_run_per_seed_bitwise(self, draw_elems,
+                                                      monkeypatch):
+        # draw_elems=1 runs every seed in a batch of its own
+        if draw_elems is not None:
+            monkeypatch.setattr(expmod, "_GAP_DRAW_ELEMS", draw_elems)
+        p = fixtures.svm_dual_toy(n=8, d=10, lam=0.1)
+        reference = reference_solve(p)
+        n_seeds, seed_base = 5, 3
+        reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=n_seeds,
+                                      seed_base=seed_base, reference=reference)
+        # the serial form: one run_scdm per seed, one gap call per iterate
+        k_max = max(r.iteration_bound for r in reports)
+        ks = np.arange(0, k_max + 1, p.n)
+        gap_sum = np.zeros(len(ks))
+        final = {r.iteration_bound: 0.0 for r in reports}
+        for s in range(seed_base, seed_base + n_seeds):
+            tr = run_scdm(p, SolverConfig(max_iters=k_max, seed=s), option="I")
+            for j, k in enumerate(ks):
+                gap_sum[j] += p.duality_gap(tr.iterate(int(k)))
+            for kb in final:
+                final[kb] += p.duality_gap(tr.iterate(kb))
+        means = gap_sum / n_seeds
+        for r in reports:
+            assert r.n_seeds == n_seeds
+            assert r.mean_gap_at_bound == final[r.iteration_bound] / n_seeds
+            hit = np.nonzero(means <= r.epsilon)[0]
+            assert r.observed_iteration == int(ks[hit[0]])
+
 
 class TestTraceCsv:
     def test_schema_and_round_trip_precision(self, tmp_path):
@@ -391,3 +422,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "validation error" in err and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("stall_tol", "x"), ("stall_tol", -1), ("stall_tol", float("inf")),
+        ("stall_tol", True), ("max_iters", True), ("max_iters", 2.5),
+    ], ids=["stall_tol-string", "stall_tol-negative", "stall_tol-inf",
+            "stall_tol-bool", "max_iters-bool", "max_iters-fraction"])
+    def test_bad_solver_numbers_fail_before_seeds(self, key, value, tmp_path,
+                                                  capsys):
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3]},
+               "solver": {key: value}, "seeds": [0, 1],
+               "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw).replace("Infinity", "1e400"))
+        assert cli_main(["solve", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"solver.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_stall_tol_and_budget_accepted(self, tmp_path):
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3]},
+               "solver": {"stall_tol": 0, "max_iters": 0}, "seeds": [0],
+               "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["solve", "--config", str(cfg_path)]) == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures
 from fdmkit.geometry import Box
-from fdmkit.problems import (_LOSSES, SLICE_DERIV_TOL, ErmProblem,
+from fdmkit.problems import (_LOSSES, SLICE_DERIV_TOL, ErmProblem, _dot,
                              LassoBoxProblem, QuadraticProblem, SliceMinError,
                              SvmDualProblem, check_coord_strong_convexity,
                              expit, global_lipschitz_bound, lasso_lift,
@@ -465,6 +465,38 @@ class TestSvmDual:
             with pytest.raises(ValueError):
                 p.duality_gap(bad)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           name=st.sampled_from(["tiny", "n2", "n8", "wide"]))
+    def test_stacked_gap_equals_each_row_bitwise(self, seed, m, name):
+        p = {"tiny": fixtures.svm_dual_tiny(),
+             "n2": fixtures.svm_dual_toy(n=2, d=3, seed=13),
+             "n8": fixtures.svm_dual_toy(n=8, d=10),
+             "wide": fixtures.svm_dual_toy(n=16, d=40, seed=5)}[name]
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        X = rng.uniform(0.0, 1.0, (m, p.n))
+        # bounds and signed zeros, as solver iterates carry them
+        X[rng.uniform(size=X.shape) < 0.2] = 0.0
+        X[rng.uniform(size=X.shape) < 0.1] = 1.0
+        X[rng.uniform(size=X.shape) < 0.1] = -0.0
+        gaps = p.duality_gap(X)
+        assert gaps.shape == (m,)
+        want = np.array([p.duality_gap(x) for x in X])
+        assert gaps.tobytes() == want.tobytes()
+
+    def test_stacked_gap_rejects_bad_stacks(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        X = np.full((3, 4), 0.5)
+        for bad in (2.0, np.nan, -0.1):
+            Y = X.copy()
+            Y[1, 2] = bad
+            with pytest.raises(ValueError):
+                p.duality_gap(Y)
+        with pytest.raises(ValueError):
+            p.duality_gap(np.zeros((3, 5)))
+        with pytest.raises(ValueError):
+            p.duality_gap(np.zeros((2, 3, 4)))
+
     def test_gap_nonnegative_along_trace(self, rng):
         p = fixtures.svm_dual_toy(n=8, d=10)
         x = rng.uniform(0, 1, p.n)
@@ -485,6 +517,33 @@ class TestSvmDual:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             SvmDualProblem(np.eye(2), np.array([1.0, 2.0]), lam=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+       d=st.integers(1, 300))
+def test_stacked_dot_equals_vector_dot_bitwise(seed, m, d):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    A = rng.standard_normal((m, d)) * rng.uniform(1e-3, 1e3, (m, 1))
+    B = rng.standard_normal((m, d))
+    got = _dot(A, B)
+    assert got.tobytes() == np.array([float(a @ b) for a, b in zip(A, B)]).tobytes()
+
+
+@pytest.mark.parametrize("d, m", [(5, 12), (3, 40), (20, 7)])
+def test_stacked_dot_on_lasso_strided_cols_bitwise(d, m):
+    # the lasso's _cols rows are strided column views of its design
+    rng = np.random.Generator(np.random.Philox(key=d * m))
+    p = LassoBoxProblem(rng.standard_normal((m, d)), rng.standard_normal(m),
+                        l1=0.1)
+    cols = p._cols
+    assert not cols[0].flags.c_contiguous
+    for A in (cols, cols[::2], cols[1::3]):
+        B = rng.standard_normal(A.shape)
+        want = np.array([float(a @ b) for a, b in zip(A, B)])
+        assert _dot(A, B).tobytes() == want.tobytes()
+        assert _dot(B, A).tobytes() == np.array(
+            [float(b @ a) for a, b in zip(A, B)]).tobytes()
 
 
 # ---------------------------------------------------------------------------

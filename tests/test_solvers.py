@@ -1,4 +1,5 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from fdmkit.geometry import Box
 from fdmkit.problems import QuadraticProblem
 from fdmkit.solvers import (DivergenceError, SolverConfig, Trace,
                             run_cyclic_cd, run_projected_gradient, run_scdm,
-                            scdm_step_option1, scdm_step_option2)
+                            run_scdm_seeds, scdm_step_option1,
+                            scdm_step_option2)
 from oracles import box_qp_oracle
 
 
@@ -146,6 +148,13 @@ class TestRunScdm:
         assert tr.stop_reason == "stall"
         assert len(tr) < 10_000
 
+    @pytest.mark.parametrize("stall_tol", [-1.0, float("nan"), float("inf"),
+                                           "x", True])
+    def test_bad_stall_tol_rejected(self, stall_tol):
+        p = separable_quadratic([1.0, 2.0])
+        with pytest.raises(ValueError, match="stall_tol"):
+            run_scdm(p, SolverConfig(max_iters=10, stall_tol=stall_tol))
+
     def test_budget_stop_reason_flagged(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_scdm(p, SolverConfig(max_iters=7))
@@ -164,6 +173,102 @@ class TestRunScdm:
         tr = run_scdm(p, cfg, option="II")
         assert len(tr) == 20
         assert tr.omegas[0] == 1.0
+
+
+# the standard and small fixtures whose slices are exact quadratics
+_CLOSED_FORM = ("svm_dual_n2", "svm_dual_n4", "svm_dual_n8", "quadratic_diag_n5",
+                "quadratic_box_n8", "svm_dual_tiny", "quadratic_box_2d",
+                "quadratic_diag_3d")
+
+
+def _fixture(name):
+    return {**fixtures.standard_fixtures(), **fixtures.small_fixtures()}[name]
+
+
+class TestRunScdmSeeds:
+    """The seed-batched runner against one run_scdm per seed, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(_CLOSED_FORM), option=st.sampled_from(["I", "II"]),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5,
+                          unique=True),
+           max_iters=st.integers(0, 150), data_seed=st.integers(0, 2**32 - 1),
+           start=st.booleans(), weights=st.booleans(),
+           omega=st.floats(0.05, 1.0), at_all=st.booleans(),
+           chunk=st.sampled_from([1, 7, 512]))
+    def test_rows_equal_serial_runs_bitwise(self, name, option, seeds, max_iters,
+                                            data_seed, start, weights, omega,
+                                            at_all, chunk):
+        p = _fixture(name)
+        rng = np.random.Generator(np.random.Philox(key=data_seed))
+        lo = np.where(np.isinf(p.box.lower), -3.0, p.box.lower)
+        hi = np.where(np.isinf(p.box.upper), 3.0, p.box.upper)
+        x0 = rng.uniform(lo, hi) if start else None
+        if x0 is not None:
+            x0[rng.uniform(size=p.n) < 0.3] = lo[0]  # start some rows on a bound
+        # w >= L keeps omega <= 1 a safe Option II step
+        w = p.lipschitz * rng.uniform(1.0, 3.0, p.n) if weights else None
+        at = (None if at_all else
+              sorted(set(rng.integers(0, max_iters + 1, size=5).tolist())))
+        kw = dict(max_iters=max_iters, x0=x0, w=w,
+                  omega=omega if option == "II" else None)
+        with mock.patch.object(solvers, "_LOCKSTEP_CHUNK", chunk):
+            got = [(k, X.copy(), f.copy()) for k, X, f in
+                   run_scdm_seeds(p, SolverConfig(**kw), seeds, option, at=at)]
+        assert [k for k, _, _ in got] == (list(range(max_iters + 1))
+                                          if at is None else at)
+        for r, seed in enumerate(seeds):
+            tr = run_scdm(p, SolverConfig(seed=seed, **kw), option)
+            for k, X, f in got:
+                assert X[r].tobytes() == tr.iterate(k).tobytes()
+                assert f[r:r + 1].tobytes() == tr.f[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("name", ["lasso_d5", "erm_logistic_n20"])
+    def test_newton_slice_families_rejected(self, name, standard_problems):
+        with pytest.raises(ValueError, match="run_scdm"):
+            run_scdm_seeds(standard_problems[name], SolverConfig(max_iters=5),
+                           [0, 1])
+
+    @pytest.mark.parametrize("stop", [{"gap_tol": 1e-6}, {"stall_tol": 0.0}])
+    def test_stopping_rules_rejected(self, stop):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        with pytest.raises(ValueError, match="budget"):
+            run_scdm_seeds(p, SolverConfig(max_iters=5, **stop), [0, 1])
+
+    def test_bad_requests_rejected_before_iterating(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        for seeds, at, option in (([], None, "I"), ([0], [6], "I"),
+                                  ([0], [-1], "I"), ([0], None, "III")):
+            with pytest.raises(ValueError):
+                run_scdm_seeds(p, SolverConfig(max_iters=5), seeds, option, at=at)
+        with pytest.raises(ValueError):
+            run_scdm_seeds(p, SolverConfig(max_iters=5, x0=np.full(4, 2.0)), [0])
+        with pytest.warns(UserWarning):
+            run_scdm_seeds(p, SolverConfig(max_iters=5, omega=10.0), [0], "II")
+
+    def test_omega_floor_checked_like_run_scdm(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        cfg = SolverConfig(max_iters=50, omega_schedule=lambda k: 1.0 - 0.01 * k,
+                           omega_bar=0.8)
+        with pytest.raises(ValueError, match="k=21"):
+            run_scdm(p, cfg, option="II")
+        with pytest.raises(ValueError, match="k=21"):
+            list(run_scdm_seeds(p, cfg, [0, 1], "II"))
+
+    def test_non_finite_objective_raises_divergence(self):
+        # run_scdm's diverging Option II run, batched with a second seed
+        p = fixtures.standard_fixtures()["quadratic_diag_n5"]
+        cfg = SolverConfig(max_iters=5000, omega=50.0)
+        first = []
+        for seed in (0, 1):
+            with pytest.warns(UserWarning), pytest.raises(DivergenceError) as err:
+                run_scdm(p, SolverConfig(max_iters=5000, omega=50.0, seed=seed), "II")
+            first.append(err.value.k)
+        with pytest.warns(UserWarning):
+            steps = run_scdm_seeds(p, cfg, [0, 1], "II", at=[5000])
+        with pytest.raises(DivergenceError, match="not finite") as batched:
+            list(steps)
+        assert batched.value.k == min(first)
 
 
 class TestTraceReconstruction:

@@ -168,6 +168,20 @@ class TestRcfdmMatchesScalarReplay:
         # only the reordered gradient sums move beta_hat, at its rounding floor
         assert abs(got.beta_hat_sq - want.beta_hat_sq) <= 1e-12 * got.beta_sq_theory
 
+    @pytest.mark.parametrize("name, seed", [
+        ("svm_dual_n4", 2), ("svm_dual_n4", 8), ("svm_dual_n4", 24),
+        ("lasso_d5", 2), ("lasso_d5", 7), ("lasso_d5", 22)])
+    def test_converged_steps_match_across_seeds(self, name, seed,
+                                                standard_problems):
+        # steps at the gradient's rounding floor, where the two evaluation
+        # orders disagreed while the correction noise ignored g's offset
+        p = standard_problems[name]
+        tr = run_scdm(p, SolverConfig(max_iters=1000, seed=seed), "I")
+        got = check_rcfdm(tr, p)
+        want = check_rcfdm_scalar(tr, p)
+        assert (got.zeta_hat, got.worst_zeta_k) == (want.zeta_hat, want.worst_zeta_k)
+        assert abs(got.beta_hat_sq - want.beta_hat_sq) <= 1e-12 * got.beta_sq_theory
+
     @pytest.mark.parametrize("name", ["svm_dual_n8", "lasso_d5", "erm_logistic_n20"])
     def test_check_every_matches(self, name, standard_problems, monkeypatch):
         p = standard_problems[name]
