@@ -7,8 +7,7 @@ counterparts, and a duality-gap iteration bound for the SVM dual.
 """
 
 from .geometry import (Box, check_weights, project_box, projected_gradient,
-                       weighted_dual_norm, weighted_dual_norm_sq,
-                       weighted_norm, weighted_norm_sq)
+                       weighted_dual_norm_sq, weighted_norm_sq)
 from .problems import (ErmProblem, LassoBoxProblem, Problem, ProblemState,
                        QuadraticProblem, SliceMinError, SvmDualProblem,
                        check_coord_strong_convexity, global_lipschitz_bound,
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "check_weights", "project_box", "projected_gradient",
-    "weighted_norm", "weighted_norm_sq", "weighted_dual_norm",
-    "weighted_dual_norm_sq",
+    "weighted_norm_sq", "weighted_dual_norm_sq",
     "Problem", "ProblemState", "QuadraticProblem", "SvmDualProblem",
     "ErmProblem", "LassoBoxProblem", "SliceMinError", "minimize_slice",
     "minimize_slices", "lasso_lift", "lasso_project_back",

@@ -27,13 +27,13 @@ import numpy as np
 from .datasets import Dataset, generate_synthetic, parse_libsvm
 from .geometry import Box
 from .problems import (ErmProblem, LassoBoxProblem, Problem, QuadraticProblem,
-                       SvmDualProblem, global_lipschitz_bound)
+                       SvmDualProblem)
 from .rates import (GapReport, estimate_kappa_f, measured_rate,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
 from .solvers import (OPTION_I, OPTION_II, SolverConfig, Trace, run_cyclic_cd,
                       run_projected_gradient, run_scdm, run_scdm_seeds)
-from .verify import check_rcfdm, check_rfdm, ReplayError
+from .verify import check_rcfdm, check_rfdm, fdm_constants, ReplayError
 
 SCHEMA_VERSION = 1
 
@@ -117,6 +117,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver kind {solver['kind']!r}")
         if solver["kind"] == "scdm" and solver["option"] not in (OPTION_I, OPTION_II):
             raise ConfigError("solver.option must be 'I' or 'II'")
+        takes_step = (solver["kind"] == "pgd"
+                      or (solver["kind"], solver["option"]) == ("scdm", OPTION_II))
+        if solver["omega"] is not None and not takes_step:
+            raise ConfigError("solver.omega applies only to scdm option II and "
+                              "pgd; exact minimization takes no step size")
         _require_positive(solver["max_iters"], "solver.max_iters", integer=True,
                           zero_ok=True)
         if not (isinstance(solver["w"], (list, tuple))
@@ -314,8 +319,7 @@ def reference_solve(p: Problem, iters: Optional[int] = None,
     """High-precision exact-minimization run used as the (x*, f*) reference."""
     if iters is None:
         iters = max(400 * p.n, 20_000)
-    sc = SolverConfig(max_iters=iters, seed=seed, gap_tol=gap_tol,
-                      gap_every=p.n)
+    sc = SolverConfig(max_iters=iters, seed=seed, gap_tol=gap_tol)
     tr = run_scdm(p, sc, option=OPTION_I)
     x_star = tr.final_x
     return x_star, float(tr.f[len(tr)]), tr
@@ -460,15 +464,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         reference = reference_solve(problem, iters=cfg.rates["reference_iters"])
         x_star, f_star, ref_trace = reference
         kappa_hat = estimate_kappa_f(problem, ref_trace, x_star, f_star, w)
-        lfw = global_lipschitz_bound(problem.lipschitz, w)
-        if cfg.solver["kind"] == "scdm" and cfg.solver["option"] == OPTION_II:
-            rc = rate_rcfdm_zero_z(kappa_hat, 1.0, problem.n)
-        elif cfg.solver["kind"] == "scdm":
-            beta = float(np.sqrt(2.0 * (lfw**2 + 1.0)))
-            rc = rate_rcfdm_general(kappa_hat, problem.gamma(w), beta, 1.0,
-                                    problem.n)
+        kind = cfg.solver["kind"]
+        framework = f"rcfdm-{cfg.solver['option']}" if kind == "scdm" else kind
+        beta_sq, zeta, inputs = fdm_constants(problem, w, framework)
+        lfw, beta = inputs["l_f_w"], float(np.sqrt(beta_sq))
+        # the step the seeds ran with: run_projected_gradient's default is
+        # 1 / L_f^W, and exact minimization takes none (omega_bar = 1)
+        omega = float(cfg.solver["omega"] or (1.0 / lfw if kind == "pgd" else 1.0))
+        if framework == "rcfdm-II":
+            rc = rate_rcfdm_zero_z(kappa_hat, omega, problem.n)
+        elif framework == "rcfdm-I":
+            rc = rate_rcfdm_general(kappa_hat, zeta, beta, omega, problem.n)
         else:
-            rc = rate_rfdm(kappa_hat, problem.gamma(w), 0.0, 1.0, lfw)
+            rc = rate_rfdm(kappa_hat, zeta, beta, omega, lfw)
         rate_block = rc.as_dict()
 
     # built per call, so a caller may replace check_rcfdm or check_rfdm

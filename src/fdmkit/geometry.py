@@ -133,19 +133,11 @@ def weighted_norm_sq(x, w) -> float:
     return float(np.dot(w, x * x))
 
 
-def weighted_norm(x, w) -> float:
-    return float(np.sqrt(weighted_norm_sq(x, w)))
-
-
 def weighted_dual_norm_sq(y, w) -> float:
     """Squared dual norm ``sum_i y_i^2 / w_i``."""
     y = _check_vector(y)
     w = _check_vector(w, y.shape[0], "w")
     return float(np.dot(y * y, 1.0 / w))
-
-
-def weighted_dual_norm(y, w) -> float:
-    return float(np.sqrt(weighted_dual_norm_sq(y, w)))
 
 
 def project_box(x, box: Box, w=None) -> np.ndarray:

@@ -56,9 +56,10 @@ class SolverConfig:
     constant step size; a per-iteration schedule may be supplied instead, in
     which case ``omega_bar`` must give its positive floor.  Coordinate
     sampling is uniform over the ``n`` coordinates.  ``gap_tol`` stops a run
-    once the duality gap, evaluated every ``gap_every`` iterations, reaches
-    it; it applies only to problems with a duality gap (the SVM dual) and is
-    ignored on the others.
+    once the duality gap, evaluated at every recorded snapshot, reaches it;
+    it applies only to problems with a duality gap (the SVM dual) and is
+    ignored on the others.  Exact minimization (Option I, cyclic) takes no
+    step size, so it rejects ``omega`` and ``omega_schedule``.
     """
 
     w: Optional[np.ndarray] = None
@@ -70,7 +71,6 @@ class SolverConfig:
     record_every: Optional[int] = None
     x0: Optional[np.ndarray] = None
     gap_tol: Optional[float] = None
-    gap_every: Optional[int] = None
     stall_tol: Optional[float] = None
     stall_window: Optional[int] = None
 
@@ -91,6 +91,11 @@ class SolverConfig:
         if bar <= 0 or bar > omega:
             raise ValueError("omega_bar must satisfy 0 < omega_bar <= omega")
         return (lambda k: omega), bar
+
+    def reject_step_size(self, method: str) -> None:
+        if self.omega is not None or self.omega_schedule is not None:
+            raise ValueError(f"{method} minimizes each coordinate exactly and "
+                             "takes no step size (omega, omega_schedule)")
 
     def resolve_x0(self, p: Problem) -> np.ndarray:
         if self.x0 is None:
@@ -352,7 +357,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
     one pass of ``pass_len`` iterations.
     """
     omega_of, omega_bar = omega
-    gap_every = cfg.gap_every or record_every
     stall_window = cfg.stall_window or pass_len
     state = p.start_state(x0)
     # the gap rule of a problem that has a duality gap, at the state's image
@@ -383,7 +387,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
             raise DivergenceError(kk, f[max(0, k - 1):kk].tolist() + [f_next])
         trace._append(i, new, f_next, disp, omega_k,
                       time.perf_counter() - t_start, state.x)
-        if gap_of is not None and kk % gap_every == 0:
+        if gap_of is not None and kk % record_every == 0:
             gap = trace.gaps[kk] = gap_of(state.image, f_next)
             if gap <= cfg.gap_tol:
                 stop = "gap"
@@ -407,6 +411,8 @@ def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
     if option not in (OPTION_I, OPTION_II):
         raise ValueError(f"option must be 'I' or 'II', got {option!r}")
     cfg.validate()
+    if option == OPTION_I:
+        cfg.reject_step_size("scdm Option I")
     w = cfg.resolve_w(p)
     omega = cfg.resolve_omega(default=1.0)
     if option == OPTION_II:
@@ -580,6 +586,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
     1..n, so a cyclic record costs n coordinate updates.
     """
     cfg.validate()
+    cfg.reject_step_size("cyclic coordinate descent")
     w = cfg.resolve_w(p)
     w_of = w.tolist()
 

@@ -1,26 +1,19 @@
 """Empirical certification of the randomized feasible-descent inequalities.
 
-Given a coordinate-descent trace, this module rebuilds the per-iteration
-correction vectors z_k, replays the projected update to confirm the trace is
-exactly a randomized (coordinate) feasible-descent sequence, and extracts the
-smallest correction constant (beta_hat^2) and largest sufficient-decrease
-constant (zeta_hat) realized along the run.  Certificates compare those
-against the theoretical constants of the framework.
-
-Two modes:
-
-* coordinate mode: the inequalities are checked per realized coordinate step;
-* expectation mode (unconstrained problems, exact minimization only): the
-  conditional expectations over the coordinate choice are computed exactly by
-  enumerating all n candidate coordinates at each checked iteration, never by
-  Monte Carlo.
-
-Both modes walk the trace in chunks sized by the problem's image dimension
-and evaluate a chunk with batched array operations.  Everything is rebuilt
-from scratch at the chunk's iterates, never read from the solver's
-incremental caches: coordinate mode evaluates gradients along the chunk's
-path from one image, and expectation mode solves the n candidate slices of
-all the chunk's checked iterations in one batched call.
+Both frameworks hold the correction z_k of the feasible descent method
+(Wang & Lin, JMLR 15, 2014) to the constants beta and zeta: coordinate mode
+(RC-FDM) at the drawn coordinate, expectation mode (R-FDM: unconstrained
+problems, exact minimization) in its conditional expectation over the
+coordinate choice, computed exactly from all n candidates, never by Monte
+Carlo.  Each piece of that math is written once: the theory constants in
+:func:`fdm_constants`; z, its part above rounding and the error of the
+projected update it replays in ``_z_kernel``; the worst ratios in ``_fold``.
+One walk, ``_replay_walk``, takes a trace in chunks of steps, rebuilds x at
+each chunk start by assigning the recorded values, evaluates the chunk's
+gradients from scratch along its path, never from the solver's incremental
+caches, and replays every checked step.  :func:`check_rcfdm` takes its
+ratios from the walk; :func:`check_rfdm` adds the candidate enumeration, one
+batched slice solve for all of a chunk's checked iterates.
 """
 
 from __future__ import annotations
@@ -37,6 +30,11 @@ from .solvers import Trace, OPTION_I, OPTION_II
 
 REPLAY_TOL = 1e-9
 PASS_REL_SLACK = 1e-9
+# invariant audit: largest objective increase, box violation and relative
+# drift of a recorded objective from a fresh evaluation
+DESCENT_TOL, FEAS_TOL, OBJECTIVE_RTOL = 1e-12, 1e-12, 1e-9
+# Coordinate-gradient evaluations the default rfdm stride allows for a trace.
+RFDM_CHECK_BUDGET = 100_000
 _EPS = float(np.finfo(float).eps)
 # Snapshots per batched objective evaluation in the invariant audit; bounds
 # the (block, inner dimension) temporaries of Problem.values.
@@ -48,6 +46,8 @@ _REPLAY_CHUNK_BYTES = 1 << 20
 # peak memory from 44 to 51 MB and one chunk for the whole trace to 168 MB,
 # neither of them faster.
 _RFDM_CHUNK_BYTES = 1 << 17
+# (beta_hat_sq, zeta_hat, worst_beta_k, worst_zeta_k) before any ratio
+_NO_RATIOS = (0.0, np.inf, None, None)
 
 
 def _f_noise(f_k):
@@ -140,26 +140,107 @@ def _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, zeta_theory) -> boo
                 and zeta_hat >= zeta_theory * (1.0 - PASS_REL_SLACK))
 
 
+def _beta_sq(framework: str, n: int, l_f_w: float, r_sq: float) -> float:
+    if framework in ("rcfdm-II", "pgd"):
+        return 0.0
+    if framework == "cyclic":
+        beta = 1.0 + np.sqrt(n) * l_f_w
+        return float(beta * beta)
+    if framework not in ("rcfdm-I", "rfdm"):
+        raise ValueError(f"unknown framework {framework!r}")
+    beta_sq = 2.0 * (l_f_w**2 + 1.0)
+    return beta_sq + (n - 1) * r_sq if framework == "rfdm" else beta_sq
+
+
+def fdm_constants(p: Problem, w, framework: str) -> tuple[float, float, dict]:
+    """Theory constants ``(beta^2, zeta, inputs)`` of a framework for ``p``
+    in the geometry ``w``, with ``L = L_f^W`` (:func:`global_lipschitz_bound`).
+
+    beta^2 is ``2(L^2 + 1)`` for ``'rcfdm-I'`` (exact minimization), 0 for
+    ``'rcfdm-II'`` and ``'pgd'`` (projected gradient steps), ``2(L^2 + 1) +
+    (n - 1) r_sq`` with ``r_sq = max_i L_i^2/w_i^2`` for ``'rfdm'``, and
+    ``(1 + sqrt(n) L)^2`` for ``'cyclic'``.  zeta is ``p.gamma(w)``.
+    ``inputs`` holds ``l_f_w``, ``gamma`` and, for ``'rfdm'``, ``r_sq``.
+    """
+    lfw = global_lipschitz_bound(p.lipschitz, w)
+    gamma = p.gamma(w)
+    r_sq = float(np.max((p.lipschitz / w) ** 2))
+    inputs = {"l_f_w": lfw, "gamma": gamma}
+    if framework == "rfdm":
+        inputs["r_sq"] = r_sq
+    return _beta_sq(framework, p.n, lfw, r_sq), gamma, inputs
+
+
+def _z_kernel(option, g, g_tilde, w_i, old, new, g_origin,
+              omega=1.0, lower=-np.inf, upper=np.inf):
+    """``(z, z_eff, err)`` of coordinate steps ``old -> new``, elementwise;
+    ``g`` and ``g_tilde`` are the moved partial derivative before and after.
+
+    z is 0 for Option II steps.  For exact minimization it is the gradient
+    change plus the weighted displacement, signed so that the projected
+    update reproduces ``new``.  ``z_eff`` is |z| less its rounding scale,
+    floored at 0, and ``err`` the error of the projected update with step
+    ``omega`` and correction z.
+    """
+    if option == OPTION_I:
+        z = g - g_tilde + w_i * (new - old)
+        z_eff = np.maximum(0.0, np.abs(z) - _z_noise(g, g_tilde, w_i, old, new,
+                                                     g_origin))
+    else:
+        z = z_eff = np.zeros_like(g)
+    err = np.abs(np.clip(old - (omega / w_i) * (g - z), lower, upper) - new)
+    return z, z_eff, err
+
+
+def _fold(worst, beta, zeta, ks):
+    """Fold a chunk's ratios at iterations ``ks`` into ``worst``, the running
+    ``(beta_hat_sq, zeta_hat, worst_beta_k, worst_zeta_k)`` of the largest
+    beta and smallest zeta.  The first index of an extreme ratio wins, as a
+    strict running comparison finds, and a NaN ratio never wins.
+    """
+    beta_hat_sq, zeta_hat, beta_k, zeta_k = worst
+    if ks.size:
+        j = int(np.argmax(np.where(np.isnan(beta), -np.inf, beta)))
+        if beta[j] > beta_hat_sq:
+            beta_hat_sq, beta_k = float(beta[j]), int(ks[j])
+        j = int(np.argmin(np.where(np.isnan(zeta), np.inf, zeta)))
+        if zeta[j] < zeta_hat:
+            zeta_hat, zeta_k = float(zeta[j]), int(ks[j])
+    return beta_hat_sq, zeta_hat, beta_k, zeta_k
+
+
+def _certificate(framework: str, trace: Trace, check_every: int, constants,
+                 worst) -> Certificate:
+    beta_sq_theory, zeta, inputs = constants
+    beta_hat_sq, zeta_hat, beta_k, zeta_k = worst
+    return Certificate(
+        framework=framework, option=trace.option,
+        beta_hat_sq=float(beta_hat_sq), zeta_hat=float(zeta_hat),
+        beta_sq_theory=float(beta_sq_theory), zeta_theory=zeta,
+        n_checked=len(range(0, len(trace), check_every)),
+        worst_beta_k=beta_k, worst_zeta_k=zeta_k,
+        passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, zeta),
+        eta_hat=float(beta_hat_sq) if framework == "rfdm" else None,
+        inputs={**inputs, "check_every": check_every},
+    )
+
+
 def reconstruct_z_option1(p: Problem, x_k, i: int, x_tilde_i: float, w,
                           k: int = 0, mode: str = "rcfdm") -> ZReconstruction:
     """Rebuild the correction vector of an exact coordinate-minimization step.
 
-    Coordinate ``i`` combines the coordinate-gradient change between the
-    current iterate and the slice minimizer with the weighted displacement
-    ``w_i (x_tilde_i - x_k[i])``; the displacement term carries the sign that
-    makes the projected update reproduce x_{k+1} exactly.  Other coordinates
-    are the plain gradient entries (expectation mode) or zero (coordinate
-    mode).
+    Coordinate ``i`` is the kernel's correction of the step from
+    ``x_k[i]`` to the slice minimizer ``x_tilde_i``.  Other coordinates are
+    the plain gradient entries (expectation mode) or zero (coordinate mode).
     """
     if mode not in ("rcfdm", "rfdm"):
         raise ValueError("mode must be 'rcfdm' or 'rfdm'")
     w = check_weights(w, p.n)
     x_k = np.asarray(x_k, dtype=float)
-    gi_here = p.coord_gradient(x_k, i)
     x_t = x_k.copy()
     x_t[i] = x_tilde_i
-    gi_tilde = p.coord_gradient(x_t, i)
-    zi = gi_here - gi_tilde + w[i] * (x_tilde_i - x_k[i])
+    zi, _, _ = _z_kernel(OPTION_I, p.coord_gradient(x_k, i),
+                         p.coord_gradient(x_t, i), w[i], x_k[i], x_tilde_i, 0.0)
     if mode == "rfdm":
         z = p.gradient(x_k)
         z[i] = zi
@@ -178,211 +259,135 @@ def _assign_last(x: np.ndarray, coords: np.ndarray, values: np.ndarray) -> None:
     x[c_last] = values[::-1][pos]
 
 
-def _fold_max(ratios, ks, best: float, best_k):
-    """Fold a chunk's ratios into a running maximum ``(best, best_k)``.
+def _replay_walk(trace: Trace, p: Problem, w: np.ndarray, check_every: int,
+                 chunk: int):
+    """Replay the checked steps k (``k % check_every == 0``) of a coordinate
+    trace in chunks starting at multiples of ``chunk``.
 
-    The first index of the largest ratio wins, as a strict running
-    comparison finds, and a NaN ratio never wins.
+    Yields ``(a, x, c, old, new, z_eff, checked)`` per chunk: its first step
+    a, x_a (moved on when the walk resumes), the recorded coordinates and
+    values, the values they replace, the kernel's ``z_eff`` and the checked
+    mask.  A checked step that does not replay raises :class:`ReplayError`
+    before its chunk is yielded, and a non-finite recorded value raises
+    ``ValueError`` once the steps before it are walked.
     """
-    if ratios.size:
-        j = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
-        if ratios[j] > best:
-            return float(ratios[j]), int(ks[j])
-    return best, best_k
-
-
-def check_rcfdm(trace: Trace, p: Problem, w=None, option: Optional[str] = None,
-                gamma: Optional[float] = None, l_f_w: Optional[float] = None,
-                check_every: int = 1) -> Certificate:
-    """Certify a coordinate-descent trace in coordinate mode.
-
-    Every checked iteration is replayed through the projected update
-    (hard :class:`ReplayError` beyond 1e-9), and per-iteration ratios give
-    the empirical constants.  Option II asserts an identically zero
-    correction.  Theory constants: ``beta^2 = 2[(L_f^W)^2 + 1]`` for exact
-    minimization, ``beta = 0`` for projected coordinate-gradient steps;
-    sufficient decrease ``zeta = gamma`` for both.
-
-    The trace is walked in chunks that start at fixed multiples of a chunk
-    length set by ``p.image_dim``.  x is rebuilt at each chunk start by
-    assigning the recorded values, and :meth:`Problem.coord_grads_along`
-    evaluates the chunk's gradients from scratch there, independently of
-    the solver's incremental caches.  A non-finite recorded value raises
-    ``ValueError`` unless a replay fails at an earlier checked iteration.
-    """
-    option = option or trace.option
-    if option not in (OPTION_I, OPTION_II):
-        raise ValueError("trace does not carry a coordinate-descent option")
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
-    w = check_weights(trace.w if w is None else w, p.n)
-    gamma_val = p.gamma(w) if gamma is None else float(gamma)
-    lfw = global_lipschitz_bound(p.lipschitz, w) if l_f_w is None else float(l_f_w)
-    beta_sq_theory = 0.0 if option == OPTION_II else 2.0 * (lfw**2 + 1.0)
-
-    coords = trace.coords
-    values = trace.new_values
-    if np.any(coords < 0):
-        raise ValueError("trace contains full-vector steps; walk snapshots instead")
+    coords, values, omegas = trace.coords, trace.new_values, trace.omegas
     non_finite = np.flatnonzero(~np.isfinite(values))
     end = int(non_finite[0]) if non_finite.size else len(trace)
-    chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * p.image_dim))
     lower, upper = p.box.lower, p.box.upper
-    f = trace.f
-    omegas = trace.omegas
-
-    beta_hat_sq = 0.0
-    zeta_hat = np.inf
-    worst_beta_k = None
-    worst_zeta_k = None
-    n_checked = 0
     x = trace.x0.copy()
     g_origin = p.gradient(np.zeros(p.n))
     for a in range(0, end, chunk):
         b = min(a + chunk, end)
-        c = coords[a:b]
-        new = values[a:b]
+        c, new = coords[a:b], values[a:b]
         old = path_start_values(x, c, new)
         g, g_tilde = p.coord_grads_along(x, c, new)
-        _assign_last(x, c, new)  # x_b
-
-        w_c = w[c]
-        if option == OPTION_I:
-            z = g - g_tilde + w_c * (new - old)
-            z_eff = np.maximum(0.0, np.abs(z) - _z_noise(g, g_tilde, w_c, old, new,
-                                                            g_origin[c]))
-        else:
-            z = z_eff = np.zeros(b - a)
-        replayed = np.clip(old - (omegas[a:b] / w_c) * (g - z),
-                           lower[c], upper[c])
-        err = np.abs(replayed - new)
+        _, z_eff, err = _z_kernel(trace.option, g, g_tilde, w[c], old, new,
+                                  g_origin[c], omegas[a:b], lower[c], upper[c])
         checked = np.arange(a, b) % check_every == 0
         failed = np.flatnonzero(checked & (err > REPLAY_TOL))
         if failed.size:
             raise ReplayError(a + int(failed[0]), float(err[failed[0]]))
-        n_checked += int(np.count_nonzero(checked))
+        yield a, x, c, old, new, z_eff, checked
+        _assign_last(x, c, new)
+    if end < len(trace):
+        raise ValueError(f"recorded value at iteration {end} is not finite")
 
+
+def check_rcfdm(trace: Trace, p: Problem, w=None,
+                check_every: int = 1) -> Certificate:
+    """Certify a coordinate-descent trace in coordinate mode.
+
+    Every checked iteration is replayed through the projected update (hard
+    :class:`ReplayError` beyond 1e-9), and per-iteration ratios give the
+    empirical constants; Option II asserts an identically zero correction.
+    The theory constants are :func:`fdm_constants`' ``'rcfdm-I'`` or
+    ``'rcfdm-II'``.  The walk's chunk length is set by ``p.image_dim``.  A
+    non-finite recorded value raises ``ValueError`` unless a replay fails at
+    an earlier checked iteration.
+    """
+    if trace.option not in (OPTION_I, OPTION_II):
+        raise ValueError("trace does not carry a coordinate-descent option")
+    w = check_weights(trace.w if w is None else w, p.n)
+    constants = fdm_constants(p, w, f"rcfdm-{trace.option}")
+    f = trace.f
+    chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * p.image_dim))
+    worst = _NO_RATIOS
+    for a, _, c, old, new, z_eff, checked in _replay_walk(trace, p, w,
+                                                           check_every, chunk):
         # a step that does not move has no correction and is skipped
         ks = np.flatnonzero(checked & (new != old))
-        w_k = w_c[ks]
+        w_k = w[c[ks]]
         # float_power calls the C pow, as a Python float's ``** 2`` does;
         # pow is not always correctly rounded, so d * d can differ in the
         # last ulp and move zeta_hat
         disp = w_k * np.float_power(new[ks] - old[ks], 2.0)
-        beta = (z_eff[ks] * z_eff[ks] / w_k) / disp
         f_k = f[a + ks]
-        zeta = (f_k - f[a + ks + 1] + _f_noise(f_k)) / disp
-        beta_hat_sq, worst_beta_k = _fold_max(beta, a + ks, beta_hat_sq,
-                                              worst_beta_k)
-        neg_zeta, worst_zeta_k = _fold_max(-zeta, a + ks, -zeta_hat,
-                                           worst_zeta_k)
-        zeta_hat = -neg_zeta
-    if end < len(trace):
-        raise ValueError(f"recorded value at iteration {end} is not finite")
-    passed = _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma_val)
-    return Certificate(
-        framework="rcfdm", option=option,
-        beta_hat_sq=float(beta_hat_sq), zeta_hat=float(zeta_hat),
-        beta_sq_theory=float(beta_sq_theory), zeta_theory=gamma_val,
-        n_checked=n_checked, worst_beta_k=worst_beta_k,
-        worst_zeta_k=worst_zeta_k, passed=passed,
-        inputs={"l_f_w": lfw, "gamma": gamma_val, "check_every": check_every},
-    )
+        worst = _fold(worst, (z_eff[ks] * z_eff[ks] / w_k) / disp,
+                      (f_k - f[a + ks + 1] + _f_noise(f_k)) / disp, a + ks)
+    return _certificate("rcfdm", trace, check_every, constants, worst)
 
 
-def default_rfdm_check_every(n: int, iters: int, budget: int = 100_000) -> int:
-    """Stride keeping the expectation check within ``budget`` coordinate
-    gradient evaluations (it costs n of them per checked iteration)."""
-    if n * iters <= budget:
+def default_rfdm_check_every(n: int, iters: int) -> int:
+    """Stride keeping the expectation check within ``RFDM_CHECK_BUDGET``
+    coordinate gradient evaluations (it costs n of them per checked
+    iteration)."""
+    if n * iters <= RFDM_CHECK_BUDGET:
         return 1
-    return int(np.ceil(n * iters / budget))
+    return int(np.ceil(n * iters / RFDM_CHECK_BUDGET))
 
 
-def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
-               l_f_w: Optional[float] = None,
+def check_rfdm(trace: Trace, p: Problem, w=None,
                check_every: Optional[int] = None) -> Certificate:
     """Certify an exact-minimization trace in expectation mode.
 
     Requires an unconstrained problem.  At each checked iteration the
     conditional expectations of the squared dual correction norm and the
-    squared displacement are computed exactly by enumerating all n candidate
-    coordinates.  Theory constants:
-    ``beta^2 = 2[(L_f^W)^2 + 1] + (n - 1) max_i L_i^2/w_i^2``, ``zeta = gamma``.
+    squared displacement are computed exactly from all n candidate
+    coordinates; the theory constants are :func:`fdm_constants`' ``'rfdm'``.
 
-    The checked iterations are processed in chunks of m, with m as large as
-    keeps an ``(m * n, image_dim)`` array within about 128 KiB, and at least
-    1.  The chunk's iterates are rebuilt by assigning the recorded values,
-    and everything at them is evaluated from scratch, independently of the
-    solver's incremental caches: their images and full gradients, all
-    ``m * n`` slice minimizers in one :meth:`Problem.slice_minimizers` call,
-    and each candidate's coordinate gradient and objective from the image
-    moved along the candidate's column.  The realized steps are replayed
-    (hard :class:`ReplayError` beyond 1e-9) before the chunk's slices are
-    solved.  A non-finite recorded value raises ``ValueError`` unless a
-    replay fails at an earlier checked iteration.
+    The walk's chunks of ``m * check_every`` steps hold m checked iterates,
+    m as large as keeps an ``(m * n, image_dim)`` array within about 128 KiB
+    and at least 1.  Their images and gradients, all ``m * n`` slice
+    minimizers (one :meth:`Problem.slice_minimizers` call) and each
+    candidate's coordinate gradient and objective, from the image moved
+    along its column, are evaluated from scratch.  A non-finite recorded
+    value raises ``ValueError`` unless a replay fails at an earlier checked
+    iteration.
     """
     if not p.box.is_free():
         raise ValueError("expectation-mode certification requires an unconstrained problem")
     if trace.option != OPTION_I:
         raise ValueError("expectation-mode certification applies to exact-minimization traces")
     w = check_weights(trace.w if w is None else w, p.n)
-    gamma_val = p.gamma(w) if gamma is None else float(gamma)
-    lfw = global_lipschitz_bound(p.lipschitz, w) if l_f_w is None else float(l_f_w)
-    r_sq = float(np.max((p.lipschitz / w) ** 2))
+    constants = fdm_constants(p, w, "rfdm")
     n = p.n
-    beta_sq_theory = 2.0 * (lfw**2 + 1.0) + (n - 1) * r_sq
     if check_every is None:
         check_every = default_rfdm_check_every(n, len(trace))
-    if check_every < 1:
-        raise ValueError("check_every must be >= 1")
-
-    coords = trace.coords
-    values = trace.new_values
-    omegas = trace.omegas
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    end = int(non_finite[0]) if non_finite.size else len(trace)
-    checked = np.arange(0, end, check_every)
-    chunk = max(1, _RFDM_CHUNK_BYTES // (8 * n * p.image_dim))
-
-    beta_hat_sq = 0.0
-    zeta_hat = np.inf
-    worst_beta_k = None
-    worst_zeta_k = None
-    x = trace.x0.copy()
+    rows_per_chunk = max(1, _RFDM_CHUNK_BYTES // (8 * n * p.image_dim))
     g_origin = p.gradient(np.zeros(n))
-    at = 0  # x is x_at
-    for start in range(0, checked.size, chunk):
-        ks = checked[start:start + chunk]
+    worst = _NO_RATIOS
+    for a, x, c, _, new, _, checked in _replay_walk(
+            trace, p, w, check_every, rows_per_chunk * check_every):
+        ks = np.flatnonzero(checked)
         m = ks.size
         X = np.empty((m, n))
+        x_k = x.copy()
+        at = 0  # x_k is x_{a + at}
         for r, k in enumerate(ks):
-            _assign_last(x, coords[at:k], values[at:k])
+            _assign_last(x_k, c[at:k], new[at:k])
             at = k
-            X[r] = x
+            X[r] = x_k
         U = p._images(X)
         G = p._gradients_at(X, U)
-
-        # replay the realized steps (other coordinates cancel exactly)
-        rows = np.arange(m)
-        i = coords[ks]
-        new = values[ks]
-        old = X[rows, i]
-        col_i = p._cols[i]
-        g_i = G[rows, i]
-        g_new = p._coord_grads_at(i, U + col_i * (new - old)[:, None], new, col_i)
-        z_real = g_i - g_new + w[i] * (new - old)
-        replayed = np.clip(old - (omegas[ks] / w[i]) * (g_i - z_real),
-                           p.box.lower[i], p.box.upper[i])
-        err = np.abs(replayed - new)
-        failed = np.flatnonzero(err > REPLAY_TOL)
-        if failed.size:
-            raise ReplayError(int(ks[failed[0]]), float(err[failed[0]]))
 
         # candidate (r, j): row r with coordinate j at its slice minimizer
         tilde = p.slice_minimizers(X, U, G)
         j = np.tile(np.arange(n), m)
         cols = p._cols[j]
-        U_c = U[np.repeat(rows, n)] + cols * (tilde - X).reshape(-1, 1)
+        U_c = U[np.repeat(np.arange(m), n)] + cols * (tilde - X).reshape(-1, 1)
         g_tilde = p._coord_grads_at(j, U_c, tilde.ravel(), cols).reshape(m, n)
         X_c = np.repeat(X, n, axis=0)
         X_c[np.arange(m * n), j] = tilde.ravel()
@@ -394,9 +399,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
         g_noise = (64.0 * _EPS * np.maximum(1.0, np.max(np.abs(G), axis=1))
                    + SLICE_DERIV_TOL)
         g_eff_sq = np.maximum(0.0, np.abs(G) - g_noise[:, None]) ** 2 / w
-        z = G - g_tilde + w * (tilde - X)
-        z_eff = np.maximum(0.0, np.abs(z) - _z_noise(G, g_tilde, w, X, tilde,
-                                                     g_origin))
+        _, z_eff, _ = _z_kernel(OPTION_I, G, g_tilde, w, X, tilde, g_origin)
         # choosing j: coordinate j carries z_jj, others keep the gradient
         e_z = np.sum(z_eff * z_eff / w
                      + (np.sum(g_eff_sq, axis=1, keepdims=True) - g_eff_sq),
@@ -406,25 +409,10 @@ def check_rfdm(trace: Trace, p: Problem, w=None, gamma: Optional[float] = None,
         decrease = f_here - np.sum(f_next, axis=1) / n + _f_noise(f_here)
 
         moved = e_disp != 0.0
-        ks, e_disp = ks[moved], e_disp[moved]
-        beta_hat_sq, worst_beta_k = _fold_max(e_z[moved] / e_disp, ks,
-                                              beta_hat_sq, worst_beta_k)
-        neg_zeta, worst_zeta_k = _fold_max(-decrease[moved] / e_disp, ks,
-                                           -zeta_hat, worst_zeta_k)
-        zeta_hat = -neg_zeta
-    if end < len(trace):
-        raise ValueError(f"recorded value at iteration {end} is not finite")
-    passed = _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma_val)
-    return Certificate(
-        framework="rfdm", option=OPTION_I,
-        beta_hat_sq=float(beta_hat_sq), zeta_hat=float(zeta_hat),
-        beta_sq_theory=float(beta_sq_theory), zeta_theory=gamma_val,
-        n_checked=int(checked.size), worst_beta_k=worst_beta_k,
-        worst_zeta_k=worst_zeta_k, passed=passed,
-        eta_hat=float(beta_hat_sq),
-        inputs={"l_f_w": lfw, "gamma": gamma_val, "r_sq": r_sq,
-                "check_every": check_every},
-    )
+        e_disp = e_disp[moved]
+        worst = _fold(worst, e_z[moved] / e_disp, decrease[moved] / e_disp,
+                      a + ks[moved])
+    return _certificate("rfdm", trace, check_every, constants, worst)
 
 
 @dataclass(frozen=True)
@@ -437,7 +425,8 @@ class CyclicConstants:
 
 
 def cyclic_constants(n: int, l_f_w: float, gamma: float = 1.0) -> CyclicConstants:
-    """Constants for cyclic coordinate descent: ``beta^2 = (1 + sqrt(n) L)^2``.
+    """Constants for cyclic coordinate descent: ``beta^2 = (1 + sqrt(n) L)^2``,
+    :func:`fdm_constants`' ``'cyclic'`` constant.
 
     One cyclic iteration costs n coordinate updates, so these compare against
     the randomized constants taken per n single-coordinate steps.
@@ -446,8 +435,8 @@ def cyclic_constants(n: int, l_f_w: float, gamma: float = 1.0) -> CyclicConstant
         raise ValueError("n must be >= 1")
     if l_f_w < 1.0:
         raise ValueError("l_f_w must be >= 1 (it is at least 1 for w = L)")
-    beta = 1.0 + np.sqrt(n) * l_f_w
-    return CyclicConstants(beta_sq=float(beta * beta), zeta=float(gamma), omega=1.0)
+    return CyclicConstants(beta_sq=_beta_sq("cyclic", n, l_f_w, 0.0),
+                           zeta=float(gamma), omega=1.0)
 
 
 @dataclass
@@ -468,10 +457,9 @@ class InvariantReport:
                 and self.objective_consistent)
 
 
-def check_trace_invariants(trace: Trace, p: Problem, descent_tol: float = 1e-12,
-                           feas_tol: float = 1e-12,
-                           objective_rtol: float = 1e-9) -> InvariantReport:
-    """Audit monotone descent, box feasibility and objective consistency.
+def check_trace_invariants(trace: Trace, p: Problem) -> InvariantReport:
+    """Audit monotone descent, box feasibility and objective consistency,
+    within ``DESCENT_TOL``, ``FEAS_TOL`` and ``OBJECTIVE_RTOL``.
 
     Feasibility is checked on every reconstructible iterate: over the stack
     of snapshots for full-step traces, and through the start point and the
@@ -484,7 +472,7 @@ def check_trace_invariants(trace: Trace, p: Problem, descent_tol: float = 1e-12,
     f = trace.f
     diffs = f[1:] - f[:-1]
     worst_descent = float(np.max(diffs, initial=-np.inf))
-    descent_ok = bool(worst_descent <= descent_tol)
+    descent_ok = bool(worst_descent <= DESCENT_TOL)
     disp_ok = bool(np.all(trace.disp_w_sq >= 0.0))
 
     ks, X = trace.snapshots()
@@ -511,9 +499,9 @@ def check_trace_invariants(trace: Trace, p: Problem, descent_tol: float = 1e-12,
     return InvariantReport(
         descent_ok=descent_ok,
         worst_descent_violation=worst_descent,
-        feasible_ok=bool(worst_feas <= feas_tol),
+        feasible_ok=bool(worst_feas <= FEAS_TOL),
         worst_feasibility_violation=float(worst_feas),
         disp_nonnegative=disp_ok,
-        objective_consistent=bool(worst_drift <= objective_rtol),
+        objective_consistent=bool(worst_drift <= OBJECTIVE_RTOL),
         worst_objective_drift=float(worst_drift),
     )

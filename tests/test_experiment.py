@@ -68,6 +68,8 @@ class TestConfigValidation:
     ])
     def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
         raw = svm_config(tmp_path)
+        if key == "omega":
+            raw["solver"]["option"] = "II"  # the solver that takes a step size
         (raw if section is None else raw.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(raw)
@@ -220,6 +222,43 @@ class TestRunExperiment:
         assert entry["certificates"][0]["passed"]
         assert result.report["aggregate"]["rate_constants"] is not None
         assert result.report["aggregate"]["kappa_hat"] > 0
+
+    @pytest.mark.parametrize("solver, framework, beta, omega_bar", [
+        ({"kind": "scdm", "option": "I"}, "rcfdm-general",
+         np.sqrt(2.0 * (4.0**2 + 1.0)), 1.0),
+        ({"kind": "scdm", "option": "II", "omega": 0.5}, "rcfdm-zero", None, 0.5),
+        ({"kind": "cyclic"}, "rfdm", 1.0 + np.sqrt(4.0) * 4.0, 1.0),
+        ({"kind": "pgd"}, "rfdm", 0.0, 0.25),
+        ({"kind": "pgd", "omega": 0.125}, "rfdm", 0.0, 0.125),
+    ], ids=["scdm-I", "scdm-II-omega", "cyclic", "pgd", "pgd-omega"])
+    def test_rate_constants_follow_the_run(self, solver, framework, beta,
+                                           omega_bar, tmp_path):
+        # w = L on four coordinates gives L_f^W = 4: the cyclic beta is
+        # 1 + sqrt(4) * 4 = 9, and pgd's default step is 1 / 4
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3, 4],
+                           "linear": [1, -1, 1, -1]},
+               "solver": {**solver, "max_iters": 40}, "seeds": [0],
+               "rates": {"enabled": True, "reference_iters": 400},
+               "output_dir": str(tmp_path / "out")}
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        assert result.exit_code == 0
+        rc = result.report["aggregate"]["rate_constants"]
+        assert rc["framework"] == framework
+        assert rc["inputs"]["omega_bar"] == omega_bar
+        if beta is not None:
+            assert rc["inputs"]["beta"] == pytest.approx(beta, rel=1e-15)
+
+    def test_rate_constants_with_small_lipschitz_bound(self, tmp_path):
+        # weights of 20 give L_f^W = 0.5, below cyclic_constants' range
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3, 4],
+                           "linear": [1, -1, 1, -1]},
+               "solver": {"kind": "cyclic", "w": [20.0] * 4, "max_iters": 10},
+               "seeds": [0], "rates": {"enabled": True, "reference_iters": 400},
+               "output_dir": str(tmp_path / "out")}
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        inputs = result.report["aggregate"]["rate_constants"]["inputs"]
+        assert inputs["l_f_w"] == 0.5
+        assert inputs["beta"] == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-15)
 
     def test_gap_experiment_section(self, tmp_path):
         raw = svm_config(tmp_path, gap={"enabled": True, "epsilons": [0.5],
@@ -438,6 +477,25 @@ class TestCli:
         assert cli_main(["solve", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"solver.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, solver", [
+        ("verify", {"kind": "scdm", "option": "I"}),
+        ("solve", {"kind": "cyclic"}),
+        ("solve", {"kind": "cyclic", "option": "II"}),
+    ], ids=["scdm-I", "cyclic", "cyclic-option-II"])
+    def test_step_size_on_exact_minimization_fails_before_seeds(
+            self, command, solver, tmp_path, capsys):
+        # exact minimization takes no step, so its replay would not match
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3, 4],
+                           "linear": [1, -1, 1, -1]},
+               "solver": {**solver, "omega": 0.5}, "seeds": [0],
+               "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "solver.omega" in err
         assert not (tmp_path / "out").exists()
 
     def test_zero_stall_tol_and_budget_accepted(self, tmp_path):

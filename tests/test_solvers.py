@@ -163,8 +163,22 @@ class TestRunScdm:
 
     def test_omega_schedule_requires_floor(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
-        with pytest.raises(ValueError):
-            run_scdm(p, SolverConfig(max_iters=5, omega_schedule=lambda k: 1.0))
+        with pytest.raises(ValueError, match="floor"):
+            run_scdm(p, SolverConfig(max_iters=5, omega_schedule=lambda k: 1.0),
+                     option="II")
+
+    @pytest.mark.parametrize("step", [{"omega": 0.5},
+                                      {"omega_schedule": lambda k: 1.0,
+                                       "omega_bar": 1.0}])
+    def test_exact_minimization_rejects_step_size(self, step):
+        # the trace would record a step the replay then applies
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        cfg = SolverConfig(max_iters=5, **step)
+        for run in (lambda: run_scdm(p, cfg, option="I"),
+                    lambda: list(run_scdm_seeds(p, cfg, [0, 1], "I")),
+                    lambda: run_cyclic_cd(p, cfg)):
+            with pytest.raises(ValueError, match="no step size"):
+                run()
 
     def test_omega_schedule_with_floor_runs(self):
         p = fixtures.svm_dual_toy(n=4, d=4)

@@ -435,6 +435,77 @@ class TestRfdmReplayErrors:
 
 
 # ---------------------------------------------------------------------------
+# the shared fold of per-step ratios
+
+
+class TestFold:
+    NAN = float("nan")
+
+    def fold(self, beta, zeta, ks, worst=verify._NO_RATIOS):
+        return verify._fold(worst, np.asarray(beta, float),
+                            np.asarray(zeta, float), np.asarray(ks))
+
+    def test_nan_never_wins(self):
+        assert self.fold([self.NAN, 2.0, self.NAN], [self.NAN, 0.5, self.NAN],
+                         [10, 11, 12]) == (2.0, 0.5, 11, 11)
+        all_nan = [self.NAN] * 3
+        assert self.fold(all_nan, all_nan, [0, 1, 2]) == verify._NO_RATIOS
+
+    def test_first_index_wins_a_tie(self):
+        assert self.fold([1.0, 3.0, 3.0], [2.0, 0.5, 0.5],
+                         [4, 5, 6]) == (3.0, 0.5, 5, 5)
+        # a later chunk that only ties the running extremes does not win
+        assert self.fold([3.0], [0.5], [9], worst=(3.0, 0.5, 5, 5)) == (
+            3.0, 0.5, 5, 5)
+
+    def test_folding_in_parts_equals_folding_whole(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(1, 40))
+            # few distinct values, so ties are common, and some NaNs
+            beta = rng.integers(0, 4, m).astype(float)
+            zeta = rng.integers(0, 4, m).astype(float)
+            beta[rng.random(m) < 0.2] = self.NAN
+            zeta[rng.random(m) < 0.2] = self.NAN
+            ks = np.arange(m) * 3
+            whole = self.fold(beta, zeta, ks)
+            cuts = np.sort(rng.integers(0, m + 1, int(rng.integers(0, 4))))
+            worst = verify._NO_RATIOS
+            for part in np.split(np.arange(m), cuts):
+                worst = self.fold(beta[part], zeta[part], ks[part], worst)
+            assert worst == whole
+
+
+# ---------------------------------------------------------------------------
+# framework constants
+
+
+class TestFdmConstants:
+    def test_formulas(self, standard_problems):
+        p = standard_problems["erm_logistic_n20"]
+        w = 2.0 * p.lipschitz
+        lfw = global_lipschitz_bound(p.lipschitz, w)
+        r_sq = float(np.max((p.lipschitz / w) ** 2))
+        rcfdm = 2 * (lfw**2 + 1)
+        expected = {"rcfdm-I": rcfdm, "rcfdm-II": 0.0, "pgd": 0.0,
+                    "rfdm": rcfdm + (p.n - 1) * r_sq,
+                    "cyclic": (1 + np.sqrt(p.n) * lfw) ** 2}
+        for framework, beta_sq in expected.items():
+            got, zeta, inputs = verify.fdm_constants(p, w, framework)
+            assert got == pytest.approx(beta_sq, rel=1e-14)
+            assert zeta == inputs["gamma"] == p.gamma(w)
+            assert inputs["l_f_w"] == lfw
+            assert ("r_sq" in inputs) == (framework == "rfdm")
+        with pytest.raises(ValueError, match="unknown framework"):
+            verify.fdm_constants(p, w, "rcfdm")
+
+    def test_cyclic_constants_agree(self, standard_problems):
+        p = standard_problems["quadratic_diag_n5"]
+        beta_sq, gamma, inputs = verify.fdm_constants(p, p.lipschitz, "cyclic")
+        cc = cyclic_constants(p.n, inputs["l_f_w"], gamma)
+        assert (cc.beta_sq, cc.zeta) == (beta_sq, gamma)
+
+
+# ---------------------------------------------------------------------------
 # cyclic constants
 
 
