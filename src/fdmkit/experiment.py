@@ -354,16 +354,10 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
     reports = [sdca_iteration_bound(eps, p.lam, sigma_sq, p.n, kappa_hat, initial)
                for eps in epsilons]
     k_max = max(r.iteration_bound for r in reports)
-    if k_max == 0:
-        for r in reports:
-            r.observed_iteration = 0
-            r.mean_gap_at_bound = float(p.duality_gap(p.box.clip(np.zeros(p.n))))
-            r.n_seeds = n_seeds
-        return reports
     ks = range(0, k_max + 1, p.n)
     gap_sum = np.zeros(len(ks))
     final_gaps = {r.iteration_bound: 0.0 for r in reports}
-    batch = max(1, _GAP_DRAW_ELEMS // k_max)
+    batch = max(1, _GAP_DRAW_ELEMS // max(k_max, 1))
     sc = SolverConfig(max_iters=k_max)
     for first in range(seed_base, seed_base + n_seeds, batch):
         seeds = range(first, min(first + batch, seed_base + n_seeds))

@@ -30,6 +30,13 @@ _BRACKET_MAX_STEPS = 200
 
 # Largest argument whose exponential is finite.
 _EXP_MAX_ARG = float(np.log(np.finfo(float).max))
+_EPS = float(np.finfo(float).eps)
+
+
+def f_noise(f):
+    """Rounding floor of a computed objective value, 32 ulps of max(1, |f|):
+    objective differences below it are not resolved.  Elementwise on arrays."""
+    return 32.0 * _EPS * np.maximum(1.0, np.abs(f))
 
 
 def expit(x):

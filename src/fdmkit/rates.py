@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import check_weights, weighted_norm_sq
-from .problems import Problem, QuadraticProblem
+from .problems import Problem, QuadraticProblem, f_noise
 from .solvers import Trace
 
 
@@ -214,60 +214,60 @@ def quadratic_lipschitz_w(p: QuadraticProblem, w, rtol: float = 1e-8) -> float:
     return spectral_norm(s[:, None] * p.hessian * s[None, :], rtol=rtol)
 
 
-def _solution_set_projection(p: QuadraticProblem, x: np.ndarray, x_star,
-                             w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """W-projection of x onto the affine solution set of a singular
-    unconstrained quadratic (x* + null(H))."""
+# Squared W-distance to the solution set below which a snapshot is skipped.
+_KAPPA_DENOM_FLOOR = 1e-16
+
+
+def _solution_set_projector(p: Problem, x_star, w: np.ndarray):
+    """The W-projection onto the solution set of ``p``, or None where x* is
+    the unique minimizer.
+
+    An unconstrained quadratic with singular Hessian has the affine solution
+    set x* + null(H); the null-space basis is computed once per call.
+    """
+    if not (isinstance(p, QuadraticProblem) and p.box.is_free()):
+        return None
+    evals = np.linalg.eigvalsh(p.hessian)
+    if not evals[0] <= 1e-10 * max(evals[-1], 1.0):
+        return None
     evals, evecs = np.linalg.eigh(p.hessian)
     scale = float(np.max(np.abs(evals))) or 1.0
-    null = evecs[:, np.abs(evals) <= tol * scale]
+    null = evecs[:, np.abs(evals) <= 1e-10 * scale]
     if null.shape[1] == 0:
-        return np.asarray(x_star, dtype=float)
-    d = x - x_star
+        return None
     wn = w[:, None] * null
-    coef = np.linalg.solve(null.T @ wn, wn.T @ d)
-    return x_star + null @ coef
+    gram = null.T @ wn
+
+    def project(x):
+        return x_star + null @ np.linalg.solve(gram, wn.T @ (x - x_star))
+
+    return project
 
 
-def estimate_kappa_f(p: Problem, trace: Trace, x_star, f_star: float, w,
-                     denom_floor: float = 1e-16,
-                     solution_set: str = "auto") -> float:
+def estimate_kappa_f(p: Problem, trace: Trace, x_star, f_star: float, w) -> float:
     """Empirical quadratic-growth modulus along a trace.
 
     Returns the minimum of ``(f(x_k) - f*) / ||x_k - xbar_k||_W^2`` over the
-    trace, skipping points whose denominator falls below ``denom_floor`` or
-    whose objective excess falls below float resolution (the ratio cannot be
-    measured there).  ``xbar_k`` is ``x_star`` under the default
-    unique-minimizer assumption; for an unconstrained quadratic with singular
-    Hessian (``solution_set='auto'`` or ``'projection'``) it is the
-    W-projection of x_k onto the affine solution set.
+    trace's snapshots, skipping points whose denominator falls below 1e-16
+    or whose objective excess falls below the rounding floor of f* (the
+    ratio cannot be measured there).  ``xbar_k`` is ``x_star``, the unique
+    minimizer, except for an unconstrained quadratic with singular Hessian,
+    where it is the W-projection of x_k onto the affine solution set.
 
     Raises ``ValueError`` when the trace sits entirely at the optimum.
     """
     w = check_weights(w, p.n)
     x_star = np.asarray(x_star, dtype=float)
-    use_projection = False
-    if solution_set == "projection":
-        use_projection = True
-    elif solution_set == "auto":
-        if isinstance(p, QuadraticProblem) and p.box.is_free():
-            evals = np.linalg.eigvalsh(p.hessian)
-            use_projection = bool(evals[0] <= 1e-10 * max(evals[-1], 1.0))
-    elif solution_set != "point":
-        raise ValueError("solution_set must be 'point', 'projection' or 'auto'")
-    if use_projection and not isinstance(p, QuadraticProblem):
-        raise ValueError("solution-set projection is implemented for quadratics only")
-
-    f_noise = 32.0 * np.finfo(float).eps * max(1.0, abs(f_star))
+    project = _solution_set_projector(p, x_star, w)
+    floor = f_noise(f_star)
     best = np.inf
     for x in trace.snapshots()[1]:
-        xbar = (_solution_set_projection(p, x, x_star, w)
-                if use_projection else x_star)
+        xbar = x_star if project is None else project(x)
         denom = weighted_norm_sq(x - xbar, w)
-        if denom < denom_floor:
+        if denom < _KAPPA_DENOM_FLOOR:
             continue
         excess = p.value(x) - f_star
-        if excess <= f_noise:
+        if excess <= floor:
             continue
         best = min(best, excess / denom)
     if not np.isfinite(best):

@@ -14,20 +14,19 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import check_weights
-from .problems import Problem, ProblemState, global_lipschitz_bound
+from .problems import Problem, ProblemState, f_noise, global_lipschitz_bound
 
 OPTION_I = "I"
 OPTION_II = "II"
 
-# Snapshot entries a trace allocates up front (8 MB).
-_SNAPSHOT_BLOCK_ELEMS = 1 << 20
 # Steps of a seed-batched run between two reads of its objectives.
 _LOCKSTEP_CHUNK = 512
 
@@ -122,167 +121,89 @@ class SolverConfig:
             raise ValueError("stall_tol must be a finite nonnegative number")
 
 
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Per-iteration record of a solver run.
+    """Per-iteration record of a solver run, built once when the run stops.
 
-    Scalars (objective, squared W-displacement, chosen coordinate, step size,
-    cumulative wall time) are stored for every iteration.  For coordinate
-    methods the iterates are delta-encoded: full snapshots are kept every
-    ``record_every`` iterations and single-coordinate deltas in between, so
-    ``iterate(k)`` reconstructs any x_k exactly (assignment, no arithmetic).
-    Full-step methods snapshot every iterate.
+    A run of K steps records, for each step k = 0..K-1, the chosen
+    coordinate ``coords`` (-1 for a full-vector step), its new value
+    ``new_values``, the squared W-displacement ``disp_w_sq`` and the step
+    size ``omegas``; for each iterate x_0..x_K it records the objective
+    ``f`` and the wall clock ``times`` since the first step.  For coordinate
+    methods the iterates are delta-encoded: the rows of ``snap_x`` are x at
+    the increasing iterations ``snap_ks`` (every ``record_every`` iterations
+    and the last), and ``iterate(k)`` rebuilds x_k from the snapshot before
+    it by assignment, without arithmetic.  Full-step methods snapshot every
+    iterate.  ``gaps`` maps each record point where the gap rule ran to its
+    duality gap.
 
-    Snapshots are the rows of one ``(m, n)`` array in increasing k, read as
-    a stack through :meth:`snapshots`.  The array is allocated for the whole
-    budget up to 2^20 entries and doubles beyond that, so a long full-step
-    run that stops early does not reserve memory for its whole budget; a
-    finished trace keeps only the rows in use.
-
-    Wall-clock fields are excluded from the reproducibility contract; all
-    other fields are bitwise-identical across runs with equal seed, config
-    and data.
+    The solver driver builds a trace once, when the run stops, and every
+    array of it is read-only; build a modified copy with
+    ``dataclasses.replace``.  The wall-clock fields ``times`` and
+    ``wall_time_s`` are outside the reproducibility contract; all other
+    fields are bitwise-identical across runs with equal seed, config and
+    data.
     """
 
-    def __init__(self, x0: np.ndarray, w: np.ndarray, method: str,
-                 option: Optional[str], seed: Optional[int],
-                 record_every: int, capacity: int):
-        self.n = x0.shape[0]
-        self.x0 = x0.copy()
-        self.w = np.array(w, dtype=float)
-        self.method = method
-        self.option = option
-        self.seed = seed
-        self.record_every = record_every
-        self.stop_reason = "budget"
-        self.wall_time_s = 0.0
-        self.gaps: dict[int, float] = {}
-        self._coords = np.full(capacity, -1, dtype=np.int64)
-        self._new_values = np.full(capacity, np.nan)
-        self._f = np.full(capacity + 1, np.nan)
-        self._disp = np.full(capacity, np.nan)
-        self._omegas = np.full(capacity, np.nan)
-        self._times = np.zeros(capacity + 1)
-        # snapshot rows: one per record point and the final iterate
-        rows = min(capacity // record_every + 2,
-                   max(2, _SNAPSHOT_BLOCK_ELEMS // max(self.n, 1)))
-        self._snap_ks = np.empty(rows, dtype=np.int64)
-        self._snap_x = np.empty((rows, self.n))
-        self._n_snap = 0
-        self._snapshot(0, x0)
-        self._k = 0
+    x0: np.ndarray
+    w: np.ndarray
+    method: str
+    option: Optional[str]
+    seed: Optional[int]
+    record_every: int
+    f: np.ndarray
+    disp_w_sq: np.ndarray
+    coords: np.ndarray
+    new_values: np.ndarray
+    omegas: np.ndarray
+    times: np.ndarray
+    snap_ks: np.ndarray
+    snap_x: np.ndarray
+    gaps: dict = field(default_factory=dict)
+    stop_reason: str = "budget"
+    wall_time_s: float = 0.0
 
-    # -- recording (used by the solver driver) ------------------------------
-
-    def _snapshot(self, k: int, x: np.ndarray) -> None:
-        m = self._n_snap
-        if m == self._snap_ks.shape[0]:
-            ks = np.empty(2 * m, dtype=np.int64)
-            X = np.empty((2 * m, self.n))
-            ks[:m] = self._snap_ks
-            X[:m] = self._snap_x
-            self._snap_ks, self._snap_x = ks, X
-        self._snap_ks[m] = k
-        self._snap_x[m] = x
-        self._n_snap = m + 1
-
-    def _append(self, i: int, new_value: float, f_next: float, disp: float,
-                omega: float, t: float, x_next: np.ndarray) -> None:
-        """Record one iteration; snapshot ``x_next`` at every record point."""
-        k = self._k
-        self._coords[k] = i
-        self._new_values[k] = new_value
-        self._f[k + 1] = f_next
-        self._disp[k] = disp
-        self._omegas[k] = omega
-        self._times[k + 1] = t
-        self._k = k = k + 1
-        if k % self.record_every == 0:
-            self._snapshot(k, x_next)
-
-    def _finalize(self, x_final: np.ndarray, stop_reason: str,
-                  wall_time: float) -> None:
-        k = self._k
-        self._coords = self._coords[:k]
-        self._new_values = self._new_values[:k]
-        self._f = self._f[:k + 1]
-        self._disp = self._disp[:k]
-        self._omegas = self._omegas[:k]
-        self._times = self._times[:k + 1]
-        if self._snap_ks[self._n_snap - 1] != k:
-            self._snapshot(k, x_final)
-        # keep only the rows in use: a finished trace may be pickled
-        m = self._n_snap
-        self._snap_ks = self._snap_ks[:m].copy()
-        self._snap_x = self._snap_x[:m].copy()
-        self.stop_reason = stop_reason
-        self.wall_time_s = wall_time
-
-    # -- read access ---------------------------------------------------------
+    def __post_init__(self):
+        for name in ("x0", "w", "f", "disp_w_sq", "coords", "new_values",
+                     "omegas", "times", "snap_ks", "snap_x"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         """Number of iterations (trace holds len(trace) + 1 iterates)."""
-        return self._k
-
-    @property
-    def f(self) -> np.ndarray:
-        """Objective values f(x_k), k = 0..K."""
-        return self._f
-
-    @property
-    def disp_w_sq(self) -> np.ndarray:
-        """Squared W-displacements ||x_k - x_{k+1}||_W^2, k = 0..K-1."""
-        return self._disp
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Chosen coordinate per iteration (-1 for full-vector steps)."""
-        return self._coords
-
-    @property
-    def new_values(self) -> np.ndarray:
-        return self._new_values
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return self._omegas
+        return self.f.shape[0] - 1
 
     @property
     def ks(self) -> np.ndarray:
-        return np.arange(self._k + 1)
+        return np.arange(len(self) + 1)
 
     def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
         """Stored iterates as ``(ks, X)``: ``X[j]`` is x at iteration ``ks[j]``.
 
-        ``ks`` is increasing.  Both arrays are read-only views of the trace's
-        storage; copy a row that must be modified.
+        ``ks`` is increasing.  Both are the trace's read-only arrays; copy a
+        row that must be modified.
         """
-        m = self._n_snap
-        ks = self._snap_ks[:m]
-        X = self._snap_x[:m]
-        ks.flags.writeable = False
-        X.flags.writeable = False
-        return ks, X
+        return self.snap_ks, self.snap_x
 
     def iterate(self, k: int) -> np.ndarray:
         """Exact reconstruction of x_k."""
-        if not 0 <= k <= self._k:
-            raise IndexError(f"iteration {k} outside trace of length {self._k}")
-        m = self._n_snap
-        if m == 0:
+        if not 0 <= k <= len(self):
+            raise IndexError(f"iteration {k} outside trace of length {len(self)}")
+        if self.snap_ks.shape[0] == 0:
             raise ValueError("trace stores no iterates")
-        pos = int(np.searchsorted(self._snap_ks[:m], k, side="right")) - 1
-        base = int(self._snap_ks[pos])
-        x = self._snap_x[pos].copy()
-        for j in range(base, k):
-            i = self._coords[j]
+        pos = int(np.searchsorted(self.snap_ks, k, side="right")) - 1
+        x = self.snap_x[pos].copy()
+        for j in range(int(self.snap_ks[pos]), k):
+            i = self.coords[j]
             if i < 0:
                 raise ValueError(f"iterate {k} is not reconstructible from deltas")
-            x[i] = self._new_values[j]
+            x[i] = self.new_values[j]
         return x
 
     @property
     def final_x(self) -> np.ndarray:
-        return self.iterate(self._k)
+        return self.iterate(len(self))
 
     def iter_steps(self):
         """Yield (k, x_k, i_k, old, new) for every coordinate step.
@@ -291,11 +212,11 @@ class Trace:
         it if it must outlive the iteration step.
         """
         x = self.x0.copy()
-        for k in range(self._k):
-            i = int(self._coords[k])
+        for k in range(len(self)):
+            i = int(self.coords[k])
             if i < 0:
                 raise ValueError("trace contains full-vector steps; walk snapshots instead")
-            new = float(self._new_values[k])
+            new = float(self.new_values[k])
             yield k, x, i, float(x[i]), new
             x[i] = new
 
@@ -306,17 +227,16 @@ class Trace:
         Useful for rate analysis of externally produced runs; iterates are
         not available on such traces.
         """
-        f_values = np.asarray(f_values, dtype=float)
+        f_values = np.array(f_values, dtype=float)
         if f_values.ndim != 1 or f_values.shape[0] < 1:
             raise ValueError("need a 1-d, nonempty objective sequence")
         k = f_values.shape[0] - 1
-        tr = cls(np.zeros(1), np.ones(1), "synthetic", None, seed,
-                 record_every=1, capacity=k)
-        tr._f[:] = f_values
-        tr._k = k
-        tr._n_snap = 0
-        tr._snap_ks, tr._snap_x = np.empty(0, dtype=np.int64), np.empty((0, 1))
-        return tr
+        return cls(np.zeros(1), np.ones(1), "synthetic", None, seed, 1,
+                   f=f_values, disp_w_sq=np.full(k, np.nan),
+                   coords=np.full(k, -1, dtype=np.int64),
+                   new_values=np.full(k, np.nan), omegas=np.full(k, np.nan),
+                   times=np.zeros(k + 1), snap_ks=np.empty(0, dtype=np.int64),
+                   snap_x=np.empty((0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +281,15 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
     state = p.start_state(x0)
     # the gap rule of a problem that has a duality gap, at the state's image
     gap_of = getattr(p, "_gap_at", None) if cfg.gap_tol else None
-    trace = Trace(x0, w, method, option, cfg.seed, record_every, cfg.max_iters)
-    f = trace._f
-    f[0] = state.objective()
-    if not math.isfinite(f[0]):
-        raise DivergenceError(0, f[:1], "objective is not finite at the start")
-    ulps = 32.0 * np.finfo(float).eps
+    f0 = state.objective()
+    if not math.isfinite(f0):
+        raise DivergenceError(0, [f0], "objective is not finite at the start")
+    # growable records of the run, read into the trace once it stops
+    coords, new_values = array("q"), array("d")
+    disp_w_sq, omegas = array("d"), array("d")
+    f, times = array("d", [f0]), array("d", [0.0])
+    snap_ks, snap_x = array("q", [0]), array("d", x0.tobytes())
+    gaps = {}
     t_start = time.perf_counter()
     stop = "budget"
     increases = 0
@@ -380,24 +303,45 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
         if not math.isfinite(f_next):
             raise DivergenceError(kk, [f[k], f_next],
                                   f"objective is not finite at iteration {kk}")
-        # increases above a few ulps of f signal a bad step size
-        rising = abort_on_increase and f_next > f[k] + ulps * max(1.0, abs(f[k]))
+        # increases above the rounding floor of f signal a bad step size (the
+        # floor is nonnegative, so only an increase evaluates it)
+        rising = (abort_on_increase and f_next > f[k]
+                  and f_next > f[k] + f_noise(f[k]))
         increases = increases + 1 if rising else 0
         if increases >= 2:
             raise DivergenceError(kk, f[max(0, k - 1):kk].tolist() + [f_next])
-        trace._append(i, new, f_next, disp, omega_k,
-                      time.perf_counter() - t_start, state.x)
-        if gap_of is not None and kk % record_every == 0:
-            gap = trace.gaps[kk] = gap_of(state.image, f_next)
-            if gap <= cfg.gap_tol:
-                stop = "gap"
-                break
+        coords.append(i)
+        new_values.append(new)
+        f.append(f_next)
+        disp_w_sq.append(disp)
+        omegas.append(omega_k)
+        times.append(time.perf_counter() - t_start)
+        if kk % record_every == 0:
+            snap_ks.append(kk)
+            snap_x.frombytes(state.x.tobytes())
+            if gap_of is not None:
+                gap = gaps[kk] = gap_of(state.image, f_next)
+                if gap <= cfg.gap_tol:
+                    stop = "gap"
+                    break
         if cfg.stall_tol is not None and kk >= stall_window:
             if f[kk - stall_window] - f[kk] <= cfg.stall_tol:
                 stop = "stall"
                 break
-    trace._finalize(state.x, stop, time.perf_counter() - t_start)
-    return trace
+    if snap_ks[-1] != len(coords):
+        snap_ks.append(len(coords))
+        snap_x.frombytes(state.x.tobytes())
+    wall_time = time.perf_counter() - t_start
+
+    def read(buf):
+        return np.frombuffer(buf, buf.typecode)
+
+    return Trace(x0, np.array(w, dtype=float), method, option, cfg.seed,
+                 record_every, f=read(f), disp_w_sq=read(disp_w_sq),
+                 coords=read(coords), new_values=read(new_values),
+                 omegas=read(omegas), times=read(times), snap_ks=read(snap_ks),
+                 snap_x=read(snap_x).reshape(-1, p.n), gaps=gaps,
+                 stop_reason=stop, wall_time_s=wall_time)
 
 
 def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import check_weights, weighted_dual_norm_sq
-from .problems import (SLICE_DERIV_TOL, Problem, global_lipschitz_bound,
-                       path_start_values)
+from .problems import (SLICE_DERIV_TOL, Problem, f_noise,
+                       global_lipschitz_bound, path_start_values)
 from .solvers import Trace, OPTION_I, OPTION_II
 
 REPLAY_TOL = 1e-9
@@ -48,12 +48,6 @@ _REPLAY_CHUNK_BYTES = 1 << 20
 _RFDM_CHUNK_BYTES = 1 << 17
 # (beta_hat_sq, zeta_hat, worst_beta_k, worst_zeta_k) before any ratio
 _NO_RATIOS = (0.0, np.inf, None, None)
-
-
-def _f_noise(f_k):
-    """Resolution of a recorded objective difference (a few ulps of f);
-    elementwise on arrays."""
-    return 32.0 * _EPS * np.maximum(1.0, np.abs(f_k))
 
 
 def _z_noise(g_here, g_tilde, w_i, old, new, g_origin):
@@ -326,7 +320,7 @@ def check_rcfdm(trace: Trace, p: Problem, w=None,
         disp = w_k * np.float_power(new[ks] - old[ks], 2.0)
         f_k = f[a + ks]
         worst = _fold(worst, (z_eff[ks] * z_eff[ks] / w_k) / disp,
-                      (f_k - f[a + ks + 1] + _f_noise(f_k)) / disp, a + ks)
+                      (f_k - f[a + ks + 1] + f_noise(f_k)) / disp, a + ks)
     return _certificate("rcfdm", trace, check_every, constants, worst)
 
 
@@ -406,7 +400,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
                      axis=1) / n
         e_disp = np.sum(w * np.float_power(tilde - X, 2.0), axis=1) / n
         f_here = p._values_at(X, U)
-        decrease = f_here - np.sum(f_next, axis=1) / n + _f_noise(f_here)
+        decrease = f_here - np.sum(f_next, axis=1) / n + f_noise(f_here)
 
         moved = e_disp != 0.0
         e_disp = e_disp[moved]

@@ -15,10 +15,10 @@ import itertools
 import numpy as np
 
 from fdmkit.geometry import check_weights
-from fdmkit.problems import SLICE_DERIV_TOL, global_lipschitz_bound
+from fdmkit.problems import SLICE_DERIV_TOL, f_noise, global_lipschitz_bound
 from fdmkit.solvers import OPTION_I, OPTION_II
 from fdmkit.verify import (_EPS, REPLAY_TOL, Certificate, ReplayError,
-                           _certificate_pass, _f_noise, _z_noise,
+                           _certificate_pass, _z_noise,
                            default_rfdm_check_every)
 
 
@@ -190,7 +190,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
         beta_ratio = (z_eff * z_eff / w[i]) / disp
         if beta_ratio > beta_hat_sq:
             beta_hat_sq, worst_beta_k = beta_ratio, k
-        zeta_ratio = (f[k] - f[k + 1] + _f_noise(f[k])) / disp
+        zeta_ratio = (f[k] - f[k + 1] + f_noise(f[k])) / disp
         if zeta_ratio < zeta_hat:
             zeta_hat, worst_zeta_k = zeta_ratio, k
     return Certificate(
@@ -264,7 +264,7 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
         if beta_ratio > beta_hat_sq:
             beta_hat_sq, worst_beta_k = beta_ratio, k
         f_here = p.value(x)
-        zeta_ratio = (f_here - e_f_next + _f_noise(f_here)) / e_disp
+        zeta_ratio = (f_here - e_f_next + f_noise(f_here)) / e_disp
         if ratios is not None:
             ratios[k] = (beta_ratio, zeta_ratio)
         if zeta_ratio < zeta_hat:

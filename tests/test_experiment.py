@@ -297,6 +297,17 @@ class TestRunExperiment:
             hit = np.nonzero(means <= r.epsilon)[0]
             assert r.observed_iteration == int(ks[hit[0]])
 
+    def test_mean_gap_with_zero_iteration_bounds(self):
+        # every epsilon gives K = 0: the seeds' only iterate is the start
+        p = fixtures.svm_dual_toy()
+        reports = mean_gap_experiment(p, [10.0, 20.0], n_seeds=3)
+        gap0 = p.duality_gap(p.box.clip(np.zeros(p.n)))
+        assert gap0 <= 10.0
+        for r in reports:
+            assert (r.iteration_bound, r.observed_iteration, r.n_seeds) == (0, 0, 3)
+            # a sum of three equal gaps over 3 may differ from one in an ulp
+            assert r.mean_gap_at_bound == pytest.approx(gap0, rel=1e-15, abs=0)
+
 
 class TestTraceCsv:
     def test_schema_and_round_trip_precision(self, tmp_path):

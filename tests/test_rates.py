@@ -181,8 +181,7 @@ class TestEstimateKappa:
         x_star = np.array([0.5, 0.5])
         tr = run_scdm(p, SolverConfig(max_iters=40, seed=2, record_every=5,
                                       x0=np.array([3.0, -1.0])), option="I")
-        kap = estimate_kappa_f(p, tr, x_star, p.value(x_star), np.ones(2),
-                               solution_set="auto")
+        kap = estimate_kappa_f(p, tr, x_star, p.value(x_star), np.ones(2))
         assert kap == pytest.approx(1.0, rel=1e-6)
 
 

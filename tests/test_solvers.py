@@ -1,4 +1,6 @@
+import dataclasses
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -322,29 +324,66 @@ class TestTraceReconstruction:
         with pytest.raises(ValueError):
             X[0, 0] = 1.0
 
-    def test_snapshot_storage_growth_keeps_every_iterate(self, monkeypatch):
-        p = fixtures.quadratic_box()
-        ref = run_projected_gradient(p, SolverConfig(max_iters=50))
-        # room for 3 rows up front, so the 51 iterates force several doublings
-        monkeypatch.setattr(solvers, "_SNAPSHOT_BLOCK_ELEMS", 3 * p.n)
-        tr = run_projected_gradient(p, SolverConfig(max_iters=50))
-        ks, X = tr.snapshots()
-        np.testing.assert_array_equal(ks, np.arange(51))
-        np.testing.assert_array_equal(X, ref.snapshots()[1])
-        np.testing.assert_array_equal(tr.f, ref.f)
-
     def test_early_stop_keeps_only_used_snapshot_rows(self):
         p = fixtures.quadratic_box()
         tr = run_projected_gradient(p, SolverConfig(max_iters=100_000,
                                                     stall_tol=1e-12, stall_window=5))
         assert tr.stop_reason == "stall" and len(tr) < 1000
         ks, X = tr.snapshots()
+        # a full-step run snapshots every iterate, and only those it ran
         np.testing.assert_array_equal(ks, np.arange(len(tr) + 1))
-        # the storage allocated for the 10^5-step budget is not kept (or pickled)
-        assert tr._snap_x.shape == X.shape
+        assert X.shape == (len(tr) + 1, p.n)
+        for k, x in zip(ks, X):
+            np.testing.assert_array_equal(x, tr.iterate(int(k)))
         clone = pickle.loads(pickle.dumps(tr))
         np.testing.assert_array_equal(clone.snapshots()[1], X)
         assert len(pickle.dumps(tr)) < 10 * X.nbytes
+
+    def test_arrays_are_read_only(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        tr = run_scdm(p, SolverConfig(max_iters=30, seed=1, record_every=7))
+        for name in ("x0", "w", "f", "disp_w_sq", "coords", "new_values",
+                     "omegas", "times", "snap_ks", "snap_x"):
+            with pytest.raises(ValueError):
+                getattr(tr, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.stop_reason = "gap"
+
+    def test_times_record_the_wall_clock(self):
+        p = fixtures.lasso_small()
+        tr = run_scdm(p, SolverConfig(max_iters=50, seed=0))
+        assert tr.times.shape == (51,) and tr.times[0] == 0.0
+        assert np.all(np.diff(tr.times) >= 0.0)
+        assert tr.times[-1] <= tr.wall_time_s
+
+    def test_replace_returns_independent_trace(self):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        tr = run_scdm(p, SolverConfig(max_iters=30, seed=1, record_every=7))
+        new_values, x27 = tr.new_values.copy(), tr.iterate(27)
+        corrupted = new_values.copy()
+        corrupted[26] = 0.5  # x_27 is rebuilt from the snapshot at k = 21
+        bad = dataclasses.replace(tr, new_values=corrupted)
+        assert bad.iterate(27)[tr.coords[26]] == 0.5
+        assert not bad.new_values.flags.writeable
+        np.testing.assert_array_equal(tr.new_values, new_values)
+        np.testing.assert_array_equal(tr.iterate(27), x27)
+        np.testing.assert_array_equal(bad.f, tr.f)
+
+    def test_recording_memory_does_not_scale_with_budget(self):
+        # a gap-stopped run of about a thousand steps under a 10^6-step
+        # budget: the budget's coordinate draws cost 16 bytes a step (an
+        # array and a list), and no per-step record is sized to the budget
+        p = fixtures.standard_fixtures()["svm_dual_n8"]
+        budget = 1_000_000
+        cfg = SolverConfig(max_iters=budget, seed=0, gap_tol=1e-8)
+        tracemalloc.start()
+        try:
+            tr = run_scdm(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.stop_reason == "gap" and len(tr) < budget // 100
+        assert peak / budget < 32
 
     def test_iterate_out_of_range(self):
         p = fixtures.lasso_small()

@@ -1,15 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fdmkit import fixtures, verify
 from fdmkit.geometry import Box, project_box
-from fdmkit.problems import ErmProblem, QuadraticProblem, global_lipschitz_bound
+from fdmkit.problems import (ErmProblem, QuadraticProblem, f_noise,
+                             global_lipschitz_bound)
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
-from fdmkit.verify import (ReplayError, _f_noise, check_rcfdm, check_rfdm,
+from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
                            check_trace_invariants, cyclic_constants,
                            default_rfdm_check_every, reconstruct_z_option1)
 from oracles import check_rcfdm_scalar, check_rfdm_scalar
+
+
+def with_new_value(tr, k, value):
+    """A copy of ``tr`` whose step ``k`` records ``value`` (fault injection)."""
+    new_values = tr.new_values.copy()
+    new_values[k] = value
+    return dataclasses.replace(tr, new_values=new_values)
 
 
 def separable_quadratic(L):
@@ -104,7 +114,7 @@ class TestCheckRcfdm:
         # skipped), so the replay cannot reproduce it
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_scdm(p, SolverConfig(max_iters=100, seed=3), option="I")
-        tr._new_values[57] = 1.7
+        tr = with_new_value(tr, 57, 1.7)
         with pytest.raises(ReplayError) as err:
             check_rcfdm(tr, p)
         assert err.value.k == 57
@@ -208,20 +218,19 @@ class TestRcfdmReplayErrors:
 
     @staticmethod
     def corrupt(tr, k):
-        tr._new_values[k] += 1.7
+        return with_new_value(tr, k, tr.new_values[k] + 1.7)
 
     @pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, 2 * CHUNK, STEPS - 1])
     def test_reported_at_corrupted_step(self, case, k):
         p, tr = case
-        self.corrupt(tr, k)
+        tr = self.corrupt(tr, k)
         with pytest.raises(ReplayError) as err:
             check_rcfdm(tr, p)
         assert err.value.k == k
 
     def test_first_of_two_corruptions_reported(self, case):
         p, tr = case
-        self.corrupt(tr, 2 * self.CHUNK + 7)
-        self.corrupt(tr, 17)
+        tr = self.corrupt(self.corrupt(tr, 2 * self.CHUNK + 7), 17)
         with pytest.raises(ReplayError) as err:
             check_rcfdm(tr, p)
         assert err.value.k == 17
@@ -230,7 +239,7 @@ class TestRcfdmReplayErrors:
         # with check_every=3 the corrupted step 50 is walked, not replayed;
         # the iterate it moved breaks the replay of the next checked step
         p, tr = case
-        self.corrupt(tr, self.CHUNK)
+        tr = self.corrupt(tr, self.CHUNK)
         outcomes = []
         for check in (check_rcfdm, check_rcfdm_scalar):
             with pytest.raises(ReplayError) as err:
@@ -240,11 +249,11 @@ class TestRcfdmReplayErrors:
 
     def test_non_finite_value_raises_value_error(self, case):
         p, tr = case
-        tr._new_values[self.CHUNK + 3] = np.nan
+        tr = with_new_value(tr, self.CHUNK + 3, np.nan)
         with pytest.raises(ValueError, match="not finite"):
             check_rcfdm(tr, p)
         # an earlier replay failure is still reported first
-        self.corrupt(tr, 5)
+        tr = self.corrupt(tr, 5)
         with pytest.raises(ReplayError) as err:
             check_rcfdm(tr, p)
         assert err.value.k == 5
@@ -327,13 +336,13 @@ def _rfdm_problem(name):
 
 
 def _zeta_tolerance(tr, p, k):
-    """``2 * _f_noise(f_k) / e_disp`` at step k: the rounding of the
+    """``2 * f_noise(f_k) / e_disp`` at step k: the rounding of the
     objective difference that zeta divides, at its worst step."""
     x = tr.iterate(k)
     st = p.start_state(x)
     e_disp = np.mean([tr.w[j] * (st.exact_coord_min(j) - x[j]) ** 2
                       for j in range(p.n)])
-    return 2.0 * _f_noise(p.value(x)) / e_disp
+    return 2.0 * f_noise(p.value(x)) / e_disp
 
 
 class TestRfdmMatchesScalarEnumeration:
@@ -396,13 +405,13 @@ class TestRfdmReplayErrors:
 
     @staticmethod
     def corrupt(tr, k, delta=1.7):
-        tr._new_values[k] += delta
+        return with_new_value(tr, k, tr.new_values[k] + delta)
 
     @pytest.mark.parametrize("delta", [1.7, 1e-6])
     @pytest.mark.parametrize("k", [2 * CHUNK, 3 * CHUNK - 1, STEPS - 1])
     def test_reported_at_corrupted_step(self, case, k, delta):
         p, tr = case
-        self.corrupt(tr, k, delta)
+        tr = self.corrupt(tr, k, delta)
         with pytest.raises(ReplayError) as err:
             check_rfdm(tr, p, check_every=1)
         assert err.value.k == k
@@ -410,11 +419,11 @@ class TestRfdmReplayErrors:
     def test_unchecked_corruption(self, case):
         # with check_every=3 the last step, 40, is walked but never replayed
         p, tr = case
-        self.corrupt(tr, self.STEPS - 1)
+        tr = self.corrupt(tr, self.STEPS - 1)
         cert = check_rfdm(tr, p, check_every=3)
         assert cert.n_checked == len(range(0, self.STEPS, 3))
         # an unchecked step earlier on moves the iterate of the next checked one
-        self.corrupt(tr, 13)
+        tr = self.corrupt(tr, 13)
         outcomes = []
         for check in (check_rfdm, check_rfdm_scalar):
             with pytest.raises(ReplayError) as err:
@@ -424,11 +433,11 @@ class TestRfdmReplayErrors:
 
     def test_non_finite_value_raises_value_error(self, case):
         p, tr = case
-        tr._new_values[10] = np.nan
+        tr = with_new_value(tr, 10, np.nan)
         with pytest.raises(ValueError, match="iteration 10 is not finite"):
             check_rfdm(tr, p, check_every=1)
         # an earlier replay failure is still reported first
-        self.corrupt(tr, 5)
+        tr = self.corrupt(tr, 5)
         with pytest.raises(ReplayError) as err:
             check_rfdm(tr, p, check_every=1)
         assert err.value.k == 5
@@ -552,14 +561,16 @@ class TestTraceInvariants:
     def test_descent_violation_detected(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_scdm(p, SolverConfig(max_iters=50, seed=0), option="I")
-        tr._f[20] = tr._f[19] - 1.0  # force an objective increase at step 20
+        f = tr.f.copy()
+        f[20] = f[19] - 1.0  # force an objective increase at step 20
+        tr = dataclasses.replace(tr, f=f)
         rep = check_trace_invariants(tr, p)
         assert not rep.descent_ok
 
     def test_feasibility_violation_detected(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_scdm(p, SolverConfig(max_iters=50, seed=0), option="I")
-        tr._new_values[30] = 1.5
+        tr = with_new_value(tr, 30, 1.5)
         rep = check_trace_invariants(tr, p)
         assert not rep.feasible_ok
         assert rep.worst_feasibility_violation == pytest.approx(0.5)
@@ -567,13 +578,14 @@ class TestTraceInvariants:
     def test_infeasible_full_step_snapshot_reported(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_projected_gradient(p, SolverConfig(max_iters=50))
-        tr._snap_x[30, 2] = 1.5  # outside [0, 1]^n, where value() raises
-        rep = check_trace_invariants(tr, p)
+        X = tr.snap_x.copy()
+        X[30, 2] = 1.5  # outside [0, 1]^n, where value() raises
+        rep = check_trace_invariants(dataclasses.replace(tr, snap_x=X), p)
         assert not rep.feasible_ok
         assert rep.worst_feasibility_violation == pytest.approx(0.5)
         assert rep.descent_ok and rep.disp_nonnegative
-        tr._snap_x[40, 1] = np.nan
-        rep = check_trace_invariants(tr, p)
+        X[40, 1] = np.nan
+        rep = check_trace_invariants(dataclasses.replace(tr, snap_x=X), p)
         assert not rep.feasible_ok and not rep.objective_consistent
 
     @pytest.mark.parametrize("method", ["cyclic", "scdm"])
@@ -583,9 +595,10 @@ class TestTraceInvariants:
         tr = run_cyclic_cd(p, cfg) if method == "cyclic" else run_scdm(p, cfg)
         clean = check_trace_invariants(tr, p)
         assert clean.objective_consistent
-        ks, _ = tr.snapshots()
-        tr._snap_x[len(ks) // 2] += 0.25  # still feasible: every entry grows
-        rep = check_trace_invariants(tr, p)
+        ks, X = tr.snapshots()
+        X = X.copy()
+        X[len(ks) // 2] += 0.25  # still feasible: every entry grows
+        rep = check_trace_invariants(dataclasses.replace(tr, snap_x=X), p)
         assert not rep.objective_consistent
         assert rep.worst_objective_drift > 1e-6
         assert rep.feasible_ok and rep.descent_ok
