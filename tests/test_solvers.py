@@ -324,6 +324,23 @@ class TestTraceReconstruction:
         with pytest.raises(ValueError):
             X[0, 0] = 1.0
 
+    def test_snapshot_storage_growth_keeps_every_iterate(self):
+        p = fixtures.quadratic_box()
+        tr = run_projected_gradient(p, SolverConfig(max_iters=50))
+        # the 51 snapshot rows are appended one by one to a growing buffer
+        ks, X = tr.snapshots()
+        np.testing.assert_array_equal(ks, np.arange(51))
+        assert X.shape == (51, p.n)
+        np.testing.assert_array_equal(X[0], tr.x0)
+        np.testing.assert_array_equal(X[-1], tr.final_x)
+        for k in range(50):
+            x_next = np.clip(X[k] - tr.omegas[k] * (p.gradient(X[k]) / tr.w),
+                             p.box.lower, p.box.upper)
+            np.testing.assert_allclose(X[k + 1], x_next, rtol=1e-12, atol=1e-12)
+        rerun = run_projected_gradient(p, SolverConfig(max_iters=50))
+        np.testing.assert_array_equal(rerun.snapshots()[1], X)
+        np.testing.assert_array_equal(rerun.f, tr.f)
+
     def test_early_stop_keeps_only_used_snapshot_rows(self):
         p = fixtures.quadratic_box()
         tr = run_projected_gradient(p, SolverConfig(max_iters=100_000,
