@@ -37,9 +37,6 @@ from .verify import check_rcfdm, check_rfdm, fdm_constants, ReplayError
 
 SCHEMA_VERSION = 1
 
-# Coordinate draws one batch of mean_gap_experiment's seeds holds (8 MB).
-_GAP_DRAW_ELEMS = 1 << 20
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -335,12 +332,13 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
     and fills each :class:`GapReport` with the observed mean behavior: the
     mean gap every n iterations and at each bound.
 
-    The seeds advance together through :func:`run_scdm_seeds`, in batches
-    whose coordinate draws fit one block of ``_GAP_DRAW_ELEMS`` entries.  At
-    each of those iterations one :meth:`SvmDualProblem.duality_gap` call
-    evaluates the batch's stack of iterates, and the gaps are added in seed
-    order, so the means equal those of one ``run_scdm`` per seed bit for
-    bit.  No iterate is kept past its evaluation.
+    All seeds advance together as one :func:`run_scdm_seeds` call, which
+    draws their coordinates block by block, so memory grows with the number
+    of seeds but not with the iteration bound.  At each reported iteration
+    one :meth:`SvmDualProblem.duality_gap` call evaluates the stack of
+    iterates, and the gaps are added in seed order, so the means equal those
+    of one ``run_scdm`` per seed bit for bit.  No iterate is kept past its
+    evaluation.
     """
     if reference is None:
         reference = reference_solve(p)
@@ -357,19 +355,16 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
     ks = range(0, k_max + 1, p.n)
     gap_sum = np.zeros(len(ks))
     final_gaps = {r.iteration_bound: 0.0 for r in reports}
-    batch = max(1, _GAP_DRAW_ELEMS // max(k_max, 1))
-    sc = SolverConfig(max_iters=k_max)
-    for first in range(seed_base, seed_base + n_seeds, batch):
-        seeds = range(first, min(first + batch, seed_base + n_seeds))
-        for k, X, _ in run_scdm_seeds(p, sc, seeds, OPTION_I,
-                                      at=[*ks, *final_gaps]):
-            gaps = p.duality_gap(X).tolist()
-            if k % p.n == 0:
-                for gap in gaps:
-                    gap_sum[k // p.n] += gap
-            if k in final_gaps:
-                for gap in gaps:
-                    final_gaps[k] += gap
+    seeds = range(seed_base, seed_base + n_seeds)
+    for k, X, _ in run_scdm_seeds(p, SolverConfig(max_iters=k_max), seeds,
+                                  OPTION_I, at=[*ks, *final_gaps]):
+        gaps = p.duality_gap(X).tolist()
+        if k % p.n == 0:
+            for gap in gaps:
+                gap_sum[k // p.n] += gap
+        if k in final_gaps:
+            for gap in gaps:
+                final_gaps[k] += gap
     mean_gaps = gap_sum / n_seeds
     for r in reports:
         r.n_seeds = n_seeds

@@ -6,8 +6,11 @@ class of Wang & Lin (JMLR 2014).  A family states its objective, gradients
 and coordinate slices through the linear image ``Ex`` (see :class:`Problem`);
 the scalar, path and batched oracles, the coordinate minimizers and the
 incremental state of a solver run are all derived from that one definition.
-Where a slice is not an exact quadratic, a safeguarded 1-D Newton solve
-minimizes it.
+Where a slice is not an exact quadratic, one safeguarded Newton rule (rtsafe,
+Press et al., *Numerical Recipes* 9.4) minimizes it: start at the current
+coordinate, evaluate a finite bound only when the descent direction points at
+it, take the Newton steps :func:`_newton_ok` accepts within the bracket that
+the iterates' derivative signs reveal, and otherwise bisect or widen it.
 
 Problem instances are immutable after construction and shareable across
 concurrent runs; the incremental caches used by the solvers live in the
@@ -17,6 +20,7 @@ per run.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -25,8 +29,6 @@ from .geometry import Box, check_weights, _check_vector
 
 SLICE_DERIV_TOL = 1e-12
 SLICE_MAX_ITER = 50
-# Geometric steps allowed to bracket a slice minimizer.
-_BRACKET_MAX_STEPS = 200
 
 # Largest argument whose exponential is finite.
 _EXP_MAX_ARG = float(np.log(np.finfo(float).max))
@@ -58,6 +60,13 @@ class SliceMinError(RuntimeError):
         )
 
 
+def _newton_ok(t_new, a, b, d, d_last, half_open):
+    """The slice rule's test of a Newton point ``t_new``, on floats or
+    elementwise: it lies strictly inside the bracket ``(a, b)``, and |d| has
+    at least halved since the last iterate's ``d_last`` or ``half_open``."""
+    return (a < t_new) & (t_new < b) & ((2.0 * abs(d) < d_last) | half_open)
+
+
 def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
                    tol: float = SLICE_DERIV_TOL,
                    max_iter: int = SLICE_MAX_ITER,
@@ -65,125 +74,106 @@ def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
     """Minimize a strictly convex differentiable slice over ``[lo, hi]``.
 
     ``deriv_and_curv(t)`` returns the first and second derivative at ``t``.
-    Newton steps are safeguarded by bisection on a sign-change bracket, so
-    the iteration cannot leave the bracket even for poorly scaled slices.
-    A caller that already has the derivative at ``t0`` (inside the bounds)
-    passes it as ``d0``, and the slice is not evaluated there again.
+    The solve starts at ``t0`` clipped into the bounds; a caller that has the
+    derivative there passes it as ``d0``.  A start with ``|d0| <= tol`` is
+    the answer.
+    The bound the descent direction points at, if finite, is evaluated, and
+    returned exactly when its derivative puts the minimizer there.  Each
+    iterate's derivative sign narrows the bracket ``(a, b)`` from ``(lo,
+    hi)``; the Newton step is taken while :func:`_newton_ok` accepts it, else
+    a finite bracket is bisected and a half-open one left by a step of
+    ``max(1, |t|)`` downhill.  The solve stops at ``|derivative| <= tol`` or
+    a bracket collapsed to float resolution, and raises
+    :class:`SliceMinError` after ``max_iter`` iterations.
     """
-    if lo > -np.inf and deriv_and_curv(lo)[0] >= 0.0:
-        return lo
-    if hi < np.inf and deriv_and_curv(hi)[0] <= 0.0:
-        return hi
-
     t = min(max(t0, lo), hi)
-    if d0 is None:
-        d0 = deriv_and_curv(t)[0]
-    if abs(d0) <= tol:
+    d = deriv_and_curv(t)[0] if d0 is None else d0
+    if abs(d) <= tol:
         return t
-
-    # Bracket a sign change; strict convexity makes the derivative increasing,
-    # so geometric expansion in the descent direction must cross zero.
-    step = max(1.0, abs(t)) * 0.5
-    if d0 > 0.0:
-        b = t
-        a = t
-        for _ in range(_BRACKET_MAX_STEPS):
-            a = max(lo, a - step)
-            da = deriv_and_curv(a)[0]
-            if da <= 0.0:
-                break
-            step *= 2.0
-        else:
-            raise SliceMinError(_BRACKET_MAX_STEPS, da)
-    else:
-        a = t
-        b = t
-        for _ in range(_BRACKET_MAX_STEPS):
-            b = min(hi, b + step)
-            db = deriv_and_curv(b)[0]
-            if db >= 0.0:
-                break
-            step *= 2.0
-        else:
-            raise SliceMinError(_BRACKET_MAX_STEPS, db)
-
-    t = 0.5 * (a + b)
+    bound = lo if d > 0.0 else hi  # the minimizer if f descends up to it
+    if t == bound or (abs(bound) < math.inf
+                      and deriv_and_curv(bound)[0] * d >= 0.0):
+        return bound
+    c = deriv_and_curv(t)[1]
+    a, b, d_last = lo, hi, math.inf
     for _ in range(max_iter):
-        d, c = deriv_and_curv(t)
-        if abs(d) <= tol:
-            return t
         if d > 0.0:
             b = t
         else:
             a = t
-        t_new = t - d / c if c > 0.0 else 0.5 * (a + b)
-        if not (a < t_new < b):
-            t_new = 0.5 * (a + b)
+        half_open = math.isinf(a) or math.isinf(b)
+        t_new = t - d / c if c > 0.0 else t
+        if not _newton_ok(t_new, a, b, d, d_last, half_open):
+            t_new = (t - math.copysign(max(1.0, abs(t)), d) if half_open
+                     else 0.5 * (a + b))
         if t_new == t:
-            # Bracket has collapsed to float resolution.
+            return t  # the bracket has collapsed to float resolution
+        t, d_last = t_new, abs(d)
+        d, c = deriv_and_curv(t)
+        if abs(d) <= tol:
             return t
-        t = t_new
     raise SliceMinError(max_iter, abs(d))
 
 
-def minimize_slices(deriv_and_curv, t0, d0, tol: float = SLICE_DERIV_TOL,
+def minimize_slices(deriv_and_curv, t0, d0, lo=-np.inf, hi=np.inf,
+                    tol: float = SLICE_DERIV_TOL,
                     max_iter: int = SLICE_MAX_ITER) -> np.ndarray:
-    """Minimize many strictly convex differentiable slices over the real line.
+    """Minimize many strictly convex differentiable slices, slice ``e`` over
+    ``[lo[e], hi[e]]`` (a scalar bound applies to every slice).
 
     Slice ``e`` starts at ``t0[e]``, where its derivative is ``d0[e]``.
     ``deriv_and_curv(t, idx)`` returns the first and second derivatives of
     the slices ``idx`` (an index array) at the points ``t``.  Every slice
-    follows the bracket expansion, Newton, bisection and collapse rules of
-    :func:`minimize_slice` with ``lo = -inf`` and ``hi = inf``, so given the
-    same derivatives it takes the same steps to the same result; each
-    iteration evaluates only the slices still running.  Raises
+    follows the rule of :func:`minimize_slice` elementwise, so given the same
+    derivatives it takes the same steps to the same result bit for bit; each
+    evaluation covers only the slices still running.  Raises
     :class:`SliceMinError` if any slice fails.
     """
-    t = np.array(t0, dtype=float)
-    d0 = np.asarray(d0, dtype=float)
-    a = t.copy()
-    b = t.copy()
-    step = np.maximum(1.0, np.abs(t)) * 0.5
-    down = d0 > 0.0
-    running = np.flatnonzero(~(np.abs(d0) <= tol))
-
-    idx = running
-    for _ in range(_BRACKET_MAX_STEPS):
-        if idx.size == 0:
-            break
-        dn = down[idx]
-        probe = np.where(dn, a[idx] - step[idx], b[idx] + step[idx])
-        d = deriv_and_curv(probe, idx)[0]
-        a[idx] = np.where(dn, probe, a[idx])
-        b[idx] = np.where(dn, b[idx], probe)
-        open_ = ~np.where(dn, d <= 0.0, d >= 0.0)
-        idx, residual = idx[open_], d[open_]
-        step[idx] *= 2.0
-    else:
-        if idx.size:
-            raise SliceMinError(_BRACKET_MAX_STEPS, float(residual[0]))
-
-    idx = running
-    t[idx] = 0.5 * (a[idx] + b[idx])
+    t0 = np.asarray(t0, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), t0.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), t0.shape)
+    # min(max(t0, lo), hi) as minimize_slice takes it, signed zeros included
+    t = np.where(lo > t0, lo, t0)
+    t = np.where(hi < t, hi, t)
+    d = np.asarray(d0, dtype=float)
+    idx = np.flatnonzero(~(np.abs(d) <= tol))
+    d = d[idx]
+    bound = np.where(d > 0.0, lo[idx], hi[idx])
+    done = bound == t[idx]
+    probe = ~done & (np.abs(bound) < np.inf)
+    if probe.any():
+        d_bound = deriv_and_curv(bound[probe], idx[probe])[0]
+        done[probe] = d_bound * d[probe] >= 0.0
+    t[idx[done]] = bound[done]
+    idx, d = idx[~done], d[~done]
+    if idx.size == 0:
+        return t
+    c = deriv_and_curv(t[idx], idx)[1]
+    a, b = lo.copy(), hi.copy()
+    d_last = np.full(idx.size, np.inf)
     for _ in range(max_iter):
-        if idx.size == 0:
-            return t
         ti = t[idx]
-        d, c = deriv_and_curv(ti, idx)
         pos = d > 0.0
         ai = np.where(pos, a[idx], ti)
         bi = np.where(pos, ti, b[idx])
-        mid = 0.5 * (ai + bi)
-        curved = c > 0.0
-        t_new = np.where(curved, ti - d / np.where(curved, c, 1.0), mid)
-        t_new = np.where((ai < t_new) & (t_new < bi), t_new, mid)
-        # converged, or the bracket has collapsed to float resolution
-        go = ~(np.abs(d) <= tol) & (t_new != ti)
-        idx, residual = idx[go], np.abs(d[go])
+        half_open = np.isinf(ai) | np.isinf(bi)
+        # no curvature leaves t in place, which the test rejects
+        newton = ti - d / np.where(c > 0.0, c, np.inf)
+        t_new = np.where(
+            _newton_ok(newton, ai, bi, d, d_last, half_open), newton,
+            np.where(half_open, ti - np.copysign(np.maximum(1.0, np.abs(ti)), d),
+                     0.5 * (ai + bi)))
+        go = t_new != ti  # else the bracket has collapsed to float resolution
+        idx, d_last = idx[go], np.abs(d[go])
+        if idx.size == 0:
+            return t
         a[idx], b[idx], t[idx] = ai[go], bi[go], t_new[go]
-    if idx.size:
-        raise SliceMinError(max_iter, float(residual[0]))
-    return t
+        d, c = deriv_and_curv(t[idx], idx)
+        run = ~(np.abs(d) <= tol)
+        idx, d, c, d_last = idx[run], d[run], c[run], d_last[run]
+        if idx.size == 0:
+            return t
+    raise SliceMinError(max_iter, float(np.abs(d[0])))
 
 
 def _dot(A: np.ndarray, B: np.ndarray):
@@ -340,16 +330,13 @@ class Problem(ABC):
         Entry ``(r, j)`` minimizes f over coordinate j with the others fixed
         at ``X[r]``; ``images`` and ``grads`` are ``_images(X)`` and
         ``_gradients_at(X, images)``.  Exact quadratic slices take the clipped
-        Newton point, others :func:`minimize_slices` from ``grads`` on a free
-        box (``NotImplementedError`` otherwise).  Agrees with
-        :meth:`ProblemState.exact_coord_min` to the slice solver's tolerance.
+        Newton point, others :func:`minimize_slices` from ``grads`` within the
+        box.  Agrees with :meth:`ProblemState.exact_coord_min` to the slice
+        solver's tolerance.
         """
         if self._slice_curv is not None:
             return np.clip(X - grads / self._slice_curv,
                            self.box.lower, self.box.upper)
-        if not self.box.is_free():
-            raise NotImplementedError(
-                f"{type(self).__name__} has no batched solver for boxed slices")
         m, n = X.shape
         x = X.ravel()
 
@@ -359,7 +346,9 @@ class Problem(ABC):
             return self._slice_deriv_curv(
                 t, images[r] + (t - x[idx])[:, None] * cols, cols, j)
 
-        return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
+        return minimize_slices(deriv_and_curv, x, grads.ravel(),
+                               np.tile(self.box.lower, m),
+                               np.tile(self.box.upper, m)).reshape(m, n)
 
     def exact_coord_min(self, x, i: int) -> float:
         """One-off exact coordinate minimizer (builds a throwaway state)."""
@@ -455,8 +444,6 @@ class ProblemState:
         if self._curv is not None:
             return p.box.clip_coord(xi - g / self._curv[i], i)
         lo, hi = p.box._bounds[i]
-        if abs(g) <= SLICE_DERIV_TOL and lo == -np.inf and hi == np.inf:
-            return xi  # minimize_slice's answer, without building the slice
         col = self._cols[i]
         image = self.image
 

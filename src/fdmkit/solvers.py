@@ -16,6 +16,7 @@ import time
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
 from typing import Callable, Optional
 
@@ -29,6 +30,8 @@ OPTION_II = "II"
 
 # Steps of a seed-batched run between two reads of its objectives.
 _LOCKSTEP_CHUNK = 512
+# Coordinates an SCDM run draws from each seed's stream at a time.
+_DRAW_BLOCK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -348,9 +351,10 @@ def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
     """The set-up :func:`run_scdm` and :func:`run_scdm_seeds` share.
 
     Checks the option and ``cfg``, warns when an Option II step size is
-    unsafe, and returns ``(w, (omega_of, omega_bar), x0, draws)``: column r
-    of the ``(max_iters, len(seeds))`` array ``draws`` holds the coordinates
-    seed ``seeds[r]`` draws from its own Philox stream.
+    unsafe, and returns ``(w, (omega_of, omega_bar), x0, blocks)``, where
+    ``blocks`` is :func:`_draw_blocks` over ``seeds``: a run draws its
+    coordinates ``_DRAW_BLOCK`` steps at a time as it advances, so its memory
+    does not grow with the budget.
     """
     if option not in (OPTION_I, OPTION_II):
         raise ValueError(f"option must be 'I' or 'II', got {option!r}")
@@ -367,12 +371,16 @@ def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
                 "zero-correction rate guarantee no longer apply",
                 stacklevel=3,
             )
-    x0 = cfg.resolve_x0(p)
-    draws = np.empty((cfg.max_iters, len(seeds)), dtype=np.int64)
-    for r, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        draws[:, r] = rng.integers(p.n, size=cfg.max_iters)
-    return w, omega, x0, draws
+    return w, omega, cfg.resolve_x0(p), _draw_blocks(p.n, seeds, _DRAW_BLOCK)
+
+
+def _draw_blocks(n: int, seeds, block: int):
+    """Endless ``(block, len(seeds))`` int64 arrays of coordinates in
+    ``[0, n)``: column r continues seed ``seeds[r]``'s Philox stream, so the
+    blocks stacked equal one ``integers(n, size=K)`` draw of that stream."""
+    rngs = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+    while True:
+        yield np.stack([rng.integers(n, size=block) for rng in rngs], axis=1)
 
 
 def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
@@ -382,12 +390,12 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
     the projected coordinate-gradient step with step size omega_k / w_i.
     Start point defaults to the projection of the origin onto the box.
     """
-    w, omega, x0, draws = _scdm_setup(p, cfg, option, [cfg.seed])
-    draws = draws[:, 0].tolist()
+    w, omega, x0, blocks = _scdm_setup(p, cfg, option, [cfg.seed])
+    draws = chain.from_iterable(b[:, 0].tolist() for b in blocks)
     w_of = w.tolist()  # Python floats read faster than numpy scalars
 
     def step(state: ProblemState, k: int, omega_k: float):
-        i = draws[k]
+        i = next(draws)
         old = float(state.x[i])
         if option == OPTION_I:
             new = state.exact_coord_min(i)
@@ -435,7 +443,7 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("batched SCDM needs at least one seed")
-    w, (omega_of, omega_bar), x0, draws = _scdm_setup(p, cfg, option, seeds)
+    w, (omega_of, omega_bar), x0, blocks = _scdm_setup(p, cfg, option, seeds)
     k_max = cfg.max_iters
     at = range(k_max + 1) if at is None else sorted(set(int(k) for k in at))
     if at and not (at[0] >= 0 and at[-1] <= k_max):
@@ -443,19 +451,20 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     state = p.start_state(x0)
     if not math.isfinite(state.f):
         raise DivergenceError(0, [state.f], "objective is not finite at the start")
-    return _lockstep(p, option, omega_of, omega_bar, w, state, seeds, draws, at)
+    return _lockstep(p, option, omega_of, omega_bar, w, state, seeds, blocks, at)
 
 
 def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
-              draws, at):
+              blocks, at):
     """The iteration of :func:`run_scdm_seeds`, one row per seed.
 
     Each step is ``ProblemState``'s (``exact_coord_min`` or the Option II
     step, then ``set_coord``) done on every row at once, with the same
     operations.  The steps run in chunks that end at the requested
-    iterations; a chunk gathers its per-coordinate constants up front and
-    collects the objective's increments, which one cumulative sum then adds
-    in step order, as the serial state adds them one by one.
+    iterations and at the ends of the draw ``blocks``; a chunk gathers its
+    per-coordinate constants up front and collects the objective's
+    increments, which one cumulative sum then adds in step order, as the
+    serial state adds them one by one.
     """
     S, n = len(seeds), p.n
     X = np.tile(state.x, (S, 1))
@@ -468,10 +477,12 @@ def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
     lower, upper = p.box.lower, p.box.upper
     wanted = iter(at)
     due = next(wanted, None)
-    k = 0
+    k, block, block_at = 0, next(blocks), 0
     while due is not None:
-        stop = min(k + _LOCKSTEP_CHUNK, due)
-        coords = draws[k:stop]
+        if k == block_at + len(block):
+            block, block_at = next(blocks), k
+        stop = min(k + _LOCKSTEP_CHUNK, due, block_at + len(block))
+        coords = block[k - block_at:stop - block_at]
         flat_at = coords + row_start
         curv_at, half_at = curv[coords], half_curv[coords]
         lower_at, upper_at, w_at = lower[coords], upper[coords], w[coords]

@@ -268,12 +268,7 @@ class TestRunExperiment:
         assert len(reports) == 1
         assert reports[0]["mean_gap_at_bound"] <= 0.5
 
-    @pytest.mark.parametrize("draw_elems", [None, 1])
-    def test_mean_gap_equals_one_run_per_seed_bitwise(self, draw_elems,
-                                                      monkeypatch):
-        # draw_elems=1 runs every seed in a batch of its own
-        if draw_elems is not None:
-            monkeypatch.setattr(expmod, "_GAP_DRAW_ELEMS", draw_elems)
+    def test_mean_gap_equals_one_run_per_seed_bitwise(self):
         p = fixtures.svm_dual_toy(n=8, d=10, lam=0.1)
         reference = reference_solve(p)
         n_seeds, seed_base = 5, 3

@@ -288,37 +288,51 @@ def _collapsed(deriv_and_curv, t):
     return deriv_and_curv(t - gap)[0] <= 0.0 <= deriv_and_curv(t + gap)[0]
 
 
+def _start(rng, kind, single, lo):
+    """A start of the kind the slice properties draw, within [lo, inf)."""
+    if kind == "near":
+        return max(rng.standard_normal(), lo)
+    if kind == "far":
+        return max(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 6.0), lo)
+    # a start whose derivative is (numerically) zero, or the bound
+    return minimize_slice(single, max(0.0, lo), lo, np.inf)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        loss=st.sampled_from(["logistic", "squared_hinge"]),
+       lo=st.sampled_from([-np.inf, 0.0]),
        starts=st.lists(st.sampled_from(["near", "far", "optimum"]),
                        min_size=1, max_size=8))
-def test_minimize_slices_matches_minimize_slice(seed, loss, starts):
+def test_minimize_slices_matches_minimize_slice(seed, loss, lo, starts):
     batched, single, rng = _erm_slices(loss, seed, len(starts))
-    t0 = np.empty(len(starts))
-    for e, kind in enumerate(starts):
-        if kind == "near":
-            t0[e] = rng.standard_normal()
-        elif kind == "far":
-            t0[e] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 6.0)
-        else:  # a start whose derivative is (numerically) zero
-            t0[e] = minimize_slice(single(e), 0.0, -np.inf, np.inf)
+    t0 = np.array([_start(rng, kind, single(e), lo)
+                   for e, kind in enumerate(starts)])
     d0 = batched(t0, np.arange(len(starts)))[0]
-    try:
-        wants = [minimize_slice(single(e), t0[e], -np.inf, np.inf)
-                 for e in range(len(starts))]
-    except SliceMinError:
-        # a far start can take more bisections than the iteration cap
-        with pytest.raises(SliceMinError):
-            minimize_slices(batched, t0, d0)
-        return
-    got = minimize_slices(batched, t0, d0)
+    wants = [minimize_slice(single(e), t0[e], lo, np.inf, d0=d0[e])
+             for e in range(len(starts))]
+    got = minimize_slices(batched, t0, d0, lo)
     for e, (t, want) in enumerate(zip(got, wants)):
-        assert abs(t - want) <= 1e-9 * max(1.0, abs(want))
+        assert t == want and np.signbit(t) == np.signbit(want)
         assert (abs(single(e)(t)[0]) <= SLICE_DERIV_TOL
-                or _collapsed(single(e), t))
+                or _collapsed(single(e), t)
+                or (t == lo and single(e)(t)[0] >= 0.0))
         if starts[e] == "optimum":
             assert t == t0[e]
+
+
+def test_slice_solvers_converge_where_newton_oscillated():
+    # slice 0 starts at t0 = -1913.86, where Newton steps accepted anywhere
+    # inside the bracket alternated between t = 3.4976 and -5.3754
+    batched, single, rng = _erm_slices("logistic", 21376, 4)
+    t0 = np.array([_start(rng, "far", single(e), -np.inf) for e in range(4)])
+    assert t0[0] == -1913.8560485034996
+    d0 = batched(t0, np.arange(4))[0]
+    got = minimize_slices(batched, t0, d0)
+    for e in range(4):
+        assert got[e] == minimize_slice(single(e), t0[e], -np.inf, np.inf,
+                                        d0=d0[e])
+        assert abs(single(e)(got[e])[0]) <= SLICE_DERIV_TOL
 
 
 def test_minimize_slices_too_few_iterations_raise():
@@ -342,6 +356,7 @@ def _batched_slice_problems():
     probs["quadratic_box"] = fixtures.quadratic_box()
     probs["svm_dual"] = fixtures.svm_dual_toy(n=4, d=4, seed=17)
     probs["lasso"] = fixtures.lasso_small()
+    probs["lasso_custom_h"] = _custom_h_lasso()
     return probs
 
 
@@ -358,15 +373,6 @@ def test_batched_oracles_match_scalar_oracles(name, rng):
         st_ = p.start_state(x)
         want = np.array([st_.exact_coord_min(j) for j in range(p.n)])
         np.testing.assert_allclose(tilde[r], want, rtol=1e-9, atol=1e-9)
-
-
-def test_custom_h_lasso_has_no_batched_slice_solver(rng):
-    # its Newton slices have a lower bound, which minimize_slices lacks
-    p = _custom_h_lasso()
-    X = np.array([_random_feasible(p, rng) for _ in range(2)])
-    U = p._images(X)
-    with pytest.raises(NotImplementedError):
-        p.slice_minimizers(X, U, p._gradients_at(X, U))
 
 
 # ---------------------------------------------------------------------------
