@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fdmkit.experiment as expmod
+import fdmkit.solvers as solvers
 from fdmkit import fixtures
 from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
@@ -268,12 +270,18 @@ class TestRunExperiment:
         assert len(reports) == 1
         assert reports[0]["mean_gap_at_bound"] <= 0.5
 
-    def test_mean_gap_equals_one_run_per_seed_bitwise(self):
+    @pytest.mark.parametrize("draw_block", [None, 1])
+    def test_mean_gap_equals_one_run_per_seed_bitwise(self, draw_block):
+        # draw_block=1 makes the batched seeds draw one coordinate at a time;
+        # the serial runs below draw in blocks of the default size
         p = fixtures.svm_dual_toy(n=8, d=10, lam=0.1)
         reference = reference_solve(p)
         n_seeds, seed_base = 5, 3
-        reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=n_seeds,
-                                      seed_base=seed_base, reference=reference)
+        block = solvers._DRAW_BLOCK if draw_block is None else draw_block
+        with mock.patch.object(solvers, "_DRAW_BLOCK", block):
+            reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=n_seeds,
+                                          seed_base=seed_base,
+                                          reference=reference)
         # the serial form: one run_scdm per seed, one gap call per iterate
         k_max = max(r.iteration_bound for r in reports)
         ks = np.arange(0, k_max + 1, p.n)
