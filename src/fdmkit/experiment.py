@@ -114,11 +114,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver kind {solver['kind']!r}")
         if solver["kind"] == "scdm" and solver["option"] not in (OPTION_I, OPTION_II):
             raise ConfigError("solver.option must be 'I' or 'II'")
-        takes_step = (solver["kind"] == "pgd"
-                      or (solver["kind"], solver["option"]) == ("scdm", OPTION_II))
-        if solver["omega"] is not None and not takes_step:
-            raise ConfigError("solver.omega applies only to scdm option II and "
-                              "pgd; exact minimization takes no step size")
         _require_positive(solver["max_iters"], "solver.max_iters", integer=True,
                           zero_ok=True)
         if not (isinstance(solver["w"], (list, tuple))
@@ -151,8 +146,11 @@ class ExperimentConfig:
             _require_positive(eps, "gap.epsilons entry")
         seeds = top["seeds"]
         if (not isinstance(seeds, (list, tuple)) or len(seeds) == 0
-                or not all(isinstance(s, int) for s in seeds)):
-            raise ConfigError("seeds must be a nonempty list of integers")
+                or not all(isinstance(s, int) and not isinstance(s, bool)
+                           and 0 <= s < 2**128 for s in seeds)):
+            # a seed keys a Philox stream, whose key is a 128-bit integer
+            raise ConfigError("seeds must be a nonempty list of integers "
+                              "in [0, 2**128)")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
         return cls(problem=problem, dataset=dataset, solver=solver,
@@ -282,10 +280,20 @@ def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
         sc.resolve_x0(p)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver.x0: {exc}") from None
+    try:
+        sc.step_size(p, _method(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"solver.omega: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # runs
+
+
+def _method(cfg: ExperimentConfig) -> str:
+    """The method name :meth:`SolverConfig.step_size` takes."""
+    kind = cfg.solver["kind"]
+    return f"scdm-{cfg.solver['option']}" if kind == "scdm" else kind
 
 
 def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig:
@@ -452,14 +460,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.rates["enabled"]:
         reference = reference_solve(problem, iters=cfg.rates["reference_iters"])
         x_star, f_star, ref_trace = reference
-        kappa_hat = estimate_kappa_f(problem, ref_trace, x_star, f_star, w)
+        try:
+            kappa_hat = estimate_kappa_f(problem, ref_trace, x_star, f_star, w)
+        except ValueError:
+            pass  # the reference run sits at the optimum: kappa_f is undefined
+    if kappa_hat is not None:
         kind = cfg.solver["kind"]
         framework = f"rcfdm-{cfg.solver['option']}" if kind == "scdm" else kind
         beta_sq, zeta, inputs = fdm_constants(problem, w, framework)
         lfw, beta = inputs["l_f_w"], float(np.sqrt(beta_sq))
-        # the step the seeds ran with: run_projected_gradient's default is
-        # 1 / L_f^W, and exact minimization takes none (omega_bar = 1)
-        omega = float(cfg.solver["omega"] or (1.0 / lfw if kind == "pgd" else 1.0))
+        omega = _solver_config(cfg, problem, 0).step_size(problem, _method(cfg))
         if framework == "rcfdm-II":
             rc = rate_rcfdm_zero_z(kappa_hat, omega, problem.n)
         elif framework == "rcfdm-I":
@@ -503,7 +513,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 all_certs_passed = False
         if cfg.rates["measured"] and f_star is not None:
             try:
-                entry["measured_rate"] = measured_rate(tr, f_star)
+                entry["measured_rate"] = measured_rate(tr.f, f_star)
             except ValueError:
                 entry["measured_rate"] = None
         seed_entries.append(entry)

@@ -275,18 +275,19 @@ def estimate_kappa_f(p: Problem, trace: Trace, x_star, f_star: float, w) -> floa
     return float(best)
 
 
-def measured_rate(trace: Trace, f_star: float, tail: float = 0.5,
+def measured_rate(f, f_star: float, tail: float = 0.5,
                   min_points: int = 10) -> float:
     """Empirical per-iteration geometric factor of f(x_k) - f*.
 
-    Least-squares slope of log(f(x_k) - f*) against k over the trailing
-    ``tail`` fraction of iterations with a positive objective excess;
-    returns exp(slope).
+    ``f`` is the objective sequence f(x_0), f(x_1), ..., such as a trace's
+    ``f`` or a mean over seeds.  Least-squares slope of log(f(x_k) - f*)
+    against k over the trailing ``tail`` fraction of iterations with a
+    positive objective excess; returns exp(slope).
     """
     if not 0 < tail <= 1:
         raise ValueError("tail must be in (0, 1]")
-    f = trace.f
-    ks = trace.ks
+    f = np.asarray(f, dtype=float)
+    ks = np.arange(f.shape[0])
     pos = f > f_star
     ks, excess = ks[pos], f[pos] - f_star
     start = int(np.floor(len(ks) * (1.0 - tail)))

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Real
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,20 +54,16 @@ class SolverConfig:
     """Run parameters shared by all solvers.
 
     ``w`` is the diagonal step geometry (``None`` selects the coordinate
-    Lipschitz constants, the natural scaling for Option II).  ``omega`` is a
-    constant step size; a per-iteration schedule may be supplied instead, in
-    which case ``omega_bar`` must give its positive floor.  Coordinate
-    sampling is uniform over the ``n`` coordinates.  ``gap_tol`` stops a run
-    once the duality gap, evaluated at every recorded snapshot, reaches it;
-    it applies only to problems with a duality gap (the SVM dual) and is
-    ignored on the others.  Exact minimization (Option I, cyclic) takes no
-    step size, so it rejects ``omega`` and ``omega_schedule``.
+    Lipschitz constants, the natural scaling for Option II).  ``omega`` is
+    the step size of the methods that take one (Option II, projected
+    gradient); :meth:`step_size` resolves it.  Coordinate sampling is uniform
+    over the ``n`` coordinates.  ``gap_tol`` stops a run once the duality
+    gap, evaluated at every recorded snapshot, reaches it; it applies only to
+    problems with a duality gap (the SVM dual) and is ignored on the others.
     """
 
     w: Optional[np.ndarray] = None
     omega: Optional[float] = None
-    omega_schedule: Optional[Callable[[int], float]] = None
-    omega_bar: Optional[float] = None
     max_iters: int = 1000
     seed: int = 0
     record_every: Optional[int] = None
@@ -80,24 +76,35 @@ class SolverConfig:
         w = p.lipschitz if self.w is None else self.w
         return check_weights(w, p.n)
 
-    def resolve_omega(self, default: float) -> tuple[Callable[[int], float], float]:
-        """Return (per-iteration step size, floor omega_bar)."""
-        if self.omega_schedule is not None:
-            if self.omega_bar is None or self.omega_bar <= 0:
-                raise ValueError("omega_schedule requires a positive omega_bar floor")
-            return self.omega_schedule, float(self.omega_bar)
-        omega = default if self.omega is None else float(self.omega)
-        if omega <= 0:
-            raise ValueError("step size omega must be positive")
-        bar = omega if self.omega_bar is None else float(self.omega_bar)
-        if bar <= 0 or bar > omega:
-            raise ValueError("omega_bar must satisfy 0 < omega_bar <= omega")
-        return (lambda k: omega), bar
+    def step_size(self, p: Problem, method: str) -> float:
+        """The step size of a run of ``method`` on ``p``.
 
-    def reject_step_size(self, method: str) -> None:
-        if self.omega is not None or self.omega_schedule is not None:
-            raise ValueError(f"{method} minimizes each coordinate exactly and "
-                             "takes no step size (omega, omega_schedule)")
+        Every run takes this one constant step, so it is also the floor
+        omega_bar that the linear-rate theorems are stated in.  Exact
+        minimization (``'scdm-I'``, ``'cyclic'``) takes no step and counts as
+        1; Option II (``'scdm-II'``) takes ``omega``, by default 1; projected
+        gradient (``'pgd'``) takes ``omega``, by default the reciprocal of
+        the ``sum_i L_i / w_i`` bound.  Raises ``ValueError`` for a set
+        ``omega`` on exact minimization and for an ``omega`` that is not a
+        finite positive number.
+        """
+        omega = self.omega
+        if method in ("scdm-I", "cyclic"):
+            if omega is not None:
+                raise ValueError(f"{method} minimizes each coordinate exactly "
+                                 "and takes no step size (omega)")
+            return 1.0
+        if method not in ("scdm-II", "pgd"):
+            raise ValueError(f"unknown method {method!r}")
+        if omega is None:
+            if method == "scdm-II":
+                return 1.0
+            return 1.0 / global_lipschitz_bound(p.lipschitz, self.resolve_w(p))
+        if (isinstance(omega, bool) or not isinstance(omega, Real)
+                or not 0.0 < omega < math.inf):
+            raise ValueError(f"step size omega must be a finite positive "
+                             f"number, got {omega!r}")
+        return float(omega)
 
     def resolve_x0(self, p: Problem) -> np.ndarray:
         if self.x0 is None:
@@ -128,17 +135,17 @@ class SolverConfig:
 class Trace:
     """Per-iteration record of a solver run, built once when the run stops.
 
-    A run of K steps records, for each step k = 0..K-1, the chosen
-    coordinate ``coords`` (-1 for a full-vector step), its new value
-    ``new_values``, the squared W-displacement ``disp_w_sq`` and the step
-    size ``omegas``; for each iterate x_0..x_K it records the objective
-    ``f`` and the wall clock ``times`` since the first step.  For coordinate
-    methods the iterates are delta-encoded: the rows of ``snap_x`` are x at
-    the increasing iterations ``snap_ks`` (every ``record_every`` iterations
-    and the last), and ``iterate(k)`` rebuilds x_k from the snapshot before
-    it by assignment, without arithmetic.  Full-step methods snapshot every
-    iterate.  ``gaps`` maps each record point where the gap rule ran to its
-    duality gap.
+    A run of K steps takes the one step size ``omega`` (see
+    :meth:`SolverConfig.step_size`) and records, for each step k = 0..K-1,
+    the chosen coordinate ``coords`` (-1 for a full-vector step), its new
+    value ``new_values`` and the squared W-displacement ``disp_w_sq``; for
+    each iterate x_0..x_K it records the objective ``f`` and the wall clock
+    ``times`` since the first step.  For coordinate methods the iterates are
+    delta-encoded: the rows of ``snap_x`` are x at the increasing iterations
+    ``snap_ks`` (every ``record_every`` iterations and the last), and
+    ``iterate(k)`` rebuilds x_k from the snapshot before it by assignment,
+    without arithmetic.  Full-step methods snapshot every iterate.  ``gaps``
+    maps each record point where the gap rule ran to its duality gap.
 
     The solver driver builds a trace once, when the run stops, and every
     array of it is read-only; build a modified copy with
@@ -154,11 +161,11 @@ class Trace:
     option: Optional[str]
     seed: Optional[int]
     record_every: int
+    omega: float
     f: np.ndarray
     disp_w_sq: np.ndarray
     coords: np.ndarray
     new_values: np.ndarray
-    omegas: np.ndarray
     times: np.ndarray
     snap_ks: np.ndarray
     snap_x: np.ndarray
@@ -168,7 +175,7 @@ class Trace:
 
     def __post_init__(self):
         for name in ("x0", "w", "f", "disp_w_sq", "coords", "new_values",
-                     "omegas", "times", "snap_ks", "snap_x"):
+                     "times", "snap_ks", "snap_x"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
@@ -176,10 +183,6 @@ class Trace:
     def __len__(self) -> int:
         """Number of iterations (trace holds len(trace) + 1 iterates)."""
         return self.f.shape[0] - 1
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.arange(len(self) + 1)
 
     def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
         """Stored iterates as ``(ks, X)``: ``X[j]`` is x at iteration ``ks[j]``.
@@ -223,24 +226,6 @@ class Trace:
             yield k, x, i, float(x[i]), new
             x[i] = new
 
-    @classmethod
-    def from_objectives(cls, f_values, seed: Optional[int] = None) -> "Trace":
-        """Build a bare trace carrying only an objective sequence.
-
-        Useful for rate analysis of externally produced runs; iterates are
-        not available on such traces.
-        """
-        f_values = np.array(f_values, dtype=float)
-        if f_values.ndim != 1 or f_values.shape[0] < 1:
-            raise ValueError("need a 1-d, nonempty objective sequence")
-        k = f_values.shape[0] - 1
-        return cls(np.zeros(1), np.ones(1), "synthetic", None, seed, 1,
-                   f=f_values, disp_w_sq=np.full(k, np.nan),
-                   coords=np.full(k, -1, dtype=np.int64),
-                   new_values=np.full(k, np.nan), omegas=np.full(k, np.nan),
-                   times=np.zeros(k + 1), snap_ks=np.empty(0, dtype=np.int64),
-                   snap_x=np.empty((0, 1)))
-
 
 # ---------------------------------------------------------------------------
 # single steps (pure; used directly by the equivalence tests)
@@ -268,18 +253,17 @@ def scdm_step_option2(p: Problem, x, i: int, omega: float, w) -> np.ndarray:
 # runners
 
 
-def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
-           step, method: str, option: Optional[str] = None,
-           omega=(lambda k: 1.0, 1.0), record_every: int = 1,
-           pass_len: int = 1, abort_on_increase: bool = False) -> Trace:
+def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
+           x0: np.ndarray, step, method: str, option: Optional[str] = None,
+           record_every: int = 1, pass_len: int = 1,
+           abort_on_increase: bool = False) -> Trace:
     """The feasible-descent loop shared by every method.
 
-    ``step(state, k, omega_k)`` moves ``state`` to iterate k+1 and returns
-    ``(i, new_value, disp_w_sq)``, ``i = -1`` for a full-vector step.
-    ``omega`` is the (schedule, floor) pair; the stall window defaults to
-    one pass of ``pass_len`` iterations.
+    ``step(state)`` moves ``state`` to the next iterate and returns ``(i,
+    new_value, disp_w_sq)``, ``i = -1`` for a full-vector step.  ``omega``
+    is the run's step size, which ``step`` applies and the trace records;
+    the stall window defaults to one pass of ``pass_len`` iterations.
     """
-    omega_of, omega_bar = omega
     stall_window = cfg.stall_window or pass_len
     state = p.start_state(x0)
     # the gap rule of a problem that has a duality gap, at the state's image
@@ -289,7 +273,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
         raise DivergenceError(0, [f0], "objective is not finite at the start")
     # growable records of the run, read into the trace once it stops
     coords, new_values = array("q"), array("d")
-    disp_w_sq, omegas = array("d"), array("d")
+    disp_w_sq = array("d")
     f, times = array("d", [f0]), array("d", [0.0])
     snap_ks, snap_x = array("q", [0]), array("d", x0.tobytes())
     gaps = {}
@@ -297,10 +281,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
     stop = "budget"
     increases = 0
     for k in range(cfg.max_iters):
-        omega_k = omega_of(k)
-        if omega_k < omega_bar:
-            raise ValueError(f"omega schedule dropped below its floor at k={k}")
-        i, new, disp = step(state, k, omega_k)
+        i, new, disp = step(state)
         f_next = state.objective()
         kk = k + 1
         if not math.isfinite(f_next):
@@ -317,7 +298,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
         new_values.append(new)
         f.append(f_next)
         disp_w_sq.append(disp)
-        omegas.append(omega_k)
         times.append(time.perf_counter() - t_start)
         if kk % record_every == 0:
             snap_ks.append(kk)
@@ -340,9 +320,9 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, x0: np.ndarray,
         return np.frombuffer(buf, buf.typecode)
 
     return Trace(x0, np.array(w, dtype=float), method, option, cfg.seed,
-                 record_every, f=read(f), disp_w_sq=read(disp_w_sq),
+                 record_every, omega, f=read(f), disp_w_sq=read(disp_w_sq),
                  coords=read(coords), new_values=read(new_values),
-                 omegas=read(omegas), times=read(times), snap_ks=read(snap_ks),
+                 times=read(times), snap_ks=read(snap_ks),
                  snap_x=read(snap_x).reshape(-1, p.n), gaps=gaps,
                  stop_reason=stop, wall_time_s=wall_time)
 
@@ -351,7 +331,7 @@ def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
     """The set-up :func:`run_scdm` and :func:`run_scdm_seeds` share.
 
     Checks the option and ``cfg``, warns when an Option II step size is
-    unsafe, and returns ``(w, (omega_of, omega_bar), x0, blocks)``, where
+    unsafe, and returns ``(w, omega, x0, blocks)``, where
     ``blocks`` is :func:`_draw_blocks` over ``seeds``: a run draws its
     coordinates ``_DRAW_BLOCK`` steps at a time as it advances, so its memory
     does not grow with the budget.
@@ -359,13 +339,11 @@ def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):
     if option not in (OPTION_I, OPTION_II):
         raise ValueError(f"option must be 'I' or 'II', got {option!r}")
     cfg.validate()
-    if option == OPTION_I:
-        cfg.reject_step_size("scdm Option I")
     w = cfg.resolve_w(p)
-    omega = cfg.resolve_omega(default=1.0)
+    omega = cfg.step_size(p, f"scdm-{option}")
     if option == OPTION_II:
         safe = float(np.min(w / p.lipschitz))
-        if omega[0](0) > safe * (1.0 + 1e-12):
+        if omega > safe * (1.0 + 1e-12):
             warnings.warn(
                 "Option II step size exceeds min_i w_i/L_i; descent and the "
                 "zero-correction rate guarantee no longer apply",
@@ -387,25 +365,25 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
     """Stochastic coordinate descent, uniform coordinate sampling.
 
     Option I minimizes the chosen coordinate slice exactly; Option II takes
-    the projected coordinate-gradient step with step size omega_k / w_i.
+    the projected coordinate-gradient step with step size omega / w_i.
     Start point defaults to the projection of the origin onto the box.
     """
     w, omega, x0, blocks = _scdm_setup(p, cfg, option, [cfg.seed])
     draws = chain.from_iterable(b[:, 0].tolist() for b in blocks)
     w_of = w.tolist()  # Python floats read faster than numpy scalars
 
-    def step(state: ProblemState, k: int, omega_k: float):
+    def step(state: ProblemState):
         i = next(draws)
         old = float(state.x[i])
         if option == OPTION_I:
             new = state.exact_coord_min(i)
         else:
-            new = p.box.clip_coord(old - (omega_k / w_of[i]) * state.coord_grad(i), i)
+            new = p.box.clip_coord(old - (omega / w_of[i]) * state.coord_grad(i), i)
         state.set_coord(i, new)
         delta = new - old
         return i, new, w_of[i] * delta * delta
 
-    return _drive(p, cfg, w, x0, step, "scdm", option, omega,
+    return _drive(p, cfg, w, omega, x0, step, "scdm", option,
                   record_every=cfg.record_every or p.n, pass_len=p.n)
 
 
@@ -443,7 +421,7 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("batched SCDM needs at least one seed")
-    w, (omega_of, omega_bar), x0, blocks = _scdm_setup(p, cfg, option, seeds)
+    w, omega, x0, blocks = _scdm_setup(p, cfg, option, seeds)
     k_max = cfg.max_iters
     at = range(k_max + 1) if at is None else sorted(set(int(k) for k in at))
     if at and not (at[0] >= 0 and at[-1] <= k_max):
@@ -451,11 +429,10 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     state = p.start_state(x0)
     if not math.isfinite(state.f):
         raise DivergenceError(0, [state.f], "objective is not finite at the start")
-    return _lockstep(p, option, omega_of, omega_bar, w, state, seeds, blocks, at)
+    return _lockstep(p, option, omega, w, state, seeds, blocks, at)
 
 
-def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
-              blocks, at):
+def _lockstep(p: Problem, option, omega, w, state, seeds, blocks, at):
     """The iteration of :func:`run_scdm_seeds`, one row per seed.
 
     Each step is ``ProblemState``'s (``exact_coord_min`` or the Option II
@@ -489,12 +466,7 @@ def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
         # row 0 holds f_k; row t + 1 the increment of step k + t, summed below
         f_path = np.empty((stop - k + 1, S))
         f_path[0] = f
-        low = None
         for t in range(stop - k):
-            omega_k = omega_of(k + t)
-            if omega_k < omega_bar:
-                low, f_path = k + t, f_path[:t + 1]
-                break
             i = coords[t]
             xi = x_flat[flat_at[t]]
             col = cols.take(i, axis=0)
@@ -502,7 +474,7 @@ def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
             if option == OPTION_I:
                 new = xi - g / curv_at[t]
             else:
-                new = xi - (omega_k / w_at[t]) * g
+                new = xi - (omega / w_at[t]) * g
             # clip_coord's min(max(new, lo), hi), signed zeros included
             lo, hi = lower_at[t], upper_at[t]
             np.copyto(new, lo, where=lo > new)
@@ -525,8 +497,6 @@ def _lockstep(p: Problem, option, omega_of, omega_bar, w, state, seeds,
             t, r = map(int, np.unravel_index(np.argmax(bad), bad.shape))
             raise DivergenceError(k + t, [f_path[t, r]], "objective is not finite "
                                   f"at iteration {k + t} (seed {seeds[r]})")
-        if low is not None:
-            raise ValueError(f"omega schedule dropped below its floor at k={low}")
         f = f_path[-1]
         k = stop
         if k == due:
@@ -541,11 +511,11 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
     1..n, so a cyclic record costs n coordinate updates.
     """
     cfg.validate()
-    cfg.reject_step_size("cyclic coordinate descent")
     w = cfg.resolve_w(p)
+    omega = cfg.step_size(p, "cyclic")
     w_of = w.tolist()
 
-    def step(state: ProblemState, k: int, omega_k: float):
+    def step(state: ProblemState):
         disp = 0.0
         for i in range(p.n):
             old = float(state.x[i])
@@ -554,7 +524,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
             disp += w_of[i] * (new - old) ** 2
         return -1, np.nan, disp
 
-    return _drive(p, cfg, w, cfg.resolve_x0(p), step, "cyclic")
+    return _drive(p, cfg, w, omega, cfg.resolve_x0(p), step, "cyclic")
 
 
 def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
@@ -566,16 +536,15 @@ def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
     """
     cfg.validate()
     w = cfg.resolve_w(p)
-    omega = cfg.resolve_omega(
-        default=1.0 / global_lipschitz_bound(p.lipschitz, w))
+    omega = cfg.step_size(p, "pgd")
     lower, upper = p.box.lower, p.box.upper
 
-    def step(state: ProblemState, k: int, omega_k: float):
+    def step(state: ProblemState):
         x = state.x
-        x_next = np.clip(x - omega_k * (state.gradient() / w), lower, upper)
+        x_next = np.clip(x - omega * (state.gradient() / w), lower, upper)
         disp = float(np.dot(w, (x - x_next) ** 2))
         state.set_x(x_next)
         return -1, np.nan, disp
 
-    return _drive(p, cfg, w, cfg.resolve_x0(p), step, "pgd", omega=omega,
+    return _drive(p, cfg, w, omega, cfg.resolve_x0(p), step, "pgd",
                   abort_on_increase=True)

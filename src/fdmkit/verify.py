@@ -267,7 +267,7 @@ def _replay_walk(trace: Trace, p: Problem, w: np.ndarray, check_every: int,
     """
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
-    coords, values, omegas = trace.coords, trace.new_values, trace.omegas
+    coords, values = trace.coords, trace.new_values
     non_finite = np.flatnonzero(~np.isfinite(values))
     end = int(non_finite[0]) if non_finite.size else len(trace)
     lower, upper = p.box.lower, p.box.upper
@@ -279,7 +279,7 @@ def _replay_walk(trace: Trace, p: Problem, w: np.ndarray, check_every: int,
         old = path_start_values(x, c, new)
         g, g_tilde = p.coord_grads_along(x, c, new)
         _, z_eff, err = _z_kernel(trace.option, g, g_tilde, w[c], old, new,
-                                  g_origin[c], omegas[a:b], lower[c], upper[c])
+                                  g_origin[c], trace.omega, lower[c], upper[c])
         checked = np.arange(a, b) % check_every == 0
         failed = np.flatnonzero(checked & (err > REPLAY_TOL))
         if failed.size:

@@ -164,7 +164,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
     beta_hat_sq, zeta_hat = 0.0, np.inf
     worst_beta_k = worst_zeta_k = None
     n_checked = 0
-    f, omegas = trace.f, trace.omegas
+    f = trace.f
     g_origin = p.gradient(np.zeros(p.n))
     for k, x, i, old, new in trace.iter_steps():
         if k % check_every != 0:
@@ -180,7 +180,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
                                                    g_origin[i]))
         else:
             z_i = z_eff = 0.0
-        replayed = p.box.clip_coord(old - (omegas[k] / w[i]) * (g_i - z_i), i)
+        replayed = p.box.clip_coord(old - (trace.omega / w[i]) * (g_i - z_i), i)
         err = abs(replayed - new)
         if err > REPLAY_TOL:
             raise ReplayError(k, err)
@@ -220,7 +220,6 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
     beta_hat_sq, zeta_hat = 0.0, np.inf
     worst_beta_k = worst_zeta_k = None
     n_checked = 0
-    omegas = trace.omegas
     g_origin = p.gradient(np.zeros(n))
     for k, x, i, old, new in trace.iter_steps():
         if k % check_every != 0:
@@ -254,7 +253,7 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
         x_ti = x.copy()
         x_ti[i] = new
         z_real = g_i - p.coord_gradient(x_ti, i) + w[i] * (new - old)
-        replayed = p.box.clip_coord(old - (omegas[k] / w[i]) * (g_i - z_real), i)
+        replayed = p.box.clip_coord(old - (trace.omega / w[i]) * (g_i - z_real), i)
         err = abs(replayed - new)
         if err > REPLAY_TOL:
             raise ReplayError(k, err)

@@ -50,7 +50,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"solver": {}})
 
     def test_bad_seeds_rejected(self, tmp_path):
-        for seeds in ([], [0, 0], ["a"], 3):
+        for seeds in ([], [0, 0], ["a"], 3, [-1, 0], [2**128], [True, 2]):
             raw = svm_config(tmp_path, seeds=seeds)
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(raw)
@@ -492,6 +492,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "validation error" in err and f"solver.{key}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, flags", [
+        ([True, 2], []), ([0], ["--seed", "-1"]),
+        ([0], ["--seed", str(2**128)]),
+    ], ids=["bool", "negative-flag", "too-large-flag"])
+    def test_bad_seeds_fail_before_seeds(self, seeds, flags, tmp_path, capsys):
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3]},
+               "seeds": seeds, "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["solve", "--config", str(cfg_path), *flags]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rates_from_the_optimum_report_no_constants(self, tmp_path):
+        # the origin minimizes this quadratic, so no reference snapshot
+        # measures the growth modulus
+        raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3]},
+               "solver": {"kind": "scdm", "option": "I", "max_iters": 50},
+               "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["rates", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        agg = report["aggregate"]
+        assert agg["kappa_hat"] is None and agg["rate_constants"] is None
+        assert agg["f_star_reference"] == 0.0
 
     @pytest.mark.parametrize("command, solver", [
         ("verify", {"kind": "scdm", "option": "I"}),

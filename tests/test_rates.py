@@ -10,7 +10,7 @@ from fdmkit.rates import (error_bound_eta, estimate_kappa_f,
                           kappa_from_theta, measured_rate, quadratic_lipschitz_w,
                           rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                           sdca_iteration_bound, spectral_norm, svm_sigma_sq)
-from fdmkit.solvers import SolverConfig, Trace, run_scdm
+from fdmkit.solvers import SolverConfig, run_scdm
 from oracles import sphere_max_ratio
 
 
@@ -192,20 +192,17 @@ class TestEstimateKappa:
 class TestMeasuredRate:
     def test_exact_geometric_sequence(self):
         ks = np.arange(200)
-        tr = Trace.from_objectives(0.9**ks)  # excess above f* = 0 is exact
-        assert measured_rate(tr, 0.0) == pytest.approx(0.9, abs=1e-12)
-        shifted = Trace.from_objectives(1.0 + 0.9**ks)
-        assert measured_rate(shifted, 1.0) == pytest.approx(0.9, abs=1e-8)
+        # excess above f* = 0 is exact
+        assert measured_rate(0.9**ks, 0.0) == pytest.approx(0.9, abs=1e-12)
+        assert measured_rate(1.0 + 0.9**ks, 1.0) == pytest.approx(0.9, abs=1e-8)
 
     def test_constant_trace_errors(self):
-        tr = Trace.from_objectives(np.ones(50))
         with pytest.raises(ValueError):
-            measured_rate(tr, 1.0)
+            measured_rate(np.ones(50), 1.0)
 
     def test_too_few_points_errors(self):
-        tr = Trace.from_objectives([2.0, 1.5, 1.2])
         with pytest.raises(ValueError):
-            measured_rate(tr, 1.0)
+            measured_rate([2.0, 1.5, 1.2], 1.0)
 
     def test_option2_svm_beats_theory(self):
         # the measured factor must not exceed the guaranteed expectation
@@ -218,8 +215,7 @@ class TestMeasuredRate:
         theory = rate_rcfdm_zero_z(kap, 1.0, p.n).factor
         fs = np.mean([run_scdm(p, SolverConfig(max_iters=400, seed=s),
                                option="II").f for s in range(32)], axis=0)
-        mean_tr = Trace.from_objectives(fs)
-        assert measured_rate(mean_tr, f_star) <= theory + 1e-6
+        assert measured_rate(fs, f_star) <= theory + 1e-6
 
 
 # ---------------------------------------------------------------------------

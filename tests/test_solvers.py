@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fdmkit import fixtures, solvers
 from fdmkit.geometry import Box
 from fdmkit.problems import ErmProblem, QuadraticProblem
-from fdmkit.solvers import (DivergenceError, SolverConfig, Trace,
-                            run_cyclic_cd, run_projected_gradient, run_scdm,
+from fdmkit.problems import global_lipschitz_bound
+from fdmkit.solvers import (DivergenceError, SolverConfig, run_cyclic_cd, run_projected_gradient, run_scdm,
                             run_scdm_seeds, scdm_step_option1,
                             scdm_step_option2)
 from oracles import box_qp_oracle
@@ -163,15 +163,7 @@ class TestRunScdm:
         assert tr.stop_reason == "budget"
         assert len(tr) == 7
 
-    def test_omega_schedule_requires_floor(self):
-        p = fixtures.svm_dual_toy(n=4, d=4)
-        with pytest.raises(ValueError, match="floor"):
-            run_scdm(p, SolverConfig(max_iters=5, omega_schedule=lambda k: 1.0),
-                     option="II")
-
-    @pytest.mark.parametrize("step", [{"omega": 0.5},
-                                      {"omega_schedule": lambda k: 1.0,
-                                       "omega_bar": 1.0}])
+    @pytest.mark.parametrize("step", [{"omega": 0.5}])
     def test_exact_minimization_rejects_step_size(self, step):
         # the trace would record a step the replay then applies
         p = fixtures.svm_dual_toy(n=4, d=4)
@@ -193,14 +185,6 @@ class TestRunScdm:
             p = ErmProblem(A, y, lam=0.07)
             tr = run_scdm(p, SolverConfig(max_iters=20, seed=seed, x0=x0))
             assert len(tr) == 20 and np.isfinite(tr.f[-1])
-
-    def test_omega_schedule_with_floor_runs(self):
-        p = fixtures.svm_dual_toy(n=4, d=4)
-        cfg = SolverConfig(max_iters=20, omega_schedule=lambda k: 1.0 / (1 + 0.01 * k),
-                           omega_bar=0.5)
-        tr = run_scdm(p, cfg, option="II")
-        assert len(tr) == 20
-        assert tr.omegas[0] == 1.0
 
 
 # the standard and small fixtures whose slices are exact quadratics
@@ -291,15 +275,6 @@ class TestRunScdmSeeds:
         with pytest.warns(UserWarning):
             run_scdm_seeds(p, SolverConfig(max_iters=5, omega=10.0), [0], "II")
 
-    def test_omega_floor_checked_like_run_scdm(self):
-        p = fixtures.svm_dual_toy(n=4, d=4)
-        cfg = SolverConfig(max_iters=50, omega_schedule=lambda k: 1.0 - 0.01 * k,
-                           omega_bar=0.8)
-        with pytest.raises(ValueError, match="k=21"):
-            run_scdm(p, cfg, option="II")
-        with pytest.raises(ValueError, match="k=21"):
-            list(run_scdm_seeds(p, cfg, [0, 1], "II"))
-
     def test_non_finite_objective_raises_divergence(self):
         # run_scdm's diverging Option II run, batched with a second seed
         p = fixtures.standard_fixtures()["quadratic_diag_n5"]
@@ -363,7 +338,7 @@ class TestTraceReconstruction:
         np.testing.assert_array_equal(X[0], tr.x0)
         np.testing.assert_array_equal(X[-1], tr.final_x)
         for k in range(50):
-            x_next = np.clip(X[k] - tr.omegas[k] * (p.gradient(X[k]) / tr.w),
+            x_next = np.clip(X[k] - tr.omega * (p.gradient(X[k]) / tr.w),
                              p.box.lower, p.box.upper)
             np.testing.assert_allclose(X[k + 1], x_next, rtol=1e-12, atol=1e-12)
         rerun = run_projected_gradient(p, SolverConfig(max_iters=50))
@@ -389,7 +364,7 @@ class TestTraceReconstruction:
         p = fixtures.svm_dual_toy(n=4, d=4)
         tr = run_scdm(p, SolverConfig(max_iters=30, seed=1, record_every=7))
         for name in ("x0", "w", "f", "disp_w_sq", "coords", "new_values",
-                     "omegas", "times", "snap_ks", "snap_x"):
+                     "times", "snap_ks", "snap_x"):
             with pytest.raises(ValueError):
                 getattr(tr, name)[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -436,14 +411,6 @@ class TestTraceReconstruction:
         tr = run_scdm(p, SolverConfig(max_iters=10, seed=0))
         with pytest.raises(IndexError):
             tr.iterate(11)
-
-    def test_from_objectives_carries_sequence(self):
-        fs = [3.0, 2.0, 1.5]
-        tr = Trace.from_objectives(fs)
-        assert len(tr) == 2
-        np.testing.assert_array_equal(tr.f, fs)
-        with pytest.raises(ValueError):
-            Trace.from_objectives([])
 
 
 class TestCyclic:
@@ -527,6 +494,37 @@ def test_non_finite_objective_raises_divergence(method, standard_problems):
     assert 1 <= err.value.k < cfg.max_iters
     assert np.isfinite(err.value.f_values[0])
     assert not np.isfinite(err.value.f_values[-1])
+
+
+_RUNNERS = {"scdm-I": lambda p, cfg: run_scdm(p, cfg, "I"),
+            "scdm-II": lambda p, cfg: run_scdm(p, cfg, "II"),
+            "cyclic": run_cyclic_cd, "pgd": run_projected_gradient}
+
+
+@pytest.mark.parametrize("omega", [None, 0.5, np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("method", list(_RUNNERS))
+def test_step_size_is_the_runs_one_step(method, omega, standard_problems):
+    # w = L on a diagonal quadratic: pgd's default step 1 / sum_i L_i/w_i
+    # is 1/5, and a step of 0.5 is safe for every method that takes one
+    p = standard_problems["quadratic_diag_n5"]
+    cfg = SolverConfig(max_iters=20, seed=3, omega=omega)
+    exact = method in ("scdm-I", "cyclic")
+    if omega is None or (not exact and 0.0 < omega < np.inf):
+        pgd_default = 1.0 / global_lipschitz_bound(p.lipschitz, p.lipschitz)
+        expected = {"scdm-I": 1.0, "cyclic": 1.0, "scdm-II": omega or 1.0,
+                    "pgd": omega or pgd_default}[method]
+        assert cfg.step_size(p, method) == expected
+        assert _RUNNERS[method](p, cfg).omega == expected
+        return
+    with pytest.raises(ValueError, match="no step size" if exact else "finite"):
+        cfg.step_size(p, method)
+    # rejected before the first step, by every runner of the method
+    runs = [lambda: _RUNNERS[method](p, cfg)]
+    if method.startswith("scdm"):
+        runs.append(lambda: run_scdm_seeds(p, cfg, [0, 1], method.split("-")[1]))
+    for run in runs:
+        with pytest.raises(ValueError):
+            run()
 
 
 @pytest.mark.parametrize("method", ["I", "II", "cyclic", "pgd"])
