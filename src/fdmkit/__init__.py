@@ -6,7 +6,7 @@ inequalities, theoretical linear-rate constants with their measured
 counterparts, and a duality-gap iteration bound for the SVM dual.
 """
 
-from .geometry import (Box, check_weights, project_box, projected_gradient,
+from .geometry import (Box, check_weights, projected_gradient,
                        weighted_dual_norm_sq, weighted_norm_sq)
 from .problems import (ErmProblem, LassoBoxProblem, Problem, ProblemState,
                        QuadraticProblem, SliceMinError, SvmDualProblem,
@@ -36,7 +36,7 @@ from .experiment import (ConfigError, ExperimentConfig, ExperimentResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "check_weights", "project_box", "projected_gradient",
+    "Box", "check_weights", "projected_gradient",
     "weighted_norm_sq", "weighted_dual_norm_sq",
     "Problem", "ProblemState", "QuadraticProblem", "SvmDualProblem",
     "ErmProblem", "LassoBoxProblem", "SliceMinError", "minimize_slice",

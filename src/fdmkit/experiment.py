@@ -319,12 +319,17 @@ def run_single(p: Problem, cfg: ExperimentConfig, seed: int) -> Trace:
     return run_projected_gradient(p, sc)
 
 
-def reference_solve(p: Problem, iters: Optional[int] = None,
-                    gap_tol: float = 1e-12, seed: int = 10_000):
+# The reference run's seed, and the duality gap it stops at on the SVM dual.
+_REFERENCE_SEED = 10_000
+_REFERENCE_GAP_TOL = 1e-12
+
+
+def reference_solve(p: Problem, iters: Optional[int] = None):
     """High-precision exact-minimization run used as the (x*, f*) reference."""
     if iters is None:
         iters = max(400 * p.n, 20_000)
-    sc = SolverConfig(max_iters=iters, seed=seed, gap_tol=gap_tol)
+    sc = SolverConfig(max_iters=iters, seed=_REFERENCE_SEED,
+                      gap_tol=_REFERENCE_GAP_TOL)
     tr = run_scdm(p, sc, option=OPTION_I)
     x_star = tr.final_x
     return x_star, float(tr.f[len(tr)]), tr

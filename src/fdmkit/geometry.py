@@ -118,6 +118,12 @@ class Box:
         return float(max(below, above))
 
     def clip(self, x) -> np.ndarray:
+        """W-weighted projection of ``x`` onto the box, for any positive ``w``.
+
+        The weighted least-squares objective separates over coordinates with
+        positive weights, so the minimizer is coordinate-wise clipping whatever
+        the weights are.
+        """
         x = _check_vector(x, self.n)
         return np.clip(x, self.lower, self.upper)
 
@@ -140,19 +146,8 @@ def weighted_dual_norm_sq(y, w) -> float:
     return float(np.dot(y * y, 1.0 / w))
 
 
-def project_box(x, box: Box) -> np.ndarray:
-    """W-weighted projection of ``x`` onto ``box``, for any positive ``w``.
-
-    The weighted least-squares objective separates over coordinates with
-    positive weights, so the minimizer is coordinate-wise clipping whatever
-    the weights are.
-    """
-    x = _check_vector(x, box.n)
-    return np.clip(x, box.lower, box.upper)
-
-
 def projected_gradient(x, grad, box: Box) -> np.ndarray:
     """Projected gradient ``x - proj(x - grad)``; zero exactly at optima."""
     x = _check_vector(x, box.n)
     grad = _check_vector(grad, box.n, "grad")
-    return x - project_box(x - grad, box)
+    return x - box.clip(x - grad)

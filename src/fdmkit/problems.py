@@ -1,16 +1,18 @@
 """Smooth box-constrained problems, each family defined once in image space.
 
-All four families (box quadratics, the SVM dual, l2-ERM and the doubled lasso)
-have the form f(x) = h(Ex) + (terms simple in x), the weak-strong-convexity
-class of Wang & Lin (JMLR 2014).  A family states its objective, gradients
-and coordinate slices through the linear image ``Ex`` (see :class:`Problem`);
-the scalar, path and batched oracles, the coordinate minimizers and the
-incremental state of a solver run are all derived from that one definition.
-Where a slice is not an exact quadratic, one safeguarded Newton rule (rtsafe,
-Press et al., *Numerical Recipes* 9.4) minimizes it: start at the current
-coordinate, evaluate a finite bound only when the descent direction points at
-it, take the Newton steps :func:`_newton_ok` accepts within the bracket that
-the iterates' derivative signs reveal, and otherwise bisect or widen it.
+All four families (box quadratics, the SVM dual, l2-ERM and the doubled
+least-squares lasso) have the form f(x) = h(Ex) + (terms simple in x), the
+weak-strong-convexity class of Wang & Lin (JMLR 2014).  A family states its
+objective, gradients and coordinate slices through the linear image ``Ex``
+(see :class:`Problem`); the scalar, path and batched oracles, the coordinate
+minimizers and the incremental state of a solver run are all derived from
+that one definition.
+The only slices that are not exact quadratics are those of l2-ERM with the
+logistic or squared-hinge loss, which is unconstrained; one safeguarded Newton
+rule (rtsafe, Press et al., *Numerical Recipes* 9.4) minimizes them on the
+real line: start at the current coordinate, take the Newton steps
+:func:`_newton_ok` accepts within the bracket that the iterates' derivative
+signs reveal, and otherwise bisect or widen it.
 
 Problem instances are immutable after construction and shareable across
 concurrent runs; the incremental caches used by the solvers live in the
@@ -67,35 +69,26 @@ def _newton_ok(t_new, a, b, d, d_last, half_open):
     return (a < t_new) & (t_new < b) & ((2.0 * abs(d) < d_last) | half_open)
 
 
-def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
+def minimize_slice(deriv_and_curv, t0: float, d0: float,
                    tol: float = SLICE_DERIV_TOL,
-                   max_iter: int = SLICE_MAX_ITER,
-                   d0: float | None = None) -> float:
-    """Minimize a strictly convex differentiable slice over ``[lo, hi]``.
+                   max_iter: int = SLICE_MAX_ITER) -> float:
+    """Minimize a strictly convex differentiable slice over the real line.
 
     ``deriv_and_curv(t)`` returns the first and second derivative at ``t``.
-    The solve starts at ``t0`` clipped into the bounds; a caller that has the
-    derivative there passes it as ``d0``.  A start with ``|d0| <= tol`` is
-    the answer.
-    The bound the descent direction points at, if finite, is evaluated, and
-    returned exactly when its derivative puts the minimizer there.  Each
-    iterate's derivative sign narrows the bracket ``(a, b)`` from ``(lo,
-    hi)``; the Newton step is taken while :func:`_newton_ok` accepts it, else
-    a finite bracket is bisected and a half-open one left by a step of
-    ``max(1, |t|)`` downhill.  The solve stops at ``|derivative| <= tol`` or
-    a bracket collapsed to float resolution, and raises
-    :class:`SliceMinError` after ``max_iter`` iterations.
+    The solve starts at ``t0``, where the derivative is ``d0``; a start with
+    ``|d0| <= tol`` is the answer.  Each iterate's derivative sign narrows
+    the bracket ``(a, b)`` from ``(-inf, inf)``; the Newton step is taken
+    while :func:`_newton_ok` accepts it, else a finite bracket is bisected
+    and a half-open one left by a step of ``max(1, |t|)`` downhill.  The
+    solve stops at ``|derivative| <= tol`` or a bracket collapsed to float
+    resolution, and raises :class:`SliceMinError` after ``max_iter``
+    iterations.
     """
-    t = min(max(t0, lo), hi)
-    d = deriv_and_curv(t)[0] if d0 is None else d0
+    t, d = t0, d0
     if abs(d) <= tol:
         return t
-    bound = lo if d > 0.0 else hi  # the minimizer if f descends up to it
-    if t == bound or (abs(bound) < math.inf
-                      and deriv_and_curv(bound)[0] * d >= 0.0):
-        return bound
     c = deriv_and_curv(t)[1]
-    a, b, d_last = lo, hi, math.inf
+    a, b, d_last = -math.inf, math.inf, math.inf
     for _ in range(max_iter):
         if d > 0.0:
             b = t
@@ -115,11 +108,10 @@ def minimize_slice(deriv_and_curv, t0: float, lo: float, hi: float,
     raise SliceMinError(max_iter, abs(d))
 
 
-def minimize_slices(deriv_and_curv, t0, d0, lo=-np.inf, hi=np.inf,
+def minimize_slices(deriv_and_curv, t0, d0,
                     tol: float = SLICE_DERIV_TOL,
                     max_iter: int = SLICE_MAX_ITER) -> np.ndarray:
-    """Minimize many strictly convex differentiable slices, slice ``e`` over
-    ``[lo[e], hi[e]]`` (a scalar bound applies to every slice).
+    """Minimize many strictly convex differentiable slices over the real line.
 
     Slice ``e`` starts at ``t0[e]``, where its derivative is ``d0[e]``.
     ``deriv_and_curv(t, idx)`` returns the first and second derivatives of
@@ -129,27 +121,14 @@ def minimize_slices(deriv_and_curv, t0, d0, lo=-np.inf, hi=np.inf,
     evaluation covers only the slices still running.  Raises
     :class:`SliceMinError` if any slice fails.
     """
-    t0 = np.asarray(t0, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), t0.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), t0.shape)
-    # min(max(t0, lo), hi) as minimize_slice takes it, signed zeros included
-    t = np.where(lo > t0, lo, t0)
-    t = np.where(hi < t, hi, t)
+    t = np.array(t0, dtype=float)
     d = np.asarray(d0, dtype=float)
     idx = np.flatnonzero(~(np.abs(d) <= tol))
     d = d[idx]
-    bound = np.where(d > 0.0, lo[idx], hi[idx])
-    done = bound == t[idx]
-    probe = ~done & (np.abs(bound) < np.inf)
-    if probe.any():
-        d_bound = deriv_and_curv(bound[probe], idx[probe])[0]
-        done[probe] = d_bound * d[probe] >= 0.0
-    t[idx[done]] = bound[done]
-    idx, d = idx[~done], d[~done]
     if idx.size == 0:
         return t
     c = deriv_and_curv(t[idx], idx)[1]
-    a, b = lo.copy(), hi.copy()
+    a, b = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
     d_last = np.full(idx.size, np.inf)
     for _ in range(max_iter):
         ti = t[idx]
@@ -188,11 +167,6 @@ def _dot(A: np.ndarray, B: np.ndarray):
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def _rows(fn, U: np.ndarray) -> np.ndarray:
-    """A callable of one image, applied to one image or to each row of a stack."""
-    return fn(U) if U.ndim == 1 else np.array([fn(u) for u in U])
-
-
 class Problem(ABC):
     """A smooth problem over a coordinate box, defined once in image space.
 
@@ -206,8 +180,10 @@ class Problem(ABC):
     - ``_grad(X, phi)``: the gradient, and ``_coord_grad(i, xi, phi, cols)``:
       partial i at a point whose coordinate i is ``xi`` (``cols = _cols[i]``);
     - either ``_slice_curv``, the exact curvature of every coordinate slice
-      (exact quadratic slices), or ``_slice_deriv_curv(t, images, cols, j)``,
-      slice j's first and second derivative at t from the image moved there.
+      (exact quadratic slices), or, for a problem over the whole space,
+      ``_slice_deriv_curv(t, images, cols, j)``: slice j's first and second
+      derivative at t from the image moved there, for a Newton solve on the
+      real line.
 
     Everything else is derived here: the scalar, path and batched oracles,
     both coordinate minimizers and the :class:`ProblemState` of a run.
@@ -270,21 +246,12 @@ class Problem(ABC):
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_point(x)
-        return self._gradients_at(x, self._images(x))
+        return self._grad(x, self._phi(self._images(x)))
 
     def coord_gradient(self, x, i: int) -> float:
         x = self._check_point(x)
-        return float(self._coord_grads_at(i, self._images(x), x[i], self._cols[i]))
-
-    def _gradients_at(self, X, images) -> np.ndarray:
-        """Full gradient at each row of ``X``, whose images are ``images``."""
-        return self._grad(X, self._phi(images))
-
-    def _coord_grads_at(self, coords, images, xi, cols):
-        """Partial derivative ``coords[r]`` at a point whose image is
-        ``images[r]`` and whose coordinate ``coords[r]`` is ``xi[r]``;
-        ``cols`` is ``_cols[coords]``."""
-        return self._coord_grad(coords, xi, self._phi(images), cols)
+        return float(self._coord_grad(i, x[i], self._phi(self._images(x)),
+                                      self._cols[i]))
 
     def coord_grads_along(self, x, coords, values) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate gradients along a path of single-coordinate moves.
@@ -319,7 +286,8 @@ class Problem(ABC):
         phi = self._phi(images)
         g_after = self._coord_grad(coords, values, phi, cols)
         g_before = np.concatenate([
-            self._coord_grads_at(coords[:1], image0[None, :], olds[:1], cols[:1]),
+            self._coord_grad(coords[:1], olds[:1], self._phi(image0[None, :]),
+                             cols[:1]),
             self._coord_grad(coords[1:], olds[1:], phi[:-1], cols[1:]),
         ])
         return g_before, g_after
@@ -328,11 +296,11 @@ class Problem(ABC):
         """Minimizer of every coordinate slice at every row of ``X``.
 
         Entry ``(r, j)`` minimizes f over coordinate j with the others fixed
-        at ``X[r]``; ``images`` and ``grads`` are ``_images(X)`` and
-        ``_gradients_at(X, images)``.  Exact quadratic slices take the clipped
-        Newton point, others :func:`minimize_slices` from ``grads`` within the
-        box.  Agrees with :meth:`ProblemState.exact_coord_min` to the slice
-        solver's tolerance.
+        at ``X[r]``; ``images`` and ``grads`` are ``_images(X)`` and the
+        gradients there.  Exact quadratic slices take the clipped Newton
+        point, others :func:`minimize_slices` from ``grads`` on the real line.
+        Agrees with :meth:`ProblemState.exact_coord_min` to the slice solver's
+        tolerance.
         """
         if self._slice_curv is not None:
             return np.clip(X - grads / self._slice_curv,
@@ -346,9 +314,7 @@ class Problem(ABC):
             return self._slice_deriv_curv(
                 t, images[r] + (t - x[idx])[:, None] * cols, cols, j)
 
-        return minimize_slices(deriv_and_curv, x, grads.ravel(),
-                               np.tile(self.box.lower, m),
-                               np.tile(self.box.upper, m)).reshape(m, n)
+        return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
 
     def exact_coord_min(self, x, i: int) -> float:
         """One-off exact coordinate minimizer (builds a throwaway state)."""
@@ -443,14 +409,13 @@ class ProblemState:
         xi = float(self.x[i])
         if self._curv is not None:
             return p.box.clip_coord(xi - g / self._curv[i], i)
-        lo, hi = p.box._bounds[i]
         col = self._cols[i]
         image = self.image
 
         def deriv_and_curv(t):
             return p._slice_deriv_curv(t, image + (t - xi) * col, col, i)
 
-        return minimize_slice(deriv_and_curv, xi, lo, hi, d0=g)
+        return minimize_slice(deriv_and_curv, xi, g)
 
 
 def _require_finite(**arrays) -> None:
@@ -788,23 +753,20 @@ def lasso_project_back(z) -> np.ndarray:
 
 
 class LassoBoxProblem(Problem):
-    """l1-penalized smooth composite, reformulated over the doubled orthant.
+    """Least-squares lasso, reformulated over the doubled orthant.
 
-    The original objective ``h(A v) + q'v + l1 ||v||_1`` in dimension d becomes
+    The original objective ``0.5 ||A v - b||^2 + q'v + l1 ||v||_1`` in
+    dimension d becomes
 
-        f([x+; x-]) = h(A (x+ - x-)) + q'(x+ - x-) + l1 1'x+ + l1 1'x-
+        f([x+; x-]) = 0.5 ||A (x+ - x-) - b||^2 + q'(x+ - x-) + l1 1'x+ + l1 1'x-
 
-    over ``[0, inf)^{2d}``.  The image is ``A (x+ - x-)`` and ``phi`` is
-    ``h'`` there; lifted coordinate j + d moves the image along ``-A[:, j]``.
-    Default inner function: least squares ``h(u) = 0.5 ||u - b||^2``
-    (strong convexity modulus 1), whose slices are exact quadratics.  A
-    custom strongly convex ``h`` can be supplied via value/gradient/curvature
-    callables plus curvature bounds.
+    over ``[0, inf)^{2d}``.  The image is ``A (x+ - x-)`` and ``phi`` the
+    residual ``A (x+ - x-) - b``; lifted coordinate j + d moves the image
+    along ``-A[:, j]``.  Every slice is an exact quadratic with curvature
+    ``||A[:, j]||^2``, which is also the coordinate Lipschitz constant.
     """
 
-    def __init__(self, design, target=None, q=None, l1: float = 0.0,
-                 h_value=None, h_grad=None, h_curv=None,
-                 h_curv_max: float = 1.0, sigma_h: float = 1.0):
+    def __init__(self, design, target=None, q=None, l1: float = 0.0):
         A = np.ascontiguousarray(design, dtype=float)
         if A.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
@@ -814,44 +776,27 @@ class LassoBoxProblem(Problem):
         self.design = A.copy()
         self.d_orig = d
         self.q = np.zeros(d) if q is None else _check_vector(q, d, "q")
-        _require_finite(design=A, q=self.q)
+        b = np.zeros(m) if target is None else _check_vector(target, m, "target")
+        _require_finite(design=A, q=self.q, target=b)
+        self.target = b.copy()
         self.l1 = float(l1)
-        custom = [h_value, h_grad, h_curv]
-        if any(fn is not None for fn in custom):
-            if any(fn is None for fn in custom):
-                raise ValueError("custom h requires h_value, h_grad and h_curv")
-            self.target = None
-            self._custom_h = (h_value, h_grad, h_curv)
-        else:
-            b = np.zeros(m) if target is None else _check_vector(target, m, "target")
-            _require_finite(target=b)
-            self.target = b.copy()
-            self._custom_h = None
-            h_curv_max = 1.0
-            sigma_h = 1.0
-        self.h_curv_max = float(h_curv_max)
-        self.sigma_h = float(sigma_h)
         col_sq = np.einsum("ij,ij->j", A, A)
         if np.any(col_sq <= 0.0):
             raise ValueError("design has a zero column; drop unused variables")
-        self._col_sq = col_sq
         self.n = 2 * d
         self.box = Box.nonneg(self.n)
-        self.lipschitz = np.tile(self.h_curv_max * col_sq, 2)
+        self.lipschitz = np.tile(col_sq, 2)
         # rows are strided column views, as the dots of the states need
         self._cols = np.concatenate([self.design, -self.design], axis=1).T
         self._q_lift = np.concatenate([self.q, -self.q])
-        if self._custom_h is None:
-            self._slice_curv = self.lipschitz
+        self._slice_curv = self.lipschitz
 
     def _h_value(self, U):
-        if self._custom_h is not None:
-            return _rows(self._custom_h[0], U)
         R = U - self.target
         return 0.5 * _dot(R, R)
 
     def inner_value(self, v) -> float:
-        """Original-space smooth part ``h(Av) + q'v`` plus the l1 term."""
+        """Original-space objective ``0.5 ||Av - b||^2 + q'v + l1 ||v||_1``."""
         v = _check_vector(v, self.d_orig, "v")
         return float(self._h_value(self.design @ v) + self.q @ v
                      + self.l1 * np.sum(np.abs(v)))
@@ -866,8 +811,6 @@ class LassoBoxProblem(Problem):
                 + self.l1 * Z.sum(axis=-1))
 
     def _phi(self, images):
-        if self._custom_h is not None:
-            return _rows(self._custom_h[1], images)
         return images - self.target
 
     def _grad(self, Z, phi):
@@ -876,13 +819,6 @@ class LassoBoxProblem(Problem):
 
     def _coord_grad(self, i, xi, phi, cols):
         return _dot(cols, phi) + self._q_lift[i] + self.l1
-
-    def _slice_deriv_curv(self, t, images, cols, j):
-        return (self._coord_grad(j, t, self._phi(images), cols),
-                _dot(_rows(self._custom_h[2], images), cols * cols))
-
-    def coord_curvature_floor(self) -> np.ndarray:
-        return np.tile(self.sigma_h * self._col_sq, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,13 @@ def sdca_iteration_bound(epsilon: float, lam: float, sigma_sq: float, n: int,
 # conditioning estimates
 
 
-def spectral_norm(mat, rtol: float = 1e-8, max_iter: int = 100_000,
-                  seed: int = 0) -> float:
+# Power iteration stops when the Rayleigh quotient moves by at most this
+# fraction of max(1, itself), or after this many products.
+_POWER_RTOL = 1e-8
+_POWER_MAX_ITER = 100_000
+
+
+def spectral_norm(mat, seed: int = 0) -> float:
     """Largest singular value via power iteration on the Gram matrix."""
     mat = np.asarray(mat, dtype=float)
     gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
@@ -188,30 +193,30 @@ def spectral_norm(mat, rtol: float = 1e-8, max_iter: int = 100_000,
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         gv = gram @ v
         lam_new = float(v @ gv)
         nrm = np.linalg.norm(gv)
         if nrm == 0.0:
             return 0.0
         v = gv / nrm
-        if abs(lam_new - lam) <= rtol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _POWER_RTOL * max(1.0, abs(lam_new)):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def svm_sigma_sq(p, rtol: float = 1e-8) -> float:
+def svm_sigma_sq(p) -> float:
     """Gap-bound constant sigma^2 = ||A|| / n for the label-scaled data matrix."""
-    return spectral_norm(p.ya.T, rtol=rtol) / p.n
+    return spectral_norm(p.ya.T) / p.n
 
 
-def quadratic_lipschitz_w(p: QuadraticProblem, w, rtol: float = 1e-8) -> float:
+def quadratic_lipschitz_w(p: QuadraticProblem, w) -> float:
     """Tight W-norm gradient Lipschitz constant of a quadratic,
     ||W^{-1/2} H W^{-1/2}||, via power iteration."""
     w = check_weights(w, p.n)
     s = 1.0 / np.sqrt(w)
-    return spectral_norm(s[:, None] * p.hessian * s[None, :], rtol=rtol)
+    return spectral_norm(s[:, None] * p.hessian * s[None, :])
 
 
 # Squared W-distance to the solution set below which a snapshot is skipped.
@@ -261,7 +266,7 @@ def estimate_kappa_f(p: Problem, trace: Trace, x_star, f_star: float, w) -> floa
     project = _solution_set_projector(p, x_star, w)
     floor = f_noise(f_star)
     best = np.inf
-    for x in trace.snapshots()[1]:
+    for x in trace.snap_x:
         xbar = x_star if project is None else project(x)
         denom = weighted_norm_sq(x - xbar, w)
         if denom < _KAPPA_DENOM_FLOOR:
@@ -275,26 +280,29 @@ def estimate_kappa_f(p: Problem, trace: Trace, x_star, f_star: float, w) -> floa
     return float(best)
 
 
-def measured_rate(f, f_star: float, tail: float = 0.5,
-                  min_points: int = 10) -> float:
+# measured_rate fits the trailing half of the points above f*, and needs 10.
+_RATE_TAIL = 0.5
+_RATE_MIN_POINTS = 10
+
+
+def measured_rate(f, f_star: float) -> float:
     """Empirical per-iteration geometric factor of f(x_k) - f*.
 
     ``f`` is the objective sequence f(x_0), f(x_1), ..., such as a trace's
     ``f`` or a mean over seeds.  Least-squares slope of log(f(x_k) - f*)
-    against k over the trailing ``tail`` fraction of iterations with a
-    positive objective excess; returns exp(slope).
+    against k over the trailing half of the iterations with a positive
+    objective excess, of which there must be at least 10; returns
+    exp(slope).
     """
-    if not 0 < tail <= 1:
-        raise ValueError("tail must be in (0, 1]")
     f = np.asarray(f, dtype=float)
     ks = np.arange(f.shape[0])
     pos = f > f_star
     ks, excess = ks[pos], f[pos] - f_star
-    start = int(np.floor(len(ks) * (1.0 - tail)))
+    start = int(np.floor(len(ks) * (1.0 - _RATE_TAIL)))
     ks, excess = ks[start:], excess[start:]
-    if len(ks) < min_points:
-        raise ValueError(
-            f"need at least {min_points} trace points above f_star, got {len(ks)}")
+    if len(ks) < _RATE_MIN_POINTS:
+        raise ValueError(f"need at least {_RATE_MIN_POINTS} trace points "
+                         f"above f_star, got {len(ks)}")
     slope = np.polyfit(ks, np.log(excess), 1)[0]
     return float(np.exp(slope))
 
@@ -303,8 +311,11 @@ def measured_rate(f, f_star: float, tail: float = 0.5,
 # Hoffman constant (toy scale)
 
 
-def hoffman_theta_bruteforce(a_rows, b_rows=None, q=None,
-                             max_rows: int = 12) -> float:
+# Row cap of hoffman_theta_bruteforce: 2^12 supports at most.
+_HOFFMAN_MAX_ROWS = 12
+
+
+def hoffman_theta_bruteforce(a_rows, b_rows=None, q=None) -> float:
     """Hoffman conditioning constant by exhaustive support enumeration.
 
     Maximizes ``||(u, v)||`` subject to ``||B'u + [A; q']' v|| = 1`` with
@@ -314,7 +325,8 @@ def hoffman_theta_bruteforce(a_rows, b_rows=None, q=None,
     singular value of the selected-row matrix; supports whose maximizer
     violates the sign constraint on u (for both signs) are discarded.
 
-    Enumeration is exponential in the row count, hence the hard cap.
+    Enumeration is exponential in the row count, hence the hard cap of
+    12 rows in B and [A; q'] together.
     """
     A = np.atleast_2d(np.asarray(a_rows, dtype=float))
     ncols = A.shape[1]
@@ -330,8 +342,9 @@ def hoffman_theta_bruteforce(a_rows, b_rows=None, q=None,
     M = np.vstack([A, q[None, :]])
     n_b, n_m = B.shape[0], M.shape[0]
     total = n_b + n_m
-    if total > max_rows:
-        raise ValueError(f"{total} rows exceeds the enumeration cap {max_rows}")
+    if total > _HOFFMAN_MAX_ROWS:
+        raise ValueError(f"{total} rows exceeds the enumeration cap "
+                         f"{_HOFFMAN_MAX_ROWS}")
 
     rows = np.vstack([B, M]) if n_b else M
     best = 0.0

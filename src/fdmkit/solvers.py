@@ -184,14 +184,6 @@ class Trace:
         """Number of iterations (trace holds len(trace) + 1 iterates)."""
         return self.f.shape[0] - 1
 
-    def snapshots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored iterates as ``(ks, X)``: ``X[j]`` is x at iteration ``ks[j]``.
-
-        ``ks`` is increasing.  Both are the trace's read-only arrays; copy a
-        row that must be modified.
-        """
-        return self.snap_ks, self.snap_x
-
     def iterate(self, k: int) -> np.ndarray:
         """Exact reconstruction of x_k."""
         if not 0 <= k <= len(self):

@@ -375,14 +375,14 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
             at = k
             X[r] = x_k
         U = p._images(X)
-        G = p._gradients_at(X, U)
+        G = p._grad(X, p._phi(U))
 
         # candidate (r, j): row r with coordinate j at its slice minimizer
         tilde = p.slice_minimizers(X, U, G)
         j = np.tile(np.arange(n), m)
         cols = p._cols[j]
         U_c = U[np.repeat(np.arange(m), n)] + cols * (tilde - X).reshape(-1, 1)
-        g_tilde = p._coord_grads_at(j, U_c, tilde.ravel(), cols).reshape(m, n)
+        g_tilde = p._coord_grad(j, tilde.ravel(), p._phi(U_c), cols).reshape(m, n)
         X_c = np.repeat(X, n, axis=0)
         X_c[np.arange(m * n), j] = tilde.ravel()
         f_next = p._values_at(X_c, U_c).reshape(m, n)
@@ -469,7 +469,7 @@ def check_trace_invariants(trace: Trace, p: Problem) -> InvariantReport:
     descent_ok = bool(worst_descent <= DESCENT_TOL)
     disp_ok = bool(np.all(trace.disp_w_sq >= 0.0))
 
-    ks, X = trace.snapshots()
+    ks, X = trace.snap_ks, trace.snap_x
     if trace.method in ("pgd", "cyclic"):
         worst_feas = p.box.violation(X)
     else:

@@ -167,7 +167,7 @@ def test_criterion_05_zero_correction_rate_domination():
 def test_criterion_06_duality_gap_iteration_bound():
     t0 = time.perf_counter()
     p = fixtures.svm_dual_toy(n=8, d=10, lam=0.1)
-    reference = reference_solve(p, gap_tol=1e-12)
+    reference = reference_solve(p)
     reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=64,
                                   reference=reference)
     ok = all(rep.mean_gap_at_bound <= rep.epsilon for rep in reports)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fdmkit.geometry import (Box, check_weights, project_box,
-                             projected_gradient, weighted_dual_norm_sq,
-                             weighted_norm_sq)
+from fdmkit.geometry import (Box, check_weights, projected_gradient,
+                             weighted_dual_norm_sq, weighted_norm_sq)
 
 
 def test_weighted_norm_sq_euclidean_case():
@@ -95,12 +94,12 @@ class TestBox:
 def test_project_box_identity_inside():
     box = Box.unit(2)
     x = np.array([0.4, 0.7])
-    assert project_box(x, box).tolist() == [0.4, 0.7]
+    assert box.clip(x).tolist() == [0.4, 0.7]
 
 
 def test_project_box_clipping():
     box = Box.unit(2)
-    assert project_box(np.array([2.0, -1.0]), box).tolist() == [1.0, 0.0]
+    assert box.clip(np.array([2.0, -1.0])).tolist() == [1.0, 0.0]
 
 
 def test_project_box_matches_per_coordinate_minimization(rng):
@@ -109,7 +108,7 @@ def test_project_box_matches_per_coordinate_minimization(rng):
     for _ in range(50):
         x = rng.standard_normal(2) * 3
         w = rng.uniform(0.1, 10.0, 2)
-        proj = project_box(x, box)
+        proj = box.clip(x)
         for i in range(2):
             res = minimize_scalar(lambda y: w[i] * (x[i] - y) ** 2,
                                   bounds=(box.lower[i], box.upper[i]),
@@ -123,8 +122,8 @@ def test_projection_idempotent(rng):
     box = Box(np.array([-2.0, 0.0, 1.0]), np.array([2.0, 1.0, 4.0]))
     for _ in range(100):
         x = rng.standard_normal(3) * 5
-        p1 = project_box(x, box)
-        np.testing.assert_array_equal(project_box(p1, box), p1)
+        p1 = box.clip(x)
+        np.testing.assert_array_equal(box.clip(p1), p1)
 
 
 def test_projection_nonexpansive_in_weighted_norm(rng):
@@ -133,7 +132,7 @@ def test_projection_nonexpansive_in_weighted_norm(rng):
         x = rng.standard_normal(2) * 3
         y = rng.standard_normal(2) * 3
         w = rng.uniform(0.1, 10.0, 2)
-        d_proj = weighted_norm_sq(project_box(x, box) - project_box(y, box), w)
+        d_proj = weighted_norm_sq(box.clip(x) - box.clip(y), w)
         d = weighted_norm_sq(x - y, w)
         assert d_proj <= d * (1 + 1e-12)
 

@@ -64,8 +64,7 @@ def test_coordinate_lipschitz_constants_hold(name, standard_problems, rng):
 
 
 @pytest.mark.parametrize("name", [*fixtures.standard_fixtures(), "erm_logistic",
-                                  "erm_squared", "erm_squared_hinge",
-                                  "lasso_custom_h"])
+                                  "erm_squared", "erm_squared_hinge"])
 def test_state_cache_matches_direct_oracles(name, standard_problems, rng):
     p = _problem(name, standard_problems)
     x = _random_feasible(p, rng)
@@ -113,21 +112,8 @@ def test_start_state_rejects_infeasible_start(name, standard_problems):
         p.start_state(np.full(p.n, 5.0 if np.isfinite(p.box.upper[0]) else -5.0))
 
 
-def _custom_h_lasso():
-    """lasso_small's design with h(u) = sum(cosh(u - b)), a non-quadratic h."""
-    base = fixtures.lasso_small()
-    b = base.target
-    return LassoBoxProblem(base.design, l1=base.l1,
-                           h_value=lambda u: float(np.sum(np.cosh(u - b))),
-                           h_grad=lambda u: np.sinh(u - b),
-                           h_curv=lambda u: np.cosh(u - b))
-
-
 def _problem(name, standard_problems):
-    """A standard fixture, the custom-h lasso, or ``erm_<loss>`` on a small
-    random data set."""
-    if name == "lasso_custom_h":
-        return _custom_h_lasso()
+    """A standard fixture, or ``erm_<loss>`` on a small random data set."""
     if name.startswith("erm_") and name[4:] in _LOSSES:
         return _batched_slice_problems()[name[4:]]
     return standard_problems[name]
@@ -135,10 +121,9 @@ def _problem(name, standard_problems):
 
 @pytest.mark.parametrize("name", ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8",
                                   "lasso_d5", "erm_logistic_n20",
-                                  "quadratic_diag_n5", "quadratic_box_n8",
-                                  "lasso_custom_h"])
+                                  "quadratic_diag_n5", "quadratic_box_n8"])
 def test_batched_values_match_value(name, standard_problems, rng):
-    p = _problem(name, standard_problems)
+    p = standard_problems[name]
     X = np.stack([_random_feasible(p, rng) for _ in range(300)])
     batched = p.values(X)
     assert batched.shape == (300,)
@@ -173,14 +158,13 @@ def _random_path(p, rng, kinds):
 
 @pytest.mark.parametrize("name", ["svm_dual_n2", "svm_dual_n4", "svm_dual_n8",
                                   "lasso_d5", "erm_logistic_n20",
-                                  "quadratic_diag_n5", "quadratic_box_n8",
-                                  "lasso_custom_h"])
+                                  "quadratic_diag_n5", "quadratic_box_n8"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["stay", "bound", "free"]), max_size=40))
 def test_coord_grads_along_matches_coord_gradient(name, standard_problems,
                                                   seed, kinds):
-    p = _problem(name, standard_problems)
+    p = standard_problems[name]
     rng = np.random.Generator(np.random.Philox(key=seed))
     x, coords, values = _random_path(p, rng, kinds)
     g_before, g_after = p.coord_grads_along(x, coords, values)
@@ -288,35 +272,33 @@ def _collapsed(deriv_and_curv, t):
     return deriv_and_curv(t - gap)[0] <= 0.0 <= deriv_and_curv(t + gap)[0]
 
 
-def _start(rng, kind, single, lo):
-    """A start of the kind the slice properties draw, within [lo, inf)."""
+def _start(rng, kind, single):
+    """A start of the kind the slice properties draw."""
     if kind == "near":
-        return max(rng.standard_normal(), lo)
+        return rng.standard_normal()
     if kind == "far":
-        return max(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 6.0), lo)
-    # a start whose derivative is (numerically) zero, or the bound
-    return minimize_slice(single, max(0.0, lo), lo, np.inf)
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 6.0)
+    # a start whose derivative is (numerically) zero
+    return minimize_slice(single, 0.0, single(0.0)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        loss=st.sampled_from(["logistic", "squared_hinge"]),
-       lo=st.sampled_from([-np.inf, 0.0]),
        starts=st.lists(st.sampled_from(["near", "far", "optimum"]),
                        min_size=1, max_size=8))
-def test_minimize_slices_matches_minimize_slice(seed, loss, lo, starts):
+def test_minimize_slices_matches_minimize_slice(seed, loss, starts):
     batched, single, rng = _erm_slices(loss, seed, len(starts))
-    t0 = np.array([_start(rng, kind, single(e), lo)
+    t0 = np.array([_start(rng, kind, single(e))
                    for e, kind in enumerate(starts)])
     d0 = batched(t0, np.arange(len(starts)))[0]
-    wants = [minimize_slice(single(e), t0[e], lo, np.inf, d0=d0[e])
+    wants = [minimize_slice(single(e), t0[e], d0[e])
              for e in range(len(starts))]
-    got = minimize_slices(batched, t0, d0, lo)
+    got = minimize_slices(batched, t0, d0)
     for e, (t, want) in enumerate(zip(got, wants)):
         assert t == want and np.signbit(t) == np.signbit(want)
         assert (abs(single(e)(t)[0]) <= SLICE_DERIV_TOL
-                or _collapsed(single(e), t)
-                or (t == lo and single(e)(t)[0] >= 0.0))
+                or _collapsed(single(e), t))
         if starts[e] == "optimum":
             assert t == t0[e]
 
@@ -325,13 +307,12 @@ def test_slice_solvers_converge_where_newton_oscillated():
     # slice 0 starts at t0 = -1913.86, where Newton steps accepted anywhere
     # inside the bracket alternated between t = 3.4976 and -5.3754
     batched, single, rng = _erm_slices("logistic", 21376, 4)
-    t0 = np.array([_start(rng, "far", single(e), -np.inf) for e in range(4)])
+    t0 = np.array([_start(rng, "far", single(e)) for e in range(4)])
     assert t0[0] == -1913.8560485034996
     d0 = batched(t0, np.arange(4))[0]
     got = minimize_slices(batched, t0, d0)
     for e in range(4):
-        assert got[e] == minimize_slice(single(e), t0[e], -np.inf, np.inf,
-                                        d0=d0[e])
+        assert got[e] == minimize_slice(single(e), t0[e], d0[e])
         assert abs(single(e)(got[e])[0]) <= SLICE_DERIV_TOL
 
 
@@ -340,7 +321,7 @@ def test_minimize_slices_too_few_iterations_raise():
     t0 = np.array([0.0, 1e4, -1e5])
     d0 = batched(t0, np.arange(3))[0]
     with pytest.raises(SliceMinError):
-        minimize_slice(single(1), t0[1], -np.inf, np.inf, max_iter=2)
+        minimize_slice(single(1), t0[1], d0[1], max_iter=2)
     with pytest.raises(SliceMinError):
         minimize_slices(batched, t0, d0, max_iter=2)
 
@@ -356,8 +337,20 @@ def _batched_slice_problems():
     probs["quadratic_box"] = fixtures.quadratic_box()
     probs["svm_dual"] = fixtures.svm_dual_toy(n=4, d=4, seed=17)
     probs["lasso"] = fixtures.lasso_small()
-    probs["lasso_custom_h"] = _custom_h_lasso()
     return probs
+
+
+def test_newton_slices_only_on_free_boxes(standard_problems, small_problems):
+    # the slice solvers search the real line, which is a coordinate's whole
+    # range only where the box is free; every other slice is exact quadratic
+    probs = {**standard_problems, **small_problems, **_batched_slice_problems()}
+    newton = []
+    for name, p in probs.items():
+        if p._slice_curv is None:
+            assert p.box.is_free(), name
+            assert p._slice_deriv_curv is not None, name
+            newton.append(name)
+    assert sorted(newton) == ["erm_logistic_n20", "logistic", "squared_hinge"]
 
 
 @pytest.mark.parametrize("name", sorted(_batched_slice_problems()))
@@ -365,7 +358,7 @@ def test_batched_oracles_match_scalar_oracles(name, rng):
     p = _batched_slice_problems()[name]
     X = np.array([_random_feasible(p, rng) for _ in range(6)])
     U = p._images(X)
-    G = p._gradients_at(X, U)
+    G = p._grad(X, p._phi(U))
     tilde = p.slice_minimizers(X, U, G)
     for r, x in enumerate(X):
         np.testing.assert_allclose(G[r], p.gradient(x), rtol=1e-12, atol=1e-14)

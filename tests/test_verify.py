@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdmkit import fixtures, verify
-from fdmkit.geometry import Box, project_box
+from fdmkit.geometry import Box
 from fdmkit.problems import (ErmProblem, QuadraticProblem, f_noise,
                              global_lipschitz_bound)
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
@@ -76,7 +76,7 @@ class TestReconstructZ:
             z = reconstruct_z_option1(p, x, i, tilde, w, mode="rcfdm")
             step = np.zeros(4)
             step[i] = p.gradient(x)[i] - z.z[i]
-            replayed = project_box(x - step / w, p.box)
+            replayed = p.box.clip(x - step / w)
             x_next = x.copy()
             x_next[i] = tilde
             np.testing.assert_allclose(replayed, x_next, atol=1e-12)
@@ -595,7 +595,7 @@ class TestTraceInvariants:
         tr = run_cyclic_cd(p, cfg) if method == "cyclic" else run_scdm(p, cfg)
         clean = check_trace_invariants(tr, p)
         assert clean.objective_consistent
-        ks, X = tr.snapshots()
+        ks, X = tr.snap_ks, tr.snap_x
         X = X.copy()
         X[len(ks) // 2] += 0.25  # still feasible: every entry grows
         rep = check_trace_invariants(dataclasses.replace(tr, snap_x=X), p)
