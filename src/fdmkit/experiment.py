@@ -17,7 +17,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -481,7 +481,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             rc = rate_rcfdm_general(kappa_hat, zeta, beta, omega, problem.n)
         else:
             rc = rate_rfdm(kappa_hat, zeta, beta, omega, lfw)
-        rate_block = rc.as_dict()
+        rate_block = asdict(rc)
 
     # built per call, so a caller may replace check_rcfdm or check_rfdm
     every = cfg.verify["check_every"]
@@ -530,7 +530,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         reports = mean_gap_experiment(problem, cfg.gap["epsilons"],
                                       n_seeds=cfg.gap["n_seeds"],
                                       kappa_hat=kappa_hat, reference=reference)
-        gap_block = [r.as_dict() for r in reports]
+        gap_block = [asdict(r) for r in reports]
 
     ok_finals = [e["final_f"] for e in seed_entries if e["status"] == "ok"]
     report = {

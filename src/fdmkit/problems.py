@@ -30,11 +30,20 @@ import numpy as np
 from .geometry import Box, check_weights, _check_vector
 
 SLICE_DERIV_TOL = 1e-12
-SLICE_MAX_ITER = 50
+# The slice rule's iteration cap, 4189, from the float64 format.  Within two
+# widenings t moves away from 0 with |t| >= 1, and each later one doubles |t|
+# until it overflows.  Bisections halve a finite bracket, at most 2^(maxexp+1)
+# wide, until it is the smallest subnormal wide and its midpoint is an end.
+# Accepted Newton steps in a finite bracket halve |d| from at most 2^maxexp to
+# SLICE_DERIV_TOL.  The cap sums the three counts (Newton steps in a half-open
+# bracket are not counted); a solve that ends under a smaller cap is unchanged.
+_F64 = np.finfo(float)
+SLICE_MAX_ITER = ((_F64.maxexp + 2) + (_F64.maxexp + 1 - _F64.minexp + _F64.nmant)
+                  + (_F64.maxexp + math.ceil(-math.log2(SLICE_DERIV_TOL))))
 
 # Largest argument whose exponential is finite.
-_EXP_MAX_ARG = float(np.log(np.finfo(float).max))
-_EPS = float(np.finfo(float).eps)
+_EXP_MAX_ARG = float(np.log(_F64.max))
+_EPS = float(_F64.eps)
 
 
 def f_noise(f):

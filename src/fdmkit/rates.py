@@ -38,10 +38,6 @@ class RateConstants:
     factor: float
     inputs: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"framework": self.framework, "c": self.c,
-                "factor": self.factor, "inputs": self.inputs}
-
 
 def _require_positive(**kwargs) -> None:
     for name, val in kwargs.items():
@@ -137,16 +133,6 @@ class GapReport:
     observed_iteration: Optional[int] = None
     mean_gap_at_bound: Optional[float] = None
     n_seeds: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon, "s": self.s, "sigma_sq": self.sigma_sq,
-            "iteration_bound": self.iteration_bound, "kappa_f": self.kappa_f,
-            "initial_bound": self.initial_bound,
-            "observed_iteration": self.observed_iteration,
-            "mean_gap_at_bound": self.mean_gap_at_bound,
-            "n_seeds": self.n_seeds,
-        }
 
 
 def sdca_iteration_bound(epsilon: float, lam: float, sigma_sq: float, n: int,

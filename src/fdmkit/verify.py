@@ -8,12 +8,12 @@ coordinate choice, computed exactly from all n candidates, never by Monte
 Carlo.  Each piece of that math is written once: the theory constants in
 :func:`fdm_constants`; z, its part above rounding and the error of the
 projected update it replays in ``_z_kernel``; the worst ratios in ``_fold``.
-One walk, ``_replay_walk``, takes a trace in chunks of steps, rebuilds x at
-each chunk start by assigning the recorded values, evaluates the chunk's
-gradients from scratch along its path, never from the solver's incremental
-caches, and replays every checked step.  :func:`check_rcfdm` takes its
-ratios from the walk; :func:`check_rfdm` adds the candidate enumeration, one
-batched slice solve for all of a chunk's checked iterates.
+Both checkers walk a trace with ``_walk``, which only rebuilds x at each
+chunk start by assigning the recorded values.  :func:`check_rcfdm` evaluates
+a chunk's gradients from scratch along its path, never from the solver's
+incremental caches, and replays every checked step; :func:`check_rfdm`
+evaluates only the checked iterates, replays their steps and adds the
+candidate enumeration, one batched slice solve per chunk.
 """
 
 from __future__ import annotations
@@ -253,38 +253,23 @@ def _assign_last(x: np.ndarray, coords: np.ndarray, values: np.ndarray) -> None:
     x[c_last] = values[::-1][pos]
 
 
-def _replay_walk(trace: Trace, p: Problem, w: np.ndarray, check_every: int,
-                 chunk: int):
-    """Replay the checked steps k (``k % check_every == 0``) of a coordinate
-    trace in chunks starting at multiples of ``chunk``.
-
-    Yields ``(a, x, c, old, new, z_eff, checked)`` per chunk: its first step
-    a, x_a (moved on when the walk resumes), the recorded coordinates and
-    values, the values they replace, the kernel's ``z_eff`` and the checked
-    mask.  A checked step that does not replay raises :class:`ReplayError`
-    before its chunk is yielded, and a non-finite recorded value raises
-    ``ValueError`` once the steps before it are walked.
+def _walk(trace: Trace, check_every: int, chunk: int):
+    """Walk a coordinate trace by assignment in chunks starting at multiples
+    of ``chunk``: yield ``(a, x, c, new, ks)`` per chunk, with x = x_a (moved
+    on when the walk resumes), the recorded coordinates and values, and the
+    offsets ks of the checked steps k (``k % check_every == 0``).  Stops
+    before the first non-finite recorded value, then raises ``ValueError``.
     """
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
     coords, values = trace.coords, trace.new_values
     non_finite = np.flatnonzero(~np.isfinite(values))
     end = int(non_finite[0]) if non_finite.size else len(trace)
-    lower, upper = p.box.lower, p.box.upper
     x = trace.x0.copy()
-    g_origin = p.gradient(np.zeros(p.n))
     for a in range(0, end, chunk):
         b = min(a + chunk, end)
         c, new = coords[a:b], values[a:b]
-        old = path_start_values(x, c, new)
-        g, g_tilde = p.coord_grads_along(x, c, new)
-        _, z_eff, err = _z_kernel(trace.option, g, g_tilde, w[c], old, new,
-                                  g_origin[c], trace.omega, lower[c], upper[c])
-        checked = np.arange(a, b) % check_every == 0
-        failed = np.flatnonzero(checked & (err > REPLAY_TOL))
-        if failed.size:
-            raise ReplayError(a + int(failed[0]), float(err[failed[0]]))
-        yield a, x, c, old, new, z_eff, checked
+        yield a, x, c, new, np.arange(-a % check_every, b - a, check_every)
         _assign_last(x, c, new)
     if end < len(trace):
         raise ValueError(f"recorded value at iteration {end} is not finite")
@@ -308,11 +293,19 @@ def check_rcfdm(trace: Trace, p: Problem, w=None,
     constants = fdm_constants(p, w, f"rcfdm-{trace.option}")
     f = trace.f
     chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * p.image_dim))
+    g_origin = p.gradient(np.zeros(p.n))
+    lower, upper = p.box.lower, p.box.upper
     worst = _NO_RATIOS
-    for a, _, c, old, new, z_eff, checked in _replay_walk(trace, p, w,
-                                                           check_every, chunk):
+    for a, x, c, new, ks in _walk(trace, check_every, chunk):
+        old = path_start_values(x, c, new)
+        g, g_tilde = p.coord_grads_along(x, c, new)
+        _, z_eff, err = _z_kernel(trace.option, g, g_tilde, w[c], old, new,
+                                  g_origin[c], trace.omega, lower[c], upper[c])
+        failed = ks[err[ks] > REPLAY_TOL]
+        if failed.size:
+            raise ReplayError(a + int(failed[0]), float(err[failed[0]]))
         # a step that does not move has no correction and is skipped
-        ks = np.flatnonzero(checked & (new != old))
+        ks = ks[new[ks] != old[ks]]
         w_k = w[c[ks]]
         # float_power calls the C pow, as a Python float's ``** 2`` does;
         # pow is not always correctly rounded, so d * d can differ in the
@@ -344,12 +337,14 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
 
     The walk's chunks of ``m * check_every`` steps hold m checked iterates,
     m as large as keeps an ``(m * n, image_dim)`` array within about 128 KiB
-    and at least 1.  Their images and gradients, all ``m * n`` slice
-    minimizers (one :meth:`Problem.slice_minimizers` call) and each
-    candidate's coordinate gradient and objective, from the image moved
-    along its column, are evaluated from scratch.  A non-finite recorded
-    value raises ``ValueError`` unless a replay fails at an earlier checked
-    iteration.
+    and at least 1; unchecked steps are only assigned.  The checked
+    iterates' images and gradients, all ``m * n`` slice minimizers (one
+    :meth:`Problem.slice_minimizers` call) and each candidate's coordinate
+    gradient and objective, from the image moved along its column, are
+    evaluated from scratch.  Each checked step is replayed from that gradient
+    and the one at the image moved to the recorded value (hard
+    :class:`ReplayError` beyond 1e-9).  A non-finite recorded value raises
+    ``ValueError`` unless a replay fails at an earlier checked iteration.
     """
     if not p.box.is_free():
         raise ValueError("expectation-mode certification requires an unconstrained problem")
@@ -363,19 +358,27 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
     rows_per_chunk = max(1, _RFDM_CHUNK_BYTES // (8 * n * p.image_dim))
     g_origin = p.gradient(np.zeros(n))
     worst = _NO_RATIOS
-    for a, x, c, _, new, _, checked in _replay_walk(
-            trace, p, w, check_every, rows_per_chunk * check_every):
-        ks = np.flatnonzero(checked)
+    for a, x, c, new, ks in _walk(trace, check_every,
+                                  rows_per_chunk * check_every):
         m = ks.size
         X = np.empty((m, n))
         x_k = x.copy()
-        at = 0  # x_k is x_{a + at}
         for r, k in enumerate(ks):
-            _assign_last(x_k, c[at:k], new[at:k])
-            at = k
-            X[r] = x_k
+            X[r] = x_k  # x_{a + k}
+            _assign_last(x_k, c[k:k + check_every], new[k:k + check_every])
         U = p._images(X)
         G = p._grad(X, p._phi(U))
+
+        # replay: row r's recorded step moves coordinate i to new_k
+        rows, i, new_k = np.arange(m), c[ks], new[ks]
+        old, cols = X[rows, i], p._cols[i]
+        U_k = U + cols * (new_k - old)[:, None]
+        _, _, err = _z_kernel(OPTION_I, G[rows, i],
+                              p._coord_grad(i, new_k, p._phi(U_k), cols), w[i],
+                              old, new_k, g_origin[i], trace.omega)
+        failed = np.flatnonzero(err > REPLAY_TOL)
+        if failed.size:
+            raise ReplayError(a + int(ks[failed[0]]), float(err[failed[0]]))
 
         # candidate (r, j): row r with coordinate j at its slice minimizer
         tilde = p.slice_minimizers(X, U, G)

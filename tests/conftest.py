@@ -26,6 +26,22 @@ def small_problems():
     return fixtures.small_fixtures()
 
 
+@pytest.fixture(scope="session")
+def far_squared_hinge():
+    """30 squared-hinge ERM instances ``(p, x0)`` whose far starts make some
+    slice solves bisect to float resolution: with a cap of 50 slice
+    iterations, ``run_scdm`` (200 Option I steps at seed t) failed on
+    instance 19 and ``check_rfdm`` of those traces on instances 10 and 22."""
+    gen = np.random.default_rng(2)
+    out = []
+    for _ in range(30):
+        A = gen.standard_normal((15, 4))
+        y = np.sign(gen.standard_normal(15))
+        x0 = gen.choice([-1, 1], 4) * 10 ** gen.uniform(2, 5, 4)
+        out.append((fdmkit.ErmProblem(A, y, lam=0.07, loss="squared_hinge"), x0))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))

@@ -191,6 +191,12 @@ class TestRunScdm:
             tr = run_scdm(p, SolverConfig(max_iters=20, seed=seed, x0=x0))
             assert len(tr) == 20 and np.isfinite(tr.f[-1])
 
+    def test_option1_converges_from_far_squared_hinge_starts(
+            self, far_squared_hinge):
+        for seed, (p, x0) in enumerate(far_squared_hinge):
+            tr = run_scdm(p, SolverConfig(max_iters=200, seed=seed, x0=x0))
+            assert len(tr) == 200 and np.isfinite(tr.f[-1])
+
 
 # the standard and small fixtures whose slices are exact quadratics
 _CLOSED_FORM = ("svm_dual_n2", "svm_dual_n4", "svm_dual_n8", "quadratic_diag_n5",

@@ -5,7 +5,7 @@ import pytest
 
 from fdmkit import fixtures, verify
 from fdmkit.geometry import Box
-from fdmkit.problems import (ErmProblem, QuadraticProblem, f_noise,
+from fdmkit.problems import (ErmProblem, Problem, QuadraticProblem, f_noise,
                              global_lipschitz_bound)
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
@@ -305,6 +305,31 @@ class TestCheckRfdm:
             2 * (lfw**2 + 1) + (p.n - 1) * r_sq)
         assert cert.passed
         assert cert.eta_hat == cert.beta_hat_sq
+
+    @pytest.mark.parametrize("seed", [10, 22])
+    def test_far_squared_hinge_traces_certify(self, far_squared_hinge, seed):
+        p, x0 = far_squared_hinge[seed]
+        tr = run_scdm(p, SolverConfig(max_iters=200, seed=seed, x0=x0))
+        cert = check_rfdm(tr, p, check_every=1)
+        assert cert.n_checked == 200 and cert.passed
+
+    def test_evaluates_no_path_gradients(self, standard_problems, monkeypatch):
+        # unchecked steps are only assigned, and each checked step replays
+        # from the gradients at its own iterate
+        p = standard_problems["erm_logistic_n20"]
+        tr = run_scdm(p, SolverConfig(max_iters=200, seed=6), option="I")
+        bad = with_new_value(tr, 13, tr.new_values[13] + 1.7)
+        want = [check_rfdm(tr, p, check_every=e).as_dict() for e in (1, 3)]
+
+        def no_path(*args, **kwargs):
+            raise AssertionError("check_rfdm evaluated path gradients")
+
+        monkeypatch.setattr(Problem, "coord_grads_along", no_path)
+        assert [check_rfdm(tr, p, check_every=e).as_dict()
+                for e in (1, 3)] == want
+        with pytest.raises(ReplayError) as err:
+            check_rfdm(bad, p, check_every=3)
+        assert err.value.k == 15
 
     def test_check_every_default_budget(self):
         assert default_rfdm_check_every(10, 1000) == 1
