@@ -253,6 +253,26 @@ def _assign_last(x: np.ndarray, coords: np.ndarray, values: np.ndarray) -> None:
     x[c_last] = values[::-1][pos]
 
 
+def _checked_rows(x: np.ndarray, c: np.ndarray, new: np.ndarray,
+                  ks: np.ndarray) -> np.ndarray:
+    """The iterates x_{a + k} at the increasing offsets ``ks`` of a chunk
+    that starts at ``x = x_a`` and assigns ``new[t]`` to coordinate ``c[t]``
+    at its step t, as the rows of one ``(ks.size, n)`` array.
+
+    Row r holds, per coordinate, the value of the last step before ``ks[r]``
+    that assigns it, or x's: the last step index per (segment between checked
+    offsets, coordinate), then its running maximum over the segments.
+    """
+    steps = np.arange(c.size)
+    # step t is seen by rows seg[t] and after; rows past the last see none
+    seg = np.searchsorted(ks, steps, side="right")
+    seen = seg < ks.size
+    last = np.full((ks.size, x.size), -1)
+    np.maximum.at(last, (seg[seen], c[seen]), steps[seen])
+    np.maximum.accumulate(last, axis=0, out=last)
+    return np.where(last >= 0, new[last], x)
+
+
 def _walk(trace: Trace, check_every: int, chunk: int):
     """Walk a coordinate trace by assignment in chunks starting at multiples
     of ``chunk``: yield ``(a, x, c, new, ks)`` per chunk, with x = x_a (moved
@@ -361,11 +381,7 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
     for a, x, c, new, ks in _walk(trace, check_every,
                                   rows_per_chunk * check_every):
         m = ks.size
-        X = np.empty((m, n))
-        x_k = x.copy()
-        for r, k in enumerate(ks):
-            X[r] = x_k  # x_{a + k}
-            _assign_last(x_k, c[k:k + check_every], new[k:k + check_every])
+        X = _checked_rows(x, c, new, ks)
         U = p._images(X)
         G = p._grad(X, p._phi(U))
 

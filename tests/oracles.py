@@ -7,7 +7,8 @@ Hoffman maximization by dense sampling of the unit sphere.  The rcfdm
 certificate has a step-by-step reference that evaluates the scalar
 coordinate gradient twice per step, and the rfdm certificate one that
 solves each of the n candidate slices of a checked step through a scalar
-state.
+state; the checked iterates of one chunk of the rfdm walk have a
+row-by-row reference.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from fdmkit.geometry import check_weights
 from fdmkit.problems import SLICE_DERIV_TOL, f_noise, global_lipschitz_bound
 from fdmkit.solvers import OPTION_I, OPTION_II
 from fdmkit.verify import (_EPS, REPLAY_TOL, Certificate, ReplayError,
-                           _certificate_pass, _z_noise,
+                           _assign_last, _certificate_pass, _z_noise,
                            default_rfdm_check_every)
 
 
@@ -275,3 +276,15 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
         worst_zeta_k=worst_zeta_k,
         passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma),
         eta_hat=float(beta_hat_sq))
+
+
+def checked_rows_by_row(x, c, new, ks, check_every):
+    """The iterates at a chunk's checked offsets ``ks``, spaced
+    ``check_every`` apart, one row at a time: each row is the last one with
+    the ``check_every`` recorded assignments between them applied."""
+    X = np.empty((ks.size, x.size))
+    x_k = x.copy()
+    for r, k in enumerate(ks):
+        X[r] = x_k
+        _assign_last(x_k, c[k:k + check_every], new[k:k + check_every])
+    return X

@@ -10,12 +10,15 @@ import pytest
 import fdmkit.experiment as expmod
 import fdmkit.solvers as solvers
 from fdmkit import fixtures
+from fdmkit.datasets import gaussian_margin
 from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
                                load_config, mean_gap_experiment,
                                reference_solve, run_experiment,
                                validate_pipeline, validate_report,
                                write_trace_csv)
+from fdmkit.problems import ErmProblem, f_noise
+from fdmkit.rates import estimate_kappa_f
 from fdmkit.solvers import SolverConfig, run_scdm
 from fdmkit.verify import Certificate
 
@@ -312,6 +315,91 @@ class TestRunExperiment:
             assert r.mean_gap_at_bound == pytest.approx(gap0, rel=1e-15, abs=0)
 
 
+def _erm_instance(name):
+    """``fixtures.erm_logistic()``, or ``'<loss>-<data seed>'``: that loss on
+    200 x 20 gaussian-margin data with lam 0.01, as the benchmark's ERM
+    run builds it."""
+    if name == "fixture":
+        return fixtures.erm_logistic()
+    loss, seed = name.rsplit("-", 1)
+    ds = gaussian_margin(200, 20, seed=int(seed))
+    return ErmProblem(ds.features, ds.labels, lam=0.01, loss=loss)
+
+
+ERM_REFERENCE_CASES = ["fixture"] + [
+    f"{loss}-{seed}" for seed in (0, 1, 2)
+    for loss in ("logistic", "squared_hinge", "squared")]
+
+
+class TestReferenceSolve:
+    @pytest.mark.parametrize("name", ["fixture", "logistic-1",
+                                      "squared_hinge-0", "squared_hinge-2",
+                                      "squared-1"])
+    def test_newton_gradient_at_rounding_level(self, name):
+        p = _erm_instance(name)
+        x_star, f_star = p.newton_minimizer()
+        g0 = np.max(np.abs(p.gradient(np.zeros(p.n))))
+        assert np.max(np.abs(p.gradient(x_star))) <= 1e-15 * max(1.0, g0)
+        assert f_star == p.value(x_star)
+
+    @pytest.mark.parametrize("name", ERM_REFERENCE_CASES)
+    def test_erm_trajectory_stops_on_stall_with_equal_kappa(self, name):
+        # the full-budget trajectory of the reference run before it stopped
+        p = _erm_instance(name)
+        iters = max(400 * p.n, 20_000)
+        full = run_scdm(p, SolverConfig(max_iters=iters, seed=10_000), "I")
+        x_star, f_star, short = reference_solve(p)
+        assert short.stop_reason == "stall" and len(short) < iters
+        # the snapshots are a prefix of the full run's, plus the stop point
+        kept = len(short.snap_ks) - 1
+        assert short.snap_ks[:kept].tolist() == full.snap_ks[:kept].tolist()
+        assert short.snap_x[:kept].tobytes() == full.snap_x[:kept].tobytes()
+        assert short.f.tobytes() == full.f[:len(short) + 1].tobytes()
+        assert f_star <= full.f[-1] + f_noise(f_star)
+        w = p.lipschitz
+        assert (estimate_kappa_f(p, short, x_star, f_star, w)
+                == estimate_kappa_f(p, full, x_star, f_star, w))
+
+    def test_reference_iters_caps_the_erm_trajectory(self, tmp_path,
+                                                     monkeypatch):
+        p = _erm_instance("fixture")
+        x_star, _, tr = reference_solve(p, iters=50)
+        assert len(tr) == 50 and tr.stop_reason == "budget"
+        assert x_star.tobytes() == p.newton_minimizer()[0].tobytes()
+        lengths = []
+
+        def spy(problem, iters=None):
+            out = reference_solve(problem, iters)
+            lengths.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(expmod, "reference_solve", spy)
+        ds = gaussian_margin(30, 5, seed=0)
+        result = run_experiment(ExperimentConfig.from_dict({
+            "problem": {"kind": "erm", "lam": 0.01},
+            "dataset": {"source": "synthetic", "generator": "gaussian-margin",
+                        "n": 30, "d": 5, "seed": 0},
+            "solver": {"kind": "scdm", "option": "I", "max_iters": 40},
+            "rates": {"enabled": True, "reference_iters": 12},
+            "seeds": [0], "output_dir": str(tmp_path / "out")}))
+        assert result.exit_code == 0 and lengths == [12]
+        _, f_star = ErmProblem(ds.features, ds.labels,
+                               lam=0.01).newton_minimizer()
+        assert result.report["aggregate"]["f_star_reference"] == f_star
+
+    def test_svm_dual_keeps_the_gap_stopped_run(self):
+        p = fixtures.svm_dual_toy()
+        x_star, f_star, tr = reference_solve(p)
+        want = run_scdm(p, SolverConfig(max_iters=max(400 * p.n, 20_000),
+                                        seed=10_000, gap_tol=1e-12), "I")
+        assert tr.stop_reason == want.stop_reason == "gap"
+        assert x_star.tobytes() == want.final_x.tobytes()
+        assert f_star == float(want.f[-1])
+        for field in ("f", "coords", "new_values", "snap_ks", "snap_x"):
+            assert getattr(tr, field).tobytes() == getattr(want, field).tobytes()
+        assert tr.gaps == want.gaps
+
+
 class TestTraceCsv:
     def test_schema_and_round_trip_precision(self, tmp_path):
         p = fixtures.svm_dual_toy(n=4, d=4)
@@ -400,7 +488,7 @@ class TestCli:
         assert report["failed_seeds"] == [0]
 
     @pytest.mark.parametrize("package", ["scipy", "concurrent",
-                                         "multiprocessing"])
+                                         "multiprocessing", "jsonschema"])
     def test_import_loads_no_scipy(self, package):
         # nor a process pool: every seed runs in the calling process
         code = ("import sys, fdmkit, fdmkit.cli; print(sorted(m for m in "

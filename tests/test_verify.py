@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdmkit import fixtures, verify
+from fdmkit.datasets import gaussian_margin
 from fdmkit.geometry import Box
 from fdmkit.problems import (ErmProblem, Problem, QuadraticProblem, f_noise,
                              global_lipschitz_bound)
@@ -12,7 +13,7 @@ from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
 from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
                            check_trace_invariants, cyclic_constants,
                            default_rfdm_check_every, reconstruct_z_option1)
-from oracles import check_rcfdm_scalar, check_rfdm_scalar
+from oracles import checked_rows_by_row, check_rcfdm_scalar, check_rfdm_scalar
 
 
 def with_new_value(tr, k, value):
@@ -412,6 +413,56 @@ class TestRfdmMatchesScalarEnumeration:
                 or abs(ratios[got.worst_beta_k][0] - want.beta_hat_sq) <= beta_tol)
         assert (got.worst_zeta_k == want.worst_zeta_k
                 or abs(ratios[got.worst_zeta_k][1] - want.zeta_hat) <= zeta_tol)
+
+
+class TestCheckedRows:
+    """check_rfdm builds each chunk's checked iterates in one pass; the
+    row-by-row loop in oracles is the reference, and assignments are exact,
+    so rows and certificates must be byte-identical."""
+
+    @staticmethod
+    def assert_rows_match(tr, check_every, rows_per_chunk):
+        for _, x, c, new, ks in verify._walk(tr, check_every,
+                                             rows_per_chunk * check_every):
+            got = verify._checked_rows(x, c, new, ks)
+            assert got.tobytes() == checked_rows_by_row(
+                x, c, new, ks, check_every).tobytes()
+
+    @pytest.mark.parametrize("check_every", [1, 3, 4])
+    @pytest.mark.parametrize("name", ["logistic", "squared_hinge",
+                                      "separable_quadratic"])
+    def test_certificate_equals_row_by_row(self, name, check_every,
+                                           monkeypatch):
+        p = _rfdm_problem(name)
+        _rfdm_chunk(monkeypatch, p, 5)
+        tr = run_scdm(p, SolverConfig(max_iters=97, seed=4,
+                                      x0=np.linspace(-1.5, 2.0, p.n)), "I")
+        self.assert_rows_match(tr, check_every, 5)
+        got = check_rfdm(tr, p, check_every=check_every).as_dict()
+        monkeypatch.setattr(verify, "_checked_rows",
+                            lambda x, c, new, ks: checked_rows_by_row(
+                                x, c, new, ks, check_every))
+        assert got == check_rfdm(tr, p, check_every=check_every).as_dict()
+
+    def test_long_logistic_trace(self):
+        # 20000 steps on 200 x 20 logistic ERM; check_rfdm takes four
+        # checked rows per chunk there
+        ds = gaussian_margin(200, 20, seed=1)
+        p = ErmProblem(ds.features, ds.labels, lam=0.01)
+        tr = run_scdm(p, SolverConfig(max_iters=20_000, seed=3), "I")
+        for check_every in (1, 3, 4):
+            self.assert_rows_match(tr, check_every, 4)
+
+    def test_rows_past_assignments_and_empty_chunk(self):
+        x = np.array([1.0, -0.0, 3.0])
+        c = np.array([2, 0, 2, 1, 2])
+        new = np.array([5.0, 6.0, 7.0, 0.0, 9.0])
+        ks = np.array([0, 1, 3, 4])
+        want = np.array([[1.0, -0.0, 3.0], [1.0, -0.0, 5.0],
+                         [6.0, -0.0, 7.0], [6.0, 0.0, 7.0]])
+        assert verify._checked_rows(x, c, new, ks).tobytes() == want.tobytes()
+        empty = verify._checked_rows(x, c[:0], new[:0], ks[:0])
+        assert empty.shape == (0, 3)
 
 
 class TestRfdmReplayErrors:
