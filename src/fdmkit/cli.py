@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, action="append",
                          help="replace the config seed list (repeatable)")
         cmd.add_argument("--epsilon", type=float,
-                         help="override the stopping/gap tolerance")
+                         help="override the duality-gap tolerance "
+                         "(svm-dual only)")
         cmd.add_argument("--max-iters", type=int, help="override iteration budget")
         return cmd
 

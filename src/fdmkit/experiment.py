@@ -270,6 +270,9 @@ def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
         raise ConfigError("verify.rcfdm requires solver kind 'scdm'")
     if cfg.gap["enabled"] and not isinstance(p, SvmDualProblem):
         raise ConfigError("the duality-gap experiment requires an svm-dual problem")
+    if cfg.epsilon is not None and not hasattr(p, "_gap_at"):
+        raise ConfigError("epsilon is a duality-gap tolerance and requires "
+                          "an svm-dual problem")
     try:
         sc = _solver_config(cfg, p, 0)
         sc.resolve_w(p)
@@ -347,8 +350,8 @@ def reference_solve(p: Problem, iters: Optional[int] = None):
         sc = SolverConfig(max_iters=iters, seed=_REFERENCE_SEED, stall_tol=0.0)
         x_star, f_star = p.newton_minimizer()
         return x_star, f_star, run_scdm(p, sc, option=OPTION_I)
-    sc = SolverConfig(max_iters=iters, seed=_REFERENCE_SEED,
-                      gap_tol=_REFERENCE_GAP_TOL)
+    gap_tol = _REFERENCE_GAP_TOL if isinstance(p, SvmDualProblem) else None
+    sc = SolverConfig(max_iters=iters, seed=_REFERENCE_SEED, gap_tol=gap_tol)
     tr = run_scdm(p, sc, option=OPTION_I)
     return tr.final_x, float(tr.f[len(tr)]), tr
 

@@ -325,10 +325,6 @@ class Problem(ABC):
 
         return minimize_slices(deriv_and_curv, x, grads.ravel()).reshape(m, n)
 
-    def exact_coord_min(self, x, i: int) -> float:
-        """One-off exact coordinate minimizer (builds a throwaway state)."""
-        return self.start_state(x).exact_coord_min(i)
-
     def start_state(self, x0) -> "ProblemState":
         """A fresh run state at a copy of ``x0``, which must lie in the box."""
         return ProblemState(self, self._check_feasible(x0).copy())
@@ -874,38 +870,3 @@ class LassoBoxProblem(Problem):
     def _coord_grad(self, i, xi, phi, cols):
         return _dot(cols, phi) + self._q_lift[i] + self.l1
 
-
-# ---------------------------------------------------------------------------
-# sampled verification of coordinate strong convexity
-
-
-def check_coord_strong_convexity(p: Problem, gamma: float, w,
-                                 samples: int = 1000, seed: int = 0,
-                                 rtol: float = 1e-9):
-    """Sampled test of the coordinate strong-convexity inequality.
-
-    Draws ``samples`` triples (x, i, xi) with x feasible and xi in X_i and
-    checks that the slice gap  f(x with xi at i) - f(x) + grad_i f(x)(x_i - xi)
-    dominates ``gamma * w_i (xi - x_i)^2``.  Sampling (seeded) stands in for
-    the universal statement, which is not desk-checkable.
-
-    Returns ``(ok, witness)`` where witness describes the first violation.
-    """
-    w = check_weights(w, p.n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    lo = np.where(np.isinf(p.box.lower), -10.0, p.box.lower)
-    hi = np.where(np.isinf(p.box.upper), 10.0, p.box.upper)
-    for _ in range(samples):
-        x = rng.uniform(lo, hi)
-        i = int(rng.integers(p.n))
-        xi = rng.uniform(lo[i], hi[i])
-        fx = p.value(x)
-        gi = p.coord_gradient(x, i)
-        x_mod = x.copy()
-        x_mod[i] = xi
-        lhs = p.value(x_mod) - fx + gi * (x[i] - xi)
-        rhs = gamma * w[i] * (xi - x[i]) ** 2
-        slack = rtol * max(1.0, abs(lhs), rhs)
-        if lhs < rhs - slack:
-            return False, {"x": x, "i": i, "xi": xi, "lhs": lhs, "rhs": rhs}
-    return True, None

@@ -164,45 +164,11 @@ def sdca_iteration_bound(epsilon: float, lam: float, sigma_sq: float, n: int,
 # conditioning estimates
 
 
-# Power iteration stops when the Rayleigh quotient moves by at most this
-# fraction of max(1, itself), or after this many products.
-_POWER_RTOL = 1e-8
-_POWER_MAX_ITER = 100_000
-
-
-def spectral_norm(mat, seed: int = 0) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
-    mat = np.asarray(mat, dtype=float)
-    gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
-    m = gram.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        gv = gram @ v
-        lam_new = float(v @ gv)
-        nrm = np.linalg.norm(gv)
-        if nrm == 0.0:
-            return 0.0
-        v = gv / nrm
-        if abs(lam_new - lam) <= _POWER_RTOL * max(1.0, abs(lam_new)):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def svm_sigma_sq(p) -> float:
-    """Gap-bound constant sigma^2 = ||A|| / n for the label-scaled data matrix."""
-    return spectral_norm(p.ya.T) / p.n
-
-
-def quadratic_lipschitz_w(p: QuadraticProblem, w) -> float:
-    """Tight W-norm gradient Lipschitz constant of a quadratic,
-    ||W^{-1/2} H W^{-1/2}||, via power iteration."""
-    w = check_weights(w, p.n)
-    s = 1.0 / np.sqrt(w)
-    return spectral_norm(s[:, None] * p.hessian * s[None, :])
+    """Gap-bound constant sigma^2 = ||A|| / n for the label-scaled data matrix,
+    with ||A|| its largest singular value from an exact SVD (an estimate from
+    below would make the iteration bound optimistic)."""
+    return float(np.linalg.norm(p.ya, 2)) / p.n
 
 
 # Squared W-distance to the solution set below which a snapshot is skipped.
@@ -363,32 +329,3 @@ def kappa_from_theta(sigma_h: float, theta: float) -> float:
     """Quadratic-growth modulus from the Hoffman constant: sigma_h / (2 theta^2)."""
     _require_positive(sigma_h=sigma_h, theta=theta)
     return sigma_h / (2.0 * theta**2)
-
-
-def kappa_from_eta(l_f_w: float, eta_f: float) -> float:
-    """Quadratic-growth modulus from the global error bound: L_f^W / (2 eta_f^2).
-
-    Note the error-bound route scales like theta^4 where the direct route
-    ``kappa_from_theta`` scales like theta^2, so the latter is the sharper
-    estimate when both apply.
-    """
-    _require_positive(l_f_w=l_f_w, eta_f=eta_f)
-    return l_f_w / (2.0 * eta_f**2)
-
-
-def error_bound_eta(theta: float, l_f_w: float, sigma_h: float,
-                    grad_h_norm_at_opt: float, level: float,
-                    grad_f_norm_at_opt: float) -> float:
-    """Global error-bound constant of a polyhedrally constrained composite:
-
-        eta_f = theta^2 (1 + L_f^W) ((1 + 2 ||grad h(A xbar)||^2)/sigma_h
-                                      + 4 M) + 2 theta ||grad f(xbar)||
-
-    evaluated for supplied ingredients (``level`` is the sublevel constant M).
-    """
-    _require_positive(theta=theta, l_f_w=l_f_w, sigma_h=sigma_h)
-    if grad_h_norm_at_opt < 0 or grad_f_norm_at_opt < 0 or level < 0:
-        raise ValueError("norms and the level constant must be nonnegative")
-    return (theta**2 * (1.0 + l_f_w)
-            * ((1.0 + 2.0 * grad_h_norm_at_opt**2) / sigma_h + 4.0 * level)
-            + 2.0 * theta * grad_f_norm_at_opt)

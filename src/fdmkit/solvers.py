@@ -58,8 +58,9 @@ class SolverConfig:
     the step size of the methods that take one (Option II, projected
     gradient); :meth:`step_size` resolves it.  Coordinate sampling is uniform
     over the ``n`` coordinates.  ``gap_tol`` stops a run once the duality
-    gap, evaluated at every recorded snapshot, reaches it; it applies only to
-    problems with a duality gap (the SVM dual) and is ignored on the others.
+    gap, evaluated at every recorded snapshot, reaches it; only problems with
+    a duality gap (the SVM dual) take it, and a run of any other problem
+    raises ``ValueError``.
     """
 
     w: Optional[np.ndarray] = None
@@ -220,28 +221,6 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# single steps (pure; used directly by the equivalence tests)
-
-
-def scdm_step_option1(p: Problem, x, i: int) -> np.ndarray:
-    """Replace coordinate ``i`` of ``x`` by the exact slice minimizer."""
-    out = np.array(x, dtype=float)
-    out[i] = p.exact_coord_min(out, i)
-    return out
-
-
-def scdm_step_option2(p: Problem, x, i: int, omega: float, w) -> np.ndarray:
-    """Projected coordinate-gradient step on coordinate ``i``."""
-    w = check_weights(w, p.n)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    out = np.array(x, dtype=float)
-    g = p.coord_gradient(out, i)
-    out[i] = p.box.clip_coord(out[i] - (omega / w[i]) * g, i)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # runners
 
 
@@ -256,10 +235,15 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     is the run's step size, which ``step`` applies and the trace records;
     the stall window defaults to one pass of ``pass_len`` iterations.
     """
+    gap_of = None
+    if cfg.gap_tol is not None:
+        # the gap rule of a problem that has a duality gap, at the state's image
+        gap_of = getattr(p, "_gap_at", None)
+        if gap_of is None:
+            raise ValueError(f"gap_tol needs a problem with a duality gap; "
+                             f"{type(p).__name__} has none")
     stall_window = cfg.stall_window or pass_len
     state = p.start_state(x0)
-    # the gap rule of a problem that has a duality gap, at the state's image
-    gap_of = getattr(p, "_gap_at", None) if cfg.gap_tol else None
     f0 = state.objective()
     if not math.isfinite(f0):
         raise DivergenceError(0, [f0], "objective is not finite at the start")

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_weights, weighted_dual_norm_sq
+from .geometry import check_weights
 from .problems import (SLICE_DERIV_TOL, Problem, f_noise,
                        global_lipschitz_bound, path_start_values)
 from .solvers import Trace, OPTION_I, OPTION_II
@@ -72,21 +72,6 @@ class ReplayError(RuntimeError):
             f"update replay mismatch at iteration {k}: |error| = {error:.3e} "
             f"(tolerance {REPLAY_TOL:.0e})"
         )
-
-
-@dataclass
-class ZReconstruction:
-    """Correction vector for one exact-minimization step.
-
-    In coordinate mode entries away from the chosen coordinate are zero;
-    in expectation mode they carry the full gradient of the current iterate.
-    """
-
-    k: int
-    i: int
-    z: np.ndarray
-    dual_norm_sq: float
-    mode: str
 
 
 @dataclass
@@ -217,33 +202,6 @@ def _certificate(framework: str, trace: Trace, check_every: int, constants,
         eta_hat=float(beta_hat_sq) if framework == "rfdm" else None,
         inputs={**inputs, "check_every": check_every},
     )
-
-
-def reconstruct_z_option1(p: Problem, x_k, i: int, x_tilde_i: float, w,
-                          k: int = 0, mode: str = "rcfdm") -> ZReconstruction:
-    """Rebuild the correction vector of an exact coordinate-minimization step.
-
-    Coordinate ``i`` is the kernel's correction of the step from
-    ``x_k[i]`` to the slice minimizer ``x_tilde_i``.  Other coordinates are
-    the plain gradient entries (expectation mode) or zero (coordinate mode).
-    """
-    if mode not in ("rcfdm", "rfdm"):
-        raise ValueError("mode must be 'rcfdm' or 'rfdm'")
-    w = check_weights(w, p.n)
-    x_k = np.asarray(x_k, dtype=float)
-    x_t = x_k.copy()
-    x_t[i] = x_tilde_i
-    zi, _, _ = _z_kernel(OPTION_I, p.coord_gradient(x_k, i),
-                         p.coord_gradient(x_t, i), w[i], x_k[i], x_tilde_i, 0.0)
-    if mode == "rfdm":
-        z = p.gradient(x_k)
-        z[i] = zi
-        dual = weighted_dual_norm_sq(z, w)
-    else:
-        z = np.zeros(p.n)
-        z[i] = zi
-        dual = zi * zi / w[i]
-    return ZReconstruction(k=k, i=i, z=z, dual_norm_sq=float(dual), mode=mode)
 
 
 def _assign_last(x: np.ndarray, coords: np.ndarray, values: np.ndarray) -> None:
@@ -426,30 +384,6 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
         worst = _fold(worst, e_z[moved] / e_disp, decrease[moved] / e_disp,
                       a + ks[moved])
     return _certificate("rfdm", trace, check_every, constants, worst)
-
-
-@dataclass(frozen=True)
-class CyclicConstants:
-    """Feasible-descent constants of the deterministic cyclic sweep."""
-
-    beta_sq: float
-    zeta: float
-    omega: float
-
-
-def cyclic_constants(n: int, l_f_w: float, gamma: float = 1.0) -> CyclicConstants:
-    """Constants for cyclic coordinate descent: ``beta^2 = (1 + sqrt(n) L)^2``,
-    :func:`fdm_constants`' ``'cyclic'`` constant.
-
-    One cyclic iteration costs n coordinate updates, so these compare against
-    the randomized constants taken per n single-coordinate steps.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if l_f_w < 1.0:
-        raise ValueError("l_f_w must be >= 1 (it is at least 1 for w = L)")
-    return CyclicConstants(beta_sq=_beta_sq("cyclic", n, l_f_w, 0.0),
-                           zeta=float(gamma), omega=1.0)
 
 
 @dataclass

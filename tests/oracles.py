@@ -3,7 +3,9 @@
 These deliberately avoid the library's solver paths: box-constrained
 quadratics are solved by exhaustive active-set enumeration, tiny duals by
 grid search with refinement, gradients by central differences, and the
-Hoffman maximization by dense sampling of the unit sphere.  The rcfdm
+Hoffman maximization by dense sampling of the unit sphere, coordinate
+strong convexity by sampled slice gaps, and the tight W-norm Lipschitz
+constant of a quadratic by a dense matrix norm.  The rcfdm
 certificate has a step-by-step reference that evaluates the scalar
 coordinate gradient twice per step, and the rfdm certificate one that
 solves each of the n candidate slices of a checked step through a scalar
@@ -149,6 +151,44 @@ def one_sided_allowance(samples, confidence_z=2.3263):
     samples = np.asarray(samples, float)
     se = samples.std(ddof=1) / np.sqrt(samples.shape[0])
     return confidence_z * se
+
+
+def check_coord_strong_convexity(p, gamma, w, samples=1000, seed=0,
+                                 rtol=1e-9):
+    """Sampled test of the coordinate strong-convexity inequality.
+
+    Draws ``samples`` triples (x, i, xi) with x feasible and xi in X_i and
+    checks that the slice gap  f(x with xi at i) - f(x) + grad_i f(x)(x_i - xi)
+    dominates ``gamma * w_i (xi - x_i)^2``.  Sampling (seeded) stands in for
+    the universal statement, which is not desk-checkable.
+
+    Returns ``(ok, witness)`` where witness describes the first violation.
+    """
+    w = check_weights(w, p.n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lo = np.where(np.isinf(p.box.lower), -10.0, p.box.lower)
+    hi = np.where(np.isinf(p.box.upper), 10.0, p.box.upper)
+    for _ in range(samples):
+        x = rng.uniform(lo, hi)
+        i = int(rng.integers(p.n))
+        xi = rng.uniform(lo[i], hi[i])
+        fx = p.value(x)
+        gi = p.coord_gradient(x, i)
+        x_mod = x.copy()
+        x_mod[i] = xi
+        lhs = p.value(x_mod) - fx + gi * (x[i] - xi)
+        rhs = gamma * w[i] * (xi - x[i]) ** 2
+        slack = rtol * max(1.0, abs(lhs), rhs)
+        if lhs < rhs - slack:
+            return False, {"x": x, "i": i, "xi": xi, "lhs": lhs, "rhs": rhs}
+    return True, None
+
+
+def quadratic_lipschitz_w(p, w):
+    """Tight W-norm gradient Lipschitz constant of a quadratic,
+    ||W^{-1/2} H W^{-1/2}||."""
+    s = 1.0 / np.sqrt(check_weights(w, p.n))
+    return float(np.linalg.norm(s[:, None] * p.hessian * s[None, :], 2))
 
 
 def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):

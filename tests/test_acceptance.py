@@ -11,15 +11,14 @@ import pytest
 
 from fdmkit import fixtures
 from fdmkit.experiment import mean_gap_experiment, reference_solve
-from fdmkit.problems import global_lipschitz_bound
+from fdmkit.problems import QuadraticProblem, global_lipschitz_bound
 from fdmkit.rates import (estimate_kappa_f, hoffman_theta_bruteforce,
                           rate_rcfdm_zero_z, svm_sigma_sq)
 from fdmkit.datasets import correlated_rows
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
-                            run_projected_gradient, run_scdm, run_scdm_seeds,
-                            scdm_step_option1, scdm_step_option2)
+                            run_projected_gradient, run_scdm, run_scdm_seeds)
 from fdmkit.verify import (check_rcfdm, check_rfdm, check_trace_invariants,
-                           cyclic_constants)
+                           fdm_constants)
 from oracles import box_qp_oracle, grid_min_2d, svm_dual_batch
 
 Z99 = 2.3263478740408408  # one-sided 99% normal quantile
@@ -199,7 +198,9 @@ def test_criterion_07_hoffman_theta_lower_bound():
 def test_criterion_08_cyclic_versus_randomized_growth():
     ratios = []
     for n in (4, 8, 16, 32):
-        cyc = cyclic_constants(n, float(n)).beta_sq
+        # w = 1 on an identity Hessian gives L_f^W = n
+        cyc = fdm_constants(QuadraticProblem(np.eye(n), np.zeros(n)),
+                            np.ones(n), "cyclic")[0]
         rand = 2.0 * (float(n) ** 2 + 1.0) + (n - 1) * 1.0
         ratios.append(cyc / rand)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -227,8 +228,11 @@ def test_criterion_09_option_equivalence_on_quadratics():
             hi = np.where(np.isinf(p.box.upper), 3.0, p.box.upper)
             x = rng.uniform(lo, hi)
             i = int(rng.integers(p.n))
-            d = np.max(np.abs(scdm_step_option1(p, x, i)
-                              - scdm_step_option2(p, x, i, 1.0, w)))
+            # both steps on the run state that run_scdm steps through
+            st = p.start_state(x)
+            g = st.coord_grad(i)
+            d = abs(st.exact_coord_min(i)
+                    - p.box.clip_coord(x[i] - g / w[i], i))
             worst = max(worst, float(d))
             ok = ok and d <= 1e-12
     _report(9, "exact-minimization equals unit-step coordinate gradient", ok,

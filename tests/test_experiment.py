@@ -254,7 +254,7 @@ class TestRunExperiment:
             assert rc["inputs"]["beta"] == pytest.approx(beta, rel=1e-15)
 
     def test_rate_constants_with_small_lipschitz_bound(self, tmp_path):
-        # weights of 20 give L_f^W = 0.5, below cyclic_constants' range
+        # weights of 20 give L_f^W = 0.5, below the L_f^W >= 1 of w = L
         raw = {"problem": {"kind": "quadratic", "diag": [1, 2, 3, 4],
                            "linear": [1, -1, 1, -1]},
                "solver": {"kind": "cyclic", "w": [20.0] * 4, "max_iters": 10},
@@ -529,6 +529,26 @@ class TestCli:
         cfg_path.write_text(json.dumps(svm_config(tmp_path)))
         assert cli_main(["solve", "--config", str(cfg_path), flag, value]) == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("problem", [
+        {"kind": "quadratic", "diag": [1, 2, 3]},
+        {"kind": "erm", "lam": 0.01},
+        {"kind": "lasso", "l1": 0.2},
+    ])
+    def test_epsilon_without_duality_gap_exit_1(self, problem, tmp_path,
+                                                capsys):
+        # epsilon is a duality-gap tolerance: a problem without a gap fails
+        # before any seed runs instead of running out its budget
+        cfg = {"problem": problem, "solver": {"kind": "scdm", "max_iters": 300},
+               "epsilon": 1e-6, "output_dir": str(tmp_path / "out")}
+        if problem["kind"] != "quadratic":
+            cfg["dataset"] = {"source": "synthetic", "n": 6, "d": 3, "seed": 1,
+                              "generator": "gaussian-margin"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["solve", "--config", str(cfg_path)]) == 1
+        assert "epsilon" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_workers_flag_unrecognized(self, tmp_path, capsys):

@@ -6,11 +6,11 @@ from fdmkit import fixtures
 from fdmkit.geometry import Box
 from fdmkit.problems import (_LOSSES, SLICE_DERIV_TOL, ErmProblem, _dot,
                              LassoBoxProblem, QuadraticProblem, SliceMinError,
-                             SvmDualProblem, check_coord_strong_convexity,
-                             expit, global_lipschitz_bound, lasso_lift,
-                             lasso_project_back, minimize_slice,
+                             SvmDualProblem, expit, global_lipschitz_bound,
+                             lasso_lift, lasso_project_back, minimize_slice,
                              minimize_slices)
-from oracles import fd_gradient, grid_min_2d, svm_dual_batch
+from oracles import (check_coord_strong_convexity, fd_gradient, grid_min_2d,
+                     quadratic_lipschitz_w, svm_dual_batch)
 
 
 def _random_feasible(p, rng):
@@ -682,7 +682,6 @@ class TestGlobalLipschitzBound:
         assert global_lipschitz_bound([1.0, 2.0], [1.0, 1.0]) == pytest.approx(3.0)
 
     def test_bounds_true_constant_for_separable_quadratic(self):
-        from fdmkit.rates import quadratic_lipschitz_w
         L = np.array([1.0, 2.0, 5.0])
         p = QuadraticProblem(np.diag(L), np.zeros(3), Box.free(3))
         true_l = quadratic_lipschitz_w(p, L)

@@ -5,13 +5,12 @@ from fdmkit import fixtures
 from fdmkit.datasets import correlated_rows
 from fdmkit.geometry import Box
 from fdmkit.problems import QuadraticProblem
-from fdmkit.rates import (error_bound_eta, estimate_kappa_f,
-                          hoffman_theta_bruteforce, kappa_from_eta,
-                          kappa_from_theta, measured_rate, quadratic_lipschitz_w,
-                          rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
-                          sdca_iteration_bound, spectral_norm, svm_sigma_sq)
+from fdmkit.rates import (estimate_kappa_f, hoffman_theta_bruteforce,
+                          kappa_from_theta, measured_rate, rate_rcfdm_general,
+                          rate_rcfdm_zero_z, rate_rfdm, sdca_iteration_bound,
+                          svm_sigma_sq)
 from fdmkit.solvers import SolverConfig, run_scdm
-from oracles import sphere_max_ratio
+from oracles import quadratic_lipschitz_w, sphere_max_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +266,13 @@ class TestKappaFormulas:
         assert kappa_from_theta(1.0, 1.0) == pytest.approx(0.5)
         assert kappa_from_theta(1.0, 2.0) == pytest.approx(0.125)
 
-    def test_from_eta(self):
-        assert kappa_from_eta(2.0, 1.0) == pytest.approx(1.0)
-
     def test_theta_doubling_quarters_kappa(self):
         assert kappa_from_theta(3.0, 2.0) == pytest.approx(
             kappa_from_theta(3.0, 1.0) / 4)
 
-    def test_eta_evaluator(self):
-        # theta^2 (1 + L)((1 + 2 g_h^2)/sigma + 4 M) + 2 theta g_f
-        val = error_bound_eta(2.0, 1.0, 0.5, 1.0, 3.0, 0.25)
-        assert val == pytest.approx(4 * 2 * (3.0 / 0.5 + 12.0) + 2 * 2 * 0.25)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             kappa_from_theta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            kappa_from_eta(1.0, 0.0)
-        with pytest.raises(ValueError):
-            error_bound_eta(1.0, 1.0, 1.0, -1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +280,17 @@ class TestKappaFormulas:
 
 
 class TestSpectral:
-    def test_spectral_norm_matches_numpy(self, rng):
-        for _ in range(10):
-            m = rng.standard_normal((6, 4))
-            assert spectral_norm(m, seed=1) == pytest.approx(
-                np.linalg.norm(m, 2), rel=1e-6)
+    def test_sigma_sq_is_the_largest_singular_value(self, rng):
+        # exact, so no direction's Rayleigh quotient exceeds it: an estimate
+        # from below would make the iteration bound optimistic
+        p = fixtures.svm_dual_toy(n=8, d=10)
+        gram = p.ya @ p.ya.T
+        sig = svm_sigma_sq(p)
+        assert sig == pytest.approx(
+            np.sqrt(np.linalg.eigvalsh(gram)[-1]) / p.n, rel=1e-12)
+        for _ in range(50):
+            v = rng.standard_normal(gram.shape[0])
+            assert np.sqrt(v @ gram @ v / (v @ v)) / p.n <= sig * (1 + 1e-12)
 
     def test_sigma_sq_within_stated_range(self):
         p = fixtures.svm_dual_toy(n=8, d=10)

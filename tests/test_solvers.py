@@ -12,8 +12,7 @@ from fdmkit.geometry import Box
 from fdmkit.problems import ErmProblem, QuadraticProblem
 from fdmkit.problems import global_lipschitz_bound
 from fdmkit.solvers import (DivergenceError, SolverConfig, run_cyclic_cd, run_projected_gradient, run_scdm,
-                            run_scdm_seeds, scdm_step_option1,
-                            scdm_step_option2)
+                            run_scdm_seeds)
 from oracles import box_qp_oracle
 
 # numpy warns when a run that diverges on purpose overflows
@@ -28,7 +27,19 @@ def separable_quadratic(L, box=None):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps, taken on the run state that run_scdm steps through
+
+
+def step_option1(p, x, i):
+    st = p.start_state(x)
+    st.set_coord(i, st.exact_coord_min(i))
+    return st.x
+
+
+def step_option2(p, x, i, w):
+    st = p.start_state(x)
+    st.set_coord(i, p.box.clip_coord(x[i] - st.coord_grad(i) / w[i], i))
+    return st.x
 
 
 class TestStepOption1:
@@ -37,7 +48,7 @@ class TestStepOption1:
         for _ in range(20):
             x = rng.standard_normal(3)
             i = int(rng.integers(3))
-            out = scdm_step_option1(p, x, i)
+            out = step_option1(p, x, i)
             # x - (L x)/L leaves at most an ulp of residue
             assert abs(out[i]) <= 4 * np.finfo(float).eps * abs(x[i])
             mask = np.arange(3) != i
@@ -45,7 +56,7 @@ class TestStepOption1:
 
     def test_svm_toy_from_origin_hand_value(self):
         p = fixtures.svm_dual_tiny()
-        out = scdm_step_option1(p, np.zeros(2), 0)
+        out = step_option1(p, np.zeros(2), 0)
         # slice from 0: derivative -1/n, curvature L_0; clip to [0, 1]
         expected = min(1.0, (1.0 / p.n) / p.lipschitz[0])
         assert out[0] == pytest.approx(expected, rel=1e-14)
@@ -54,7 +65,7 @@ class TestStepOption1:
     def test_already_optimal_coordinate_fixed_point(self):
         p = separable_quadratic([2.0, 5.0])
         x = np.array([0.0, 1.3])
-        out = scdm_step_option1(p, x, 0)
+        out = step_option1(p, x, 0)
         np.testing.assert_array_equal(out, x)
 
 
@@ -62,13 +73,13 @@ class TestStepOption2:
     def test_zero_gradient_unchanged(self):
         p = separable_quadratic([1.0, 4.0])
         x = np.array([0.0, 0.0])
-        out = scdm_step_option2(p, x, 1, 1.0, p.lipschitz)
+        out = step_option2(p, x, 1, p.lipschitz)
         np.testing.assert_array_equal(out, x)
 
     def test_interior_step_is_scaled_gradient(self):
         p = separable_quadratic([2.0, 3.0])
         x = np.array([1.0, -1.0])
-        out = scdm_step_option2(p, x, 0, 1.0, p.lipschitz)
+        out = step_option2(p, x, 0, p.lipschitz)
         g = p.coord_gradient(x, 0)
         assert out[0] == pytest.approx(x[0] - g / p.lipschitz[0])
 
@@ -77,14 +88,14 @@ class TestStepOption2:
         for _ in range(100):
             x = p.box.clip(rng.standard_normal(6))
             i = int(rng.integers(6))
-            o1 = scdm_step_option1(p, x, i)
-            o2 = scdm_step_option2(p, x, i, 1.0, p.lipschitz)
+            o1 = step_option1(p, x, i)
+            o2 = step_option2(p, x, i, p.lipschitz)
             np.testing.assert_allclose(o1, o2, atol=1e-12, rtol=0)
 
     def test_rejects_nonpositive_omega(self):
         p = separable_quadratic([1.0])
         with pytest.raises(ValueError):
-            scdm_step_option2(p, np.zeros(1), 0, 0.0, p.lipschitz)
+            SolverConfig(omega=0.0).step_size(p, "scdm-II")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +159,13 @@ class TestRunScdm:
         tr = run_scdm(p, SolverConfig(max_iters=100_000, gap_tol=1e-6), "I")
         assert tr.stop_reason == "gap"
         assert p.duality_gap(tr.final_x) <= 1e-6
+
+    @pytest.mark.parametrize("run", [run_scdm, run_cyclic_cd,
+                                     run_projected_gradient])
+    def test_gap_tol_without_duality_gap_rejected(self, run):
+        p = separable_quadratic([1.0, 2.0])
+        with pytest.raises(ValueError, match="gap_tol"):
+            run(p, SolverConfig(max_iters=10, gap_tol=1e-6))
 
     def test_stall_stopping(self):
         p = separable_quadratic([1.0, 2.0])

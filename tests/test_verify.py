@@ -8,11 +8,10 @@ from fdmkit.datasets import gaussian_margin
 from fdmkit.geometry import Box
 from fdmkit.problems import (ErmProblem, Problem, QuadraticProblem, f_noise,
                              global_lipschitz_bound)
-from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
+from fdmkit.solvers import (OPTION_I, SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
 from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
-                           check_trace_invariants, cyclic_constants,
-                           default_rfdm_check_every, reconstruct_z_option1)
+                           check_trace_invariants, default_rfdm_check_every)
 from oracles import checked_rows_by_row, check_rcfdm_scalar, check_rfdm_scalar
 
 
@@ -32,38 +31,37 @@ def separable_quadratic(L):
 # z reconstruction
 
 
+def kernel_step(p, x, i, w):
+    """``(tilde, z, err)`` of the exact-minimization step on coordinate ``i``
+    at ``x``: the minimizer of the run state that ``run_scdm`` steps
+    through, and ``_z_kernel``'s correction and replay error for it."""
+    tilde = p.start_state(x).exact_coord_min(i)
+    x_t = x.copy()
+    x_t[i] = tilde
+    z, _, err = verify._z_kernel(OPTION_I, p.coord_gradient(x, i),
+                                 p.coord_gradient(x_t, i), w[i], x[i], tilde,
+                                 0.0, lower=p.box.lower[i],
+                                 upper=p.box.upper[i])
+    return tilde, z, err
+
+
 class TestReconstructZ:
     def test_separable_quadratic_exact_cancellation(self, rng):
         # with w = L the gradient change -L d cancels the +w d term exactly
         p = separable_quadratic([1.0, 2.0, 3.0])
+        w = p.lipschitz
         for _ in range(20):
             x = rng.standard_normal(3)
             i = int(rng.integers(3))
-            tilde = p.exact_coord_min(x, i)
-            z = reconstruct_z_option1(p, x, i, tilde, p.lipschitz, mode="rcfdm")
-            assert abs(z.z[i]) <= 1e-14
-            assert z.dual_norm_sq <= 1e-28
+            _, z, _ = kernel_step(p, x, i, w)
+            assert abs(z) <= 1e-14
+            assert z * z / w[i] <= 1e-28
 
     def test_coordinate_optimal_point_gives_zero(self):
         p = separable_quadratic([2.0, 5.0])
-        x = np.array([0.0, 1.0])
-        z = reconstruct_z_option1(p, x, 0, 0.0, p.lipschitz)
-        assert z.z[0] == 0.0
-
-    def test_rfdm_mode_carries_gradient_elsewhere(self):
-        p = separable_quadratic([1.0, 2.0])
-        x = np.array([0.5, 0.5])
-        tilde = p.exact_coord_min(x, 0)
-        z = reconstruct_z_option1(p, x, 0, tilde, p.lipschitz, mode="rfdm")
-        g = p.gradient(x)
-        assert z.z[1] == g[1]
-
-    def test_rcfdm_mode_zero_off_coordinate(self):
-        p = fixtures.svm_dual_toy(n=4, d=4)
-        x = np.full(4, 0.25)
-        tilde = p.exact_coord_min(x, 2)
-        z = reconstruct_z_option1(p, x, 2, tilde, p.lipschitz, mode="rcfdm")
-        assert np.count_nonzero(z.z[np.arange(4) != 2]) == 0
+        tilde, z, _ = kernel_step(p, np.array([0.0, 1.0]), 0, p.lipschitz)
+        assert tilde == 0.0
+        assert z == 0.0
 
     def test_replay_reproduces_next_iterate(self, rng):
         # substituting the reconstruction into the projected update recovers
@@ -73,19 +71,14 @@ class TestReconstructZ:
         for _ in range(50):
             x = rng.uniform(0, 1, 4)
             i = int(rng.integers(4))
-            tilde = p.exact_coord_min(x, i)
-            z = reconstruct_z_option1(p, x, i, tilde, w, mode="rcfdm")
+            tilde, z, err = kernel_step(p, x, i, w)
             step = np.zeros(4)
-            step[i] = p.gradient(x)[i] - z.z[i]
+            step[i] = p.gradient(x)[i] - z
             replayed = p.box.clip(x - step / w)
             x_next = x.copy()
             x_next[i] = tilde
             np.testing.assert_allclose(replayed, x_next, atol=1e-12)
-
-    def test_bad_mode_rejected(self):
-        p = separable_quadratic([1.0])
-        with pytest.raises(ValueError):
-            reconstruct_z_option1(p, np.zeros(1), 0, 0.0, np.ones(1), mode="x")
+            assert err <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -583,46 +576,51 @@ class TestFdmConstants:
         with pytest.raises(ValueError, match="unknown framework"):
             verify.fdm_constants(p, w, "rcfdm")
 
-    def test_cyclic_constants_agree(self, standard_problems):
-        p = standard_problems["quadratic_diag_n5"]
-        beta_sq, gamma, inputs = verify.fdm_constants(p, p.lipschitz, "cyclic")
-        cc = cyclic_constants(p.n, inputs["l_f_w"], gamma)
-        assert (cc.beta_sq, cc.zeta) == (beta_sq, gamma)
+    def test_cyclic_constants_agree(self):
+        # criterion 08 takes the cyclic beta^2 at L_f^W = n from an identity
+        # Hessian with unit weights: there it is the closed form bit for bit
+        for n in (1, 4, 8, 16, 32):
+            p = QuadraticProblem(np.eye(n), np.zeros(n))
+            beta_sq, zeta, inputs = verify.fdm_constants(p, np.ones(n),
+                                                         "cyclic")
+            assert inputs["l_f_w"] == float(n)
+            assert beta_sq == (1.0 + np.sqrt(n) * n) ** 2
+            assert zeta == 0.5
 
 
 # ---------------------------------------------------------------------------
 # cyclic constants
 
 
+def cyclic_beta_sq(n, l_f_w):
+    """``fdm_constants``' cyclic beta^2 at ``L_f^W = l_f_w``: an identity
+    Hessian on n coordinates with the weights ``n / l_f_w``."""
+    p = QuadraticProblem(np.eye(n), np.zeros(n))
+    return verify.fdm_constants(p, np.full(n, n / l_f_w), "cyclic")[0]
+
+
 class TestCyclicConstants:
     def test_substitution_example(self):
-        cc = cyclic_constants(4, 2.0)
-        assert cc.beta_sq == pytest.approx(25.0)
-        assert cc.omega == 1.0
+        assert cyclic_beta_sq(4, 2.0) == pytest.approx(25.0)
+        p = QuadraticProblem(np.eye(4), np.zeros(4))
+        assert SolverConfig().step_size(p, "cyclic") == 1.0
 
     def test_scalar_case(self):
-        assert cyclic_constants(1, 1.0).beta_sq == pytest.approx(4.0)
+        assert cyclic_beta_sq(1, 1.0) == pytest.approx(4.0)
 
     def test_expansion_identity(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 50))
             lfw = float(rng.uniform(1.0, 20.0))
-            cc = cyclic_constants(n, lfw)
-            assert cc.beta_sq == pytest.approx(
+            assert cyclic_beta_sq(n, lfw) == pytest.approx(
                 1 + 2 * np.sqrt(n) * lfw + n * lfw**2, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cyclic_constants(0, 2.0)
-        with pytest.raises(ValueError):
-            cyclic_constants(4, 0.5)
 
     def test_worst_case_growth_vs_randomized(self):
         # with w = L and the Lipschitz bound at its n extreme, the cyclic
         # constant outgrows the randomized one by a factor of order n
         ratios = []
         for n in (4, 8, 16, 32):
-            beta_cyc = cyclic_constants(n, float(n)).beta_sq
+            beta_cyc = cyclic_beta_sq(n, float(n))
             beta_rand = 2 * (n**2 + 1) + (n - 1) * 1.0
             ratios.append(beta_cyc / beta_rand)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
