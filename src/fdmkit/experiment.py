@@ -3,7 +3,8 @@
 A validated :class:`ExperimentConfig` drives: dataset construction, problem
 assembly, per-seed solver runs in this process, optional certification and
 rate/gap analyses, and serialization (one trace CSV per seed plus one
-aggregate JSON report validated against the shipped schema).
+aggregate JSON report checked against the shipped JSON Schema,
+``schemas/report.schema.json``, by :func:`validate_report`).
 
 The configuration hash covers every semantics-affecting field; two configs
 with equal hash produce byte-identical report bodies modulo the timing block.
@@ -15,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -416,21 +418,34 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+# one row of a trace CSV per step, and the steps per format call
+_CSV_ROW = "%d,%s,%.17g,%.17g,%s\n"
+_CSV_CHUNK = 1 << 14
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    """Columns: k, i, f, disp_w_sq, gap (empty where not applicable)."""
+    """Columns: k, i, f, disp_w_sq, gap (empty where not applicable).
+
+    Floats are written as :func:`format_float` writes them.  The step rows
+    are written a chunk at a time, each chunk one ``%``-format over its
+    interleaved fields; the row of the final iterate, which has no step, is
+    formatted on its own.
+    """
     k_total = len(trace)
+    gaps = {k: format_float(gap) for k, gap in trace.gaps.items()}
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("k,i,f,disp_w_sq,gap\n")
-        for k in range(k_total + 1):
-            i = ""
-            disp = ""
-            if k < k_total:
-                ci = int(trace.coords[k])
-                i = str(ci) if ci >= 0 else ""
-                disp = format_float(float(trace.disp_w_sq[k]))
-            gap = trace.gaps.get(k)
-            gap_s = format_float(gap) if gap is not None else ""
-            fh.write(f"{k},{i},{format_float(float(trace.f[k]))},{disp},{gap_s}\n")
+        for a in range(0, k_total, _CSV_CHUNK):
+            b = min(a + _CSV_CHUNK, k_total)
+            fields = [None] * (5 * (b - a))
+            fields[0::5] = range(a, b)
+            fields[1::5] = [c if c >= 0 else "" for c in trace.coords[a:b].tolist()]
+            fields[2::5] = trace.f[a:b].tolist()
+            fields[3::5] = trace.disp_w_sq[a:b].tolist()
+            fields[4::5] = [gaps.get(k, "") for k in range(a, b)]
+            fh.write((_CSV_ROW * (b - a)) % tuple(fields))
+        f_last = format_float(float(trace.f[k_total]))
+        fh.write(f"{k_total},,{f_last},,{gaps.get(k_total, '')}\n")
 
 
 def report_schema() -> dict:
@@ -438,10 +453,82 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-def validate_report(report: dict) -> None:
-    import jsonschema  # imported here: it costs about 0.1 s at CLI start-up
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    jsonschema.validate(report, report_schema())
+
+# JSON Schema types (draft 2020-12): a bool is not a number, and a float
+# with an integer value is an integer
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# the keywords validate_report checks, and the annotations it passes over
+_SCHEMA_KEYWORDS = frozenset({"type", "properties", "required", "enum", "items",
+                              "minimum", "additionalProperties", "const",
+                              "pattern", "$schema", "title"})
+
+
+def _json_equal(value, scalar) -> bool:
+    """JSON equality with the scalar of an ``enum`` or ``const``: true and 1
+    differ, 1.0 and 1 do not."""
+    return isinstance(value, bool) == isinstance(scalar, bool) and value == scalar
+
+
+def _check_schema(value, schema: dict, path: str) -> None:
+    """Raise ``ValueError`` naming ``path`` if ``value`` fails ``schema``."""
+    if not schema.keys() <= _SCHEMA_KEYWORDS:
+        raise ValueError(f"{path}: schema keywords "
+                         f"{sorted(schema.keys() - _SCHEMA_KEYWORDS)} are not checked")
+    if "type" in schema:
+        names = schema["type"]
+        names = [names] if isinstance(names, str) else names
+        if not any(_JSON_TYPES[t](value) for t in names):
+            raise ValueError(f"{path}: {value!r} is not of type "
+                             + " or ".join(names))
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        raise ValueError(f"{path}: {value!r} is not {schema['const']!r}")
+    if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
+        raise ValueError(f"{path}: {value!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
+        raise ValueError(f"{path}: {value!r} is less than {schema['minimum']!r}")
+    if ("pattern" in schema and isinstance(value, str)
+            and not re.search(schema["pattern"], value)):
+        raise ValueError(f"{path}: {value!r} does not match {schema['pattern']!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"{path}: missing required key {key!r}")
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in properties:
+                _check_schema(item, properties[key], f"{path}.{key}")
+            elif extra is False:
+                raise ValueError(f"{path}: unexpected key {key!r}")
+            elif extra is not True:
+                _check_schema(item, extra, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for j, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{path}[{j}]")
+
+
+def validate_report(report: dict) -> None:
+    """Check ``report`` against ``report.schema.json`` (JSON Schema draft
+    2020-12), or raise ``ValueError`` with the JSON path of a failure.
+
+    The check covers the keywords the schema uses, as that draft defines
+    them: ``type``, ``properties``, ``required``, ``enum``, ``items``,
+    ``minimum``, ``additionalProperties``, ``const`` and ``pattern``;
+    ``$schema`` and ``title`` are annotations and check nothing.
+    """
+    _check_schema(report, report_schema(), "$")
 
 
 @dataclass

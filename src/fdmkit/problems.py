@@ -202,10 +202,9 @@ class Problem(ABC):
     box: Box
     lipschitz: np.ndarray
     _cols: np.ndarray
+    # exact slice curvatures make f a quadratic in x, so a state updates f
+    # by an exact Taylor step instead of evaluating it
     _slice_curv: np.ndarray | None = None
-    # f is a quadratic in x whose slice curvature is _slice_curv, so a state
-    # updates it by an exact Taylor step instead of evaluating it
-    _tracks_f = False
 
     @property
     def image_dim(self) -> int:
@@ -353,7 +352,9 @@ class ProblemState:
     It keeps x and its image, moved by ``image += delta * _cols[i]`` (the
     residual update of Nesterov, SIAM J. Optim. 2012, and Richtarik & Takac,
     arXiv:1107.2848); ``phi`` and the last ``(i, g_i)`` until the image
-    moves; and f where the problem tracks it (else ``f`` is None).  Recorded
+    moves; and, where every slice is an exact quadratic (``_slice_curv`` is
+    set), f, moved by the exact Taylor step of each coordinate move (else
+    ``f`` is None and evaluated on demand).  Recorded
     objectives are exact functions of these, so descent holds to rounding.
     """
 
@@ -373,7 +374,8 @@ class ProblemState:
         self.image = self.p._images(x)
         self._phi = None
         self._gi = -1
-        self.f = float(self.p._values_at(x, self.image)) if self.p._tracks_f else None
+        self.f = (None if self._curv is None
+                  else float(self.p._values_at(x, self.image)))
 
     def _image_deriv(self) -> np.ndarray:
         if self._phi is None:
@@ -461,8 +463,6 @@ class QuadraticProblem(Problem):
     with curvature H_ii.
     """
 
-    _tracks_f = True
-
     def __init__(self, hessian, linear, box: Box | None = None):
         H = np.ascontiguousarray(hessian, dtype=float)
         c = _check_vector(linear, name="linear")
@@ -515,8 +515,6 @@ class SvmDualProblem(Problem):
     materialized and memory stays O(nd); slices are exact quadratics with
     curvature ``L_i``.
     """
-
-    _tracks_f = True
 
     def __init__(self, features, labels, lam: float):
         A = np.ascontiguousarray(features, dtype=float)

@@ -381,16 +381,18 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     ``cfg.record_every`` are ignored, and nothing is recorded between the
     requested iterations.
 
-    Runs apply to problems whose runs track f as a quadratic with exact
-    slices (the SVM dual and the quadratics) and stop on the budget alone.
-    ERM and lasso, whose runs evaluate f afresh at every step, and
-    ``gap_tol`` and ``stall_tol`` raise ``ValueError``; run those one seed
-    at a time with :func:`run_scdm`.  Set-up errors raise here, a
-    non-finite objective while iterating.
+    Runs apply to problems whose slices are exact quadratics (the SVM dual,
+    the quadratics, the lasso and squared-loss l2-ERM), whose runs track f
+    by exact Taylor steps, and stop on the budget alone.  Problems with
+    Newton slices (logistic and squared-hinge l2-ERM), whose runs evaluate
+    f afresh at every step, and ``gap_tol`` and ``stall_tol`` raise
+    ``ValueError``; run those one seed at a time with :func:`run_scdm`.
+    Set-up errors raise here, a non-finite objective while iterating.
     """
-    if not p._tracks_f:
-        raise ValueError(f"{type(p).__name__} has no batched SCDM: a run does "
-                         "not track its f as a quadratic; use run_scdm per seed")
+    if p._slice_curv is None:
+        raise ValueError(f"{type(p).__name__} has no batched SCDM: its slices "
+                         "are not exact quadratics, so a run does not track "
+                         "its f; use run_scdm per seed")
     if cfg.gap_tol is not None or cfg.stall_tol is not None:
         raise ValueError("batched SCDM runs stop on the budget alone; "
                          "gap_tol and stall_tol need run_scdm per seed")
@@ -426,6 +428,12 @@ def _lockstep(p: Problem, option, omega, w, state, seeds, blocks, at):
     images = np.tile(state.image, (S, 1))
     f = np.full(S, state.f)
     cols, curv = p._cols, p._slice_curv
+    # BLAS sums the dot of a strided vector in another order than that of a
+    # contiguous one, so each step gathers its rows of _cols into a buffer
+    # whose rows are strided exactly when those of _cols are: the dots of
+    # the stack then equal the serial state's
+    strided = cols.strides[1] != cols.itemsize
+    step_cols = np.empty((S, cols.shape[1], 2 if strided else 1))[:, :, 0]
     half_curv = 0.5 * curv
     lower, upper = p.box.lower, p.box.upper
     wanted = iter(at)
@@ -445,7 +453,7 @@ def _lockstep(p: Problem, option, omega, w, state, seeds, blocks, at):
         for t in range(stop - k):
             i = coords[t]
             xi = x_flat[flat_at[t]]
-            col = cols.take(i, axis=0)
+            col = cols.take(i, axis=0, out=step_cols, mode="clip")
             g = p._coord_grad(i, xi, p._phi(images), col)
             if option == OPTION_I:
                 new = xi - g / curv_at[t]

@@ -10,13 +10,16 @@ certificate has a step-by-step reference that evaluates the scalar
 coordinate gradient twice per step, and the rfdm certificate one that
 solves each of the n candidate slices of a checked step through a scalar
 state; the checked iterates of one chunk of the rfdm walk have a
-row-by-row reference.
+row-by-row reference.  The libsvm parser has a line-by-line,
+field-by-field reference, and the trace CSV writer a row-by-row one.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from fdmkit.datasets import Dataset, ParseError
 from fdmkit.geometry import check_weights
 from fdmkit.problems import SLICE_DERIV_TOL, f_noise, global_lipschitz_bound
 from fdmkit.solvers import OPTION_I, OPTION_II
@@ -328,3 +331,79 @@ def checked_rows_by_row(x, c, new, ks, check_every):
         X[r] = x_k
         _assign_last(x_k, c[k:k + check_every], new[k:k + check_every])
     return X
+
+
+def parse_libsvm_by_line(path, classification=True):
+    """:func:`fdmkit.datasets.parse_libsvm`, one line and one field at a
+    time, with the same errors at the same line and field."""
+
+    def parse_float(text, lineno, column, what):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(lineno, column, f"bad {what} {text!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(lineno, column, f"non-finite {what} {text!r}")
+        return value
+
+    rows, cols, vals, labels = [], [], [], []
+    max_index = 0
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            label = parse_float(fields[0], lineno, 1, "label")
+            prev_index = 0
+            for col, field in enumerate(fields[1:], start=2):
+                idx_str, sep, val_str = field.partition(":")
+                if not sep:
+                    raise ParseError(lineno, col, f"missing ':' in {field!r}")
+                try:
+                    idx = int(idx_str)
+                except ValueError:
+                    raise ParseError(lineno, col, f"bad index {idx_str!r}") from None
+                if idx < 1:
+                    raise ParseError(lineno, col, f"index {idx} is not 1-based")
+                if idx <= prev_index:
+                    raise ParseError(
+                        lineno, col,
+                        f"index {idx} not strictly increasing after {prev_index}")
+                rows.append(len(labels))
+                cols.append(idx - 1)
+                vals.append(parse_float(val_str, lineno, col, "value"))
+                prev_index = idx
+                max_index = max(max_index, idx)
+            labels.append(label)
+    n = len(labels)
+    if classification:
+        if n == 0:
+            raise ParseError(0, 0, "classification dataset must have n >= 1 examples")
+        bad = [v for v in labels if v not in (-1.0, 1.0)]
+        if bad:
+            raise ParseError(0, 0, f"classification labels must be -1/+1, got {bad[0]}")
+    features = np.zeros((n, max_index))
+    features[rows, cols] = vals
+    return Dataset(features, np.asarray(labels))
+
+
+def write_trace_csv_by_row(trace, path):
+    """:func:`fdmkit.experiment.write_trace_csv`, one row per write."""
+
+    def fmt(v):
+        return f"{v:.17g}"
+
+    k_total = len(trace)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("k,i,f,disp_w_sq,gap\n")
+        for k in range(k_total + 1):
+            i = ""
+            disp = ""
+            if k < k_total:
+                ci = int(trace.coords[k])
+                i = str(ci) if ci >= 0 else ""
+                disp = fmt(float(trace.disp_w_sq[k]))
+            gap = trace.gaps.get(k)
+            gap_s = fmt(gap) if gap is not None else ""
+            fh.write(f"{k},{i},{fmt(float(trace.f[k]))},{disp},{gap_s}\n")

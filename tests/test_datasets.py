@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fdmkit import datasets
 from fdmkit.datasets import (Dataset, ParseError, correlated_rows,
                              diagonal_quadratic, gaussian_margin,
                              generate_synthetic, parse_libsvm, write_libsvm)
 from fdmkit.problems import QuadraticProblem
+from oracles import parse_libsvm_by_line
 
 
 @st.composite
@@ -19,6 +23,100 @@ def libsvm_datasets(draw):
     features = draw(hnp.arrays(np.float64, (n, d), elements=values))
     labels = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
     return Dataset(features, labels)
+
+
+def _number_texts(value: float):
+    """Ways a libsvm file may write ``value``."""
+    return st.sampled_from([repr(value), f"{value:.17g}", f"{value:+.3e}",
+                            f"{value:g}", f"{value:E}"])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# short forms of values beyond 1e300 may round past the largest float
+_VALUE_TEXTS = st.one_of(st.floats(-1e300, 1e300).flatmap(_number_texts),
+                         st.sampled_from(["0", "-0", "+2", "7", "1e5", "-2.5E-3",
+                                          ".5", "5.", "1_0"]))
+_LABEL_TEXTS = st.one_of(st.sampled_from(["+1", "-1", "1", "1.0", "-1.0", "+1e0",
+                                          "-10e-1", "1.", "+1.000"]),
+                         _VALUE_TEXTS)
+
+
+@st.composite
+def libsvm_lines(draw):
+    """Lines of a valid libsvm text: blank and comment lines as strings,
+    examples as ``[label, [index, value], ...]`` lists of field texts."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["example"] * 5 + ["blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "  "])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# note 1:2", "  #x:y", "#1 1:1"])))
+        else:
+            indices = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+            lines.append([draw(_LABEL_TEXTS)]
+                         + [[str(i), draw(_VALUE_TEXTS)] for i in indices])
+    return lines
+
+
+def _render(draw, lines) -> str:
+    out = []
+    for line in lines:
+        if isinstance(line, str):
+            out.append(line)
+            continue
+        fields = [line[0]] + [f if isinstance(f, str) else ":".join(f)
+                              for f in line[1:]]
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        out.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
+                   + draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, path, classification):
+    """What a parser makes of a file: its arrays' bytes, or its error."""
+    try:
+        ds = parse(path, classification=classification)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("ok", ds.features.shape, ds.features.tobytes(), ds.labels.tobytes())
+
+
+def _set(line, j, part, text):
+    pair = list(line[j])
+    pair[part] = text
+    return line[:j] + [pair] + line[j + 1:]
+
+
+def _move_colon(line, j):
+    """Pair j's colon moved into pair j + 1: one field with two colons
+    beside one with none."""
+    if j + 1 == len(line):
+        return line[:j] + [":".join(line[j]) + ":1"]
+    (i, v), (i2, v2) = line[j], line[j + 1]
+    return line[:j] + [f"{i}:{v}:{i2}", v2] + line[j + 2:]
+
+
+# the corruptions of field j of one example line; the oracle rejects each
+# with a ParseError, or parses it
+_CORRUPTIONS = {
+    "bad label": lambda line, j: ["xyz"] + line[1:],
+    "nan label": lambda line, j: ["nan"] + line[1:],
+    "bad index": lambda line, j: _set(line, j, 0, "a" + line[j][0]),
+    "empty index": lambda line, j: _set(line, j, 0, ""),
+    "index 0": lambda line, j: _set(line, j, 0, "0"),
+    "signed index": lambda line, j: _set(line, j, 0, "+" + line[j][0]),
+    "repeated index": lambda line, j: _set(line, j, 0,
+                                           line[j - 1][0] if j > 1 else "1"),
+    "nan value": lambda line, j: _set(line, j, 1, "nan"),
+    "inf value": lambda line, j: _set(line, j, 1, "-inf"),
+    "empty value": lambda line, j: _set(line, j, 1, ""),
+    "missing colon": lambda line, j: line[:j] + ["=".join(line[j])] + line[j + 1:],
+    "lone index": lambda line, j: line[:j] + [line[j][0]] + line[j + 1:],
+    "space after colon": lambda line, j: line[:j] + [": ".join(line[j])] + line[j + 1:],
+    "space before colon": lambda line, j: line[:j] + [" :".join(line[j])] + line[j + 1:],
+    "moved colon": _move_colon,
+}
 
 
 class TestParseLibsvm:
@@ -111,6 +209,72 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features[:, :back.d])
         assert not np.any(ds.features[:, back.d:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), lines=libsvm_lines(),
+           block=st.sampled_from([1, 7, 40, 300, 1 << 16]))
+    def test_blocks_equal_line_by_line_oracle(self, tmp_path_factory, data,
+                                               lines, block):
+        # small blocks put block boundaries between and inside the lines
+        path = tmp_path_factory.mktemp("blk") / "ds.txt"
+        path.write_text(_render(data.draw, lines))
+        # a valid text never needs the line-by-line parse
+        slow = mock.Mock(side_effect=datasets._parse_lines)
+        with mock.patch.object(datasets, "_PARSE_BLOCK", block), \
+                mock.patch.object(datasets, "_parse_lines", slow):
+            for classification in (False, True):
+                assert (_outcome(parse_libsvm, path, classification)
+                        == _outcome(parse_libsvm_by_line, path, classification))
+        assert slow.call_count == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), lines=libsvm_lines(),
+           kind=st.sampled_from(sorted(_CORRUPTIONS)),
+           block=st.sampled_from([1, 40, 1 << 16]))
+    def test_corrupted_texts_as_oracle(self, tmp_path_factory, data, lines,
+                                       kind, block):
+        examples = [r for r, line in enumerate(lines)
+                    if not isinstance(line, str) and len(line) > 1]
+        if examples:
+            r = data.draw(st.sampled_from(examples))
+            j = data.draw(st.integers(1, len(lines[r]) - 1))
+            lines[r] = _CORRUPTIONS[kind](lines[r], j)
+        path = tmp_path_factory.mktemp("bad") / "ds.txt"
+        path.write_text(_render(data.draw, lines))
+        with mock.patch.object(datasets, "_PARSE_BLOCK", block):
+            assert (_outcome(parse_libsvm, path, False)
+                    == _outcome(parse_libsvm_by_line, path, False))
+
+    @pytest.mark.parametrize("text", [
+        # forms Python's int and float accept
+        "+1 +3:1.0\n", "-1 1:1 02:2\n", "+1 1:1_0\n", "1_0 1:1\n",
+        # index-like fields out of place, which shift the index:value pairing
+        "+1 3 4:5\n", "+1 1:2 3\n", "+1 1:2:3 4\n", "+1 3: 5\n", "+1 3 :5\n",
+        "+1 1:2 3:4:5\n", "+1 1::2\n", "+1 :\n",
+    ])
+    def test_edge_forms_as_oracle(self, tmp_path, text):
+        path = tmp_path / "ds.txt"
+        path.write_text("+1 1:0.5\n" + text)
+        for classification in (False, True):
+            assert (_outcome(parse_libsvm, path, classification)
+                    == _outcome(parse_libsvm_by_line, path, classification))
+
+    @settings(max_examples=50, deadline=None)
+    @given(ds=libsvm_datasets(), labels=st.data())
+    def test_round_trip_real_labels(self, tmp_path_factory, ds, labels):
+        ds = Dataset(ds.features, labels.draw(hnp.arrays(np.float64, ds.n,
+                                                         elements=_FINITE)))
+        path = tmp_path_factory.mktemp("rt") / "rt.txt"
+        write_libsvm(ds, path)
+        back = parse_libsvm(path, classification=False)
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        np.testing.assert_array_equal(back.features, ds.features[:, :back.d])
+
+    def test_binary_labels_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "pm1.txt"
+        write_libsvm(Dataset(np.array([[0.5, 0.0], [0.0, -2.0]]),
+                             np.array([1.0, -1.0])), path)
+        assert path.read_text() == "+1 1:0.5\n-1 2:-2\n"
 
 
 class TestDataset:

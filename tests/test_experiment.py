@@ -1,9 +1,12 @@
+import contextlib
+import copy
 import json
 import os
 import subprocess
 import sys
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -19,8 +22,10 @@ from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
                                write_trace_csv)
 from fdmkit.problems import ErmProblem, f_noise
 from fdmkit.rates import estimate_kappa_f
-from fdmkit.solvers import SolverConfig, run_scdm
-from fdmkit.verify import Certificate
+from fdmkit.solvers import (SolverConfig, run_cyclic_cd, run_projected_gradient,
+                            run_scdm)
+from fdmkit.verify import Certificate, ReplayError
+from oracles import write_trace_csv_by_row
 
 
 def svm_config(tmp_path, **overrides):
@@ -420,6 +425,180 @@ class TestTraceCsv:
                 assert fields[1] == "" and fields[3] == ""
 
 
+    @pytest.mark.parametrize("chunk", [3, 1 << 14])
+    @pytest.mark.parametrize("kind", ["scdm", "cyclic", "pgd", "gaps", "no steps"])
+    def test_bytes_equal_row_by_row_oracle(self, tmp_path, kind, chunk):
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        cfg = SolverConfig(max_iters=0 if kind == "no steps" else 40, seed=3,
+                           gap_tol=1e-9 if kind == "gaps" else None)
+        tr = (run_cyclic_cd(p, cfg) if kind == "cyclic"
+              else run_projected_gradient(p, cfg) if kind == "pgd"
+              else run_scdm(p, cfg, option="I"))
+        assert bool(tr.gaps) == (kind == "gaps")
+        with mock.patch.object(expmod, "_CSV_CHUNK", chunk):
+            write_trace_csv(tr, tmp_path / "fast.csv")
+        write_trace_csv_by_row(tr, tmp_path / "slow.csv")
+        fast, slow = (tmp_path / name for name in ("fast.csv", "slow.csv"))
+        assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def report_shapes(tmp_path_factory):
+    """One report of each shape run_experiment writes, by name."""
+    tmp = tmp_path_factory.mktemp("shapes")
+
+    def run(name, raw, **patches):
+        raw["output_dir"] = str(tmp / name)
+        with (mock.patch.multiple(expmod, **patches) if patches
+              else contextlib.nullcontext()):
+            return run_experiment(ExperimentConfig.from_dict(raw)).report
+
+    real = expmod.run_single
+
+    def fail_seed_1(problem, cfg, seed):
+        if seed == 1:
+            raise RuntimeError("injected")
+        return real(problem, cfg, seed)
+
+    def replay_error(*args, **kwargs):
+        raise ReplayError(3, 1.0)
+
+    def always_fail(problem, cfg, seed):
+        raise RuntimeError("injected")
+
+    erm = {"problem": {"kind": "erm", "lam": 0.1},
+           "dataset": {"source": "synthetic", "generator": "gaussian-margin",
+                       "n": 12, "d": 3, "seed": 2},
+           "solver": {"kind": "scdm", "option": "I", "max_iters": 60},
+           "verify": {"rfdm": True}}
+    return {
+        "ok": run("ok", svm_config(tmp)),
+        "failed seed": run("failed", svm_config(tmp), run_single=fail_seed_1),
+        "replay error": run("replay", svm_config(tmp, verify={"rcfdm": True}),
+                            check_rcfdm=replay_error),
+        "rfdm certificate": run("rfdm", erm),
+        "rates block": run("rates", svm_config(
+            tmp, verify={"rcfdm": True},
+            rates={"enabled": True, "measured": True})),
+        "gap block": run("gap", svm_config(
+            tmp, gap={"enabled": True, "epsilons": [0.1], "n_seeds": 2})),
+        "null blocks": run("null", svm_config(tmp), run_single=always_fail),
+    }
+
+
+_DELETE = object()
+
+# (path, value) corruptions of a report; _DELETE removes the entry
+_REPORT_CORRUPTIONS = [
+    (("problem", "n"), "5"), (("problem", "n"), 5.0), (("problem", "n"), True),
+    (("problem", "n"), 0), (("problem", "n"), None), (("seeds",), {}),
+    (("seeds", 0, "iterations"), 1.5), (("seeds", 0, "iterations"), -1),
+    (("seeds", 0, "iterations"), 3.0), (("seeds", 0, "final_f"), True),
+    (("seeds", 0, "final_f"), "0.5"), (("schema_version",), True),
+    (("schema_version",), 1.0), (("schema_version",), 2),
+    (("aggregate", "mean_final_f"), False), (("aggregate", "kappa_hat"), [1.0]),
+    (("timing",), _DELETE), (("seeds", 0, "status"), _DELETE),
+    (("problem", "kind"), _DELETE),
+    (("seeds", 0, "certificates", 0, "passed"), _DELETE),
+    (("aggregate", "gap_reports", 0, "s"), _DELETE),
+    (("extra",), 1), (("problem", "extra"), 1),
+    (("problem", "kind"), "svm"), (("seeds", 0, "stop_reason"), "done"),
+    (("seeds", 0, "status"), "OK"),
+    (("seeds", 0, "certificates", 0, "framework"), "fdm"),
+    (("seeds", 0, "certificates", 0, "n_checked"), True),
+    (("seeds", 0, "certificates", 0, "worst_beta_k"), 0.5),
+    (("config_hash",), "abc"), (("config_hash",), "A" * 64),
+    (("config_hash",), "a" * 64 + "\n"), (("config_hash",), 7),
+    (("failed_seeds",), ["0"]), (("failed_seeds", 0), True),
+    (("aggregate", "rate_constants", "c"), "x"),
+    (("aggregate", "rate_constants"), []),
+    (("aggregate", "gap_reports", 0, "iteration_bound"), 2.5),
+    (("aggregate", "gap_reports", 0, "observed_iteration"), None),
+    (("aggregate", "gap_reports"), {}),
+]
+
+
+def _corrupted(report, path, value):
+    """A copy of ``report`` with ``value`` at ``path``, or None when the
+    report has no entry above ``path``."""
+    out = copy.deepcopy(report)
+    node = out
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    if not isinstance(node, (dict, list)) or (
+            isinstance(node, list) and path[-1] >= len(node)):
+        return None
+    if value is _DELETE:
+        if path[-1] not in node:
+            return None
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def _accepts(check, report) -> bool:
+    try:
+        check(report)
+    except (ValueError, jsonschema.ValidationError):
+        return False
+    return True
+
+
+class TestValidateReport:
+    """The standard-library report check against jsonschema."""
+
+    @pytest.mark.parametrize("shape", ["ok", "failed seed", "replay error",
+                                       "rfdm certificate", "rates block",
+                                       "gap block", "null blocks"])
+    def test_agrees_with_jsonschema(self, report_shapes, shape):
+        report = report_shapes[shape]
+        schema = expmod.report_schema()
+        jsonschema.Draft202012Validator.check_schema(schema)
+        # jsonschema.validate without checking the schema again at each call
+        oracle = jsonschema.Draft202012Validator(schema).validate
+        assert _accepts(validate_report, report) and _accepts(oracle, report)
+        applied = 0
+        for path, value in _REPORT_CORRUPTIONS:
+            bad = _corrupted(report, path, value)
+            if bad is not None:
+                applied += 1
+                assert _accepts(validate_report, bad) == _accepts(oracle, bad), path
+        assert applied >= 20
+
+    def test_shapes_have_their_blocks(self, report_shapes):
+        agg = {name: r["aggregate"] for name, r in report_shapes.items()}
+        cert = {name: r["seeds"][0]["certificates"][0]
+                for name, r in report_shapes.items()
+                if r["seeds"][0].get("certificates")}
+        assert report_shapes["failed seed"]["failed_seeds"] == [1]
+        assert "replay_error" in cert["replay error"]
+        assert cert["rfdm certificate"]["framework"] == "rfdm"
+        assert agg["rates block"]["rate_constants"] is not None
+        assert agg["gap block"]["gap_reports"] is not None
+        assert agg["null blocks"]["mean_final_f"] is None
+        assert agg["null blocks"]["rate_constants"] is None
+
+    def test_error_names_the_json_path(self, report_shapes):
+        bad = _corrupted(report_shapes["ok"], ("seeds", 1, "iterations"), -1)
+        with pytest.raises(ValueError, match=r"^\$\.seeds\[1\]\.iterations: "):
+            validate_report(bad)
+
+    def test_schema_uses_only_checked_keywords(self):
+        def walk(schema, path):
+            assert schema.keys() <= expmod._SCHEMA_KEYWORDS, path
+            for key, sub in schema.get("properties", {}).items():
+                walk(sub, f"{path}.{key}")
+            for key in ("items", "additionalProperties"):
+                if isinstance(schema.get(key), dict):
+                    walk(schema[key], f"{path}.{key}")
+
+        walk(expmod.report_schema(), "$")
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "fdmkit", *args],
@@ -496,6 +675,16 @@ class TestCli:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert res.stdout.strip() == "[]"
+
+    def test_verify_run_imports_no_jsonschema(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(svm_config(tmp_path)))
+        code = ("import sys; from fdmkit.cli import main; "
+                "rc = main(['verify', '--config', sys.argv[1]]); print(rc, sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+        res = subprocess.run([sys.executable, "-c", code, str(cfg_path)],
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "0 []"
 
     def test_bad_flag_exit_1(self):
         res = self.run_cli("solve", "--bogus")

@@ -218,8 +218,8 @@ class TestRunScdm:
 
 # the standard and small fixtures whose slices are exact quadratics
 _CLOSED_FORM = ("svm_dual_n2", "svm_dual_n4", "svm_dual_n8", "quadratic_diag_n5",
-                "quadratic_box_n8", "svm_dual_tiny", "quadratic_box_2d",
-                "quadratic_diag_3d")
+                "quadratic_box_n8", "lasso_d5", "svm_dual_tiny",
+                "quadratic_box_2d", "quadratic_diag_3d")
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +281,7 @@ class TestRunScdmSeeds:
                 assert X[r].tobytes() == tr.iterate(k).tobytes()
                 assert f[r:r + 1].tobytes() == tr.f[k:k + 1].tobytes()
 
-    @pytest.mark.parametrize("name", ["lasso_d5", "erm_logistic_n20"])
+    @pytest.mark.parametrize("name", ["erm_logistic_n20"])
     def test_newton_slice_families_rejected(self, name, standard_problems):
         with pytest.raises(ValueError, match="run_scdm"):
             run_scdm_seeds(standard_problems[name], SolverConfig(max_iters=5),
