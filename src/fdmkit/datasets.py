@@ -30,15 +30,10 @@ class ParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Row examples, a dense float64 ``(n, d)`` array, with labels.
-
-    ``normalized`` records that every row has been scaled to unit Euclidean
-    norm (required by the duality-gap analysis of the SVM dual).
-    """
+    """Row examples, a dense float64 ``(n, d)`` array, with labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -66,15 +61,13 @@ class Dataset:
         return np.sqrt(np.add.reduceat(sq, np.arange(0, n * d, d)))
 
     def normalize_rows(self) -> "Dataset":
-        """Scale every row to unit norm (rows must be nonzero)."""
+        """Scale every row to unit Euclidean norm (rows must be nonzero), as
+        the duality-gap analysis of the SVM dual requires."""
         norms = self.row_norms()
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a dataset with zero rows")
         scaled = self.features * (1.0 / norms)[:, None]
-        return Dataset(scaled, self.labels.copy(), normalized=True)
-
-    def binary_labels_ok(self) -> bool:
-        return bool(np.all(np.isin(self.labels, (-1.0, 1.0))))
+        return Dataset(scaled, self.labels.copy())
 
 
 def _parse_float(text: str, lineno: int, column: int, what: str) -> float:

@@ -235,7 +235,7 @@ def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
         if cfg.problem["lam"] is None:
             raise ConfigError("svm-dual requires problem.lam")
         if cfg.problem["normalize"]:
-            dataset = dataset if dataset.normalized else dataset.normalize_rows()
+            dataset = dataset.normalize_rows()
         else:
             warnings.warn(
                 "row normalization disabled: the duality-gap iteration bound "
@@ -359,14 +359,15 @@ def reference_solve(p: Problem, iters: Optional[int] = None):
 
 
 def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
-                        seed_base: int = 0, kappa_hat: Optional[float] = None,
                         reference=None) -> list[GapReport]:
     """Multi-seed duality-gap means against the theoretical iteration bound.
 
-    Runs exact coordinate minimization from the origin with w = L for the
-    seeds ``seed_base .. seed_base + n_seeds - 1`` up to the largest bound,
-    and fills each :class:`GapReport` with the observed mean behavior: the
-    mean gap every n iterations and at each bound.
+    The bound is stated in the geometry w = L: its kappa_f is estimated from
+    ``reference`` (by default :func:`reference_solve`) with w = L.  Runs
+    exact coordinate minimization from the origin with w = L for the seeds
+    ``0 .. n_seeds - 1`` up to the largest bound, and fills each
+    :class:`GapReport` with the observed mean behavior: the mean gap every n
+    iterations and at each bound.
 
     All seeds advance together as one :func:`run_scdm_seeds` call, which
     draws their coordinates block by block, so memory grows with the number
@@ -380,8 +381,7 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
         reference = reference_solve(p)
     x_star, f_star, ref_trace = reference
     w = p.lipschitz
-    if kappa_hat is None:
-        kappa_hat = estimate_kappa_f(p, ref_trace, x_star, f_star, w)
+    kappa_hat = estimate_kappa_f(p, ref_trace, x_star, f_star, w)
     f0 = p.value(p.box.clip(np.zeros(p.n)))
     initial = f0 - f_star + float(np.dot(w, x_star * x_star))
     sigma_sq = svm_sigma_sq(p)
@@ -391,8 +391,7 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
     ks = range(0, k_max + 1, p.n)
     gap_sum = np.zeros(len(ks))
     final_gaps = {r.iteration_bound: 0.0 for r in reports}
-    seeds = range(seed_base, seed_base + n_seeds)
-    for k, X, _ in run_scdm_seeds(p, SolverConfig(max_iters=k_max), seeds,
+    for k, X, _ in run_scdm_seeds(p, SolverConfig(max_iters=k_max), range(n_seeds),
                                   OPTION_I, at=[*ks, *final_gaps]):
         gaps = p.duality_gap(X).tolist()
         if k % p.n == 0:
@@ -639,7 +638,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             reference = reference_solve(problem)
         reports = mean_gap_experiment(problem, cfg.gap["epsilons"],
                                       n_seeds=cfg.gap["n_seeds"],
-                                      kappa_hat=kappa_hat, reference=reference)
+                                      reference=reference)
         gap_block = [asdict(r) for r in reports]
 
     ok_finals = [e["final_f"] for e in seed_entries if e["status"] == "ok"]

@@ -96,13 +96,14 @@ class Box:
     def is_free(self) -> bool:
         return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
 
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, x) -> bool:
         """Whether ``x``, or every row of an ``(m, n)`` stack, lies in the box
-        up to ``tol``."""
+        up to ``FEASIBILITY_TOL``."""
         x = np.asarray(x, dtype=float)
         if not (x.ndim == 2 and x.shape[1] == self.n):
             x = _check_vector(x, self.n)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower - FEASIBILITY_TOL)
+                    and np.all(x <= self.upper + FEASIBILITY_TOL))
 
     def violation(self, x) -> float:
         """Largest one-sided bound violation of ``x`` (0 if feasible).

@@ -78,21 +78,20 @@ def _newton_ok(t_new, a, b, d, d_last, half_open):
     return (a < t_new) & (t_new < b) & ((2.0 * abs(d) < d_last) | half_open)
 
 
-def minimize_slice(deriv_and_curv, t0: float, d0: float,
-                   tol: float = SLICE_DERIV_TOL,
-                   max_iter: int = SLICE_MAX_ITER) -> float:
+def minimize_slice(deriv_and_curv, t0: float, d0: float) -> float:
     """Minimize a strictly convex differentiable slice over the real line.
 
     ``deriv_and_curv(t)`` returns the first and second derivative at ``t``.
     The solve starts at ``t0``, where the derivative is ``d0``; a start with
-    ``|d0| <= tol`` is the answer.  Each iterate's derivative sign narrows
-    the bracket ``(a, b)`` from ``(-inf, inf)``; the Newton step is taken
-    while :func:`_newton_ok` accepts it, else a finite bracket is bisected
-    and a half-open one left by a step of ``max(1, |t|)`` downhill.  The
-    solve stops at ``|derivative| <= tol`` or a bracket collapsed to float
-    resolution, and raises :class:`SliceMinError` after ``max_iter``
-    iterations.
+    ``|d0| <= SLICE_DERIV_TOL`` is the answer.  Each iterate's derivative
+    sign narrows the bracket ``(a, b)`` from ``(-inf, inf)``; the Newton step
+    is taken while :func:`_newton_ok` accepts it, else a finite bracket is
+    bisected and a half-open one left by a step of ``max(1, |t|)`` downhill.
+    The solve stops at ``|derivative| <= SLICE_DERIV_TOL`` or a bracket
+    collapsed to float resolution, and raises :class:`SliceMinError` after
+    ``SLICE_MAX_ITER`` iterations.
     """
+    tol, max_iter = SLICE_DERIV_TOL, SLICE_MAX_ITER
     t, d = t0, d0
     if abs(d) <= tol:
         return t
@@ -117,9 +116,7 @@ def minimize_slice(deriv_and_curv, t0: float, d0: float,
     raise SliceMinError(max_iter, abs(d))
 
 
-def minimize_slices(deriv_and_curv, t0, d0,
-                    tol: float = SLICE_DERIV_TOL,
-                    max_iter: int = SLICE_MAX_ITER) -> np.ndarray:
+def minimize_slices(deriv_and_curv, t0, d0) -> np.ndarray:
     """Minimize many strictly convex differentiable slices over the real line.
 
     Slice ``e`` starts at ``t0[e]``, where its derivative is ``d0[e]``.
@@ -130,6 +127,7 @@ def minimize_slices(deriv_and_curv, t0, d0,
     evaluation covers only the slices still running.  Raises
     :class:`SliceMinError` if any slice fails.
     """
+    tol, max_iter = SLICE_DERIV_TOL, SLICE_MAX_ITER
     t = np.array(t0, dtype=float)
     d = np.asarray(d0, dtype=float)
     idx = np.flatnonzero(~(np.abs(d) <= tol))
@@ -531,8 +529,6 @@ class SvmDualProblem(Problem):
             raise ValueError("every example must have a nonzero feature row")
         self.n, self.d = A.shape
         self.lam = float(lam)
-        self.features = A.copy()
-        self.labels = y.copy()
         # rows scaled by their labels; the dual Hessian is (ya)(ya)'/(lam n^2)
         self.ya = A * y[:, None]
         self.box = Box.unit(self.n)

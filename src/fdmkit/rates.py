@@ -81,8 +81,7 @@ def rate_rcfdm_zero_z(kappa: float, omega_bar: float, n: int) -> RateConstants:
 
 
 def rate_rcfdm_general(kappa_f: float, zeta: float, beta: float,
-                       omega_bar: float, n: int,
-                       printed_low_branch: bool = False) -> RateConstants:
+                       omega_bar: float, n: int) -> RateConstants:
     """Coordinate framework with nonzero correction, two-branch factor.
 
     The branch is selected by whether ``omega_bar kappa_f / (omega_bar + 1)``
@@ -92,10 +91,9 @@ def rate_rcfdm_general(kappa_f: float, zeta: float, beta: float,
                              * 2 zeta / (2 zeta + 2 beta + beta^2)
     * at/above: factor = 1 - zeta / (n (2 zeta + 2 beta + beta^2))
 
-    The quadratic denominator is used in both branches, which makes the
-    factor continuous at the branch boundary.  ``printed_low_branch=True``
-    switches the low branch to the linear-in-beta denominator
-    ``2 zeta + 2 beta + beta`` for side-by-side comparison.
+    The paper prints the low branch with the linear-in-beta denominator
+    ``2 zeta + 2 beta + beta``; the quadratic one is used in both branches
+    here, which makes the factor continuous at the branch boundary.
     """
     _require_positive(kappa_f=kappa_f, zeta=zeta, omega_bar=omega_bar)
     if beta < 0:
@@ -105,8 +103,6 @@ def rate_rcfdm_general(kappa_f: float, zeta: float, beta: float,
     lam_arg = omega_bar * kappa_f / (omega_bar + 1.0)
     denom = 2.0 * zeta + 2.0 * beta + beta**2
     if lam_arg < 1.0:
-        if printed_low_branch:
-            denom = 2.0 * zeta + 2.0 * beta + beta
         c = (0.5 / n) * lam_arg * (2.0 * zeta / denom)
         branch = "clip-inactive"
     else:
@@ -115,8 +111,7 @@ def rate_rcfdm_general(kappa_f: float, zeta: float, beta: float,
     return RateConstants(
         framework="rcfdm-general", c=c, factor=1.0 - c,
         inputs={"kappa_f": kappa_f, "zeta": zeta, "beta": beta,
-                "omega_bar": omega_bar, "n": n, "branch": branch,
-                "printed_low_branch": printed_low_branch},
+                "omega_bar": omega_bar, "n": n, "branch": branch},
     )
 
 

@@ -204,21 +204,6 @@ class Trace:
     def final_x(self) -> np.ndarray:
         return self.iterate(len(self))
 
-    def iter_steps(self):
-        """Yield (k, x_k, i_k, old, new) for every coordinate step.
-
-        The yielded array is a reused buffer that advances with the walk; copy
-        it if it must outlive the iteration step.
-        """
-        x = self.x0.copy()
-        for k in range(len(self)):
-            i = int(self.coords[k])
-            if i < 0:
-                raise ValueError("trace contains full-vector steps; walk snapshots instead")
-            new = float(self.new_values[k])
-            yield k, x, i, float(x[i]), new
-            x[i] = new
-
 
 # ---------------------------------------------------------------------------
 # runners

@@ -18,7 +18,8 @@ candidate enumeration, one batched slice solve per chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -88,30 +89,12 @@ class Certificate:
     worst_beta_k: Optional[int]
     worst_zeta_k: Optional[int]
     passed: bool
-    eta_hat: Optional[float] = None   # raw expectation ratio (relaxed constant)
     inputs: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        def fin(v):
-            if v is None:
-                return None
-            v = float(v)
-            return v if np.isfinite(v) else None
-
-        return {
-            "framework": self.framework,
-            "option": self.option,
-            "beta_hat_sq": fin(self.beta_hat_sq),
-            "zeta_hat": fin(self.zeta_hat),
-            "beta_sq_theory": fin(self.beta_sq_theory),
-            "zeta_theory": fin(self.zeta_theory),
-            "n_checked": self.n_checked,
-            "worst_beta_k": self.worst_beta_k,
-            "worst_zeta_k": self.worst_zeta_k,
-            "passed": self.passed,
-            "eta_hat": fin(self.eta_hat),
-            "inputs": self.inputs,
-        }
+        """The fields as JSON values; a non-finite ratio becomes None."""
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in asdict(self).items()}
 
 
 def _certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, zeta_theory) -> bool:
@@ -199,7 +182,6 @@ def _certificate(framework: str, trace: Trace, check_every: int, constants,
         n_checked=len(range(0, len(trace), check_every)),
         worst_beta_k=beta_k, worst_zeta_k=zeta_k,
         passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, zeta),
-        eta_hat=float(beta_hat_sq) if framework == "rfdm" else None,
         inputs={**inputs, "check_every": check_every},
     )
 

@@ -10,8 +10,9 @@ certificate has a step-by-step reference that evaluates the scalar
 coordinate gradient twice per step, and the rfdm certificate one that
 solves each of the n candidate slices of a checked step through a scalar
 state; the checked iterates of one chunk of the rfdm walk have a
-row-by-row reference.  The libsvm parser has a line-by-line,
-field-by-field reference, and the trace CSV writer a row-by-row one.
+row-by-row reference, and a trace's coordinate steps a walk from x0.  The
+libsvm parser has a line-by-line, field-by-field reference, and the trace
+CSV writer a row-by-row one.
 """
 
 import itertools
@@ -194,8 +195,24 @@ def quadratic_lipschitz_w(p, w):
     return float(np.linalg.norm(s[:, None] * p.hessian * s[None, :], 2))
 
 
+def iter_steps(trace):
+    """Yield (k, x_k, i_k, old, new) for every coordinate step of ``trace``.
+
+    The yielded array is a reused buffer that advances with the walk; copy
+    it if it must outlive the iteration step.
+    """
+    x = trace.x0.copy()
+    for k in range(len(trace)):
+        i = int(trace.coords[k])
+        if i < 0:
+            raise ValueError("trace contains full-vector steps; walk snapshots instead")
+        new = float(trace.new_values[k])
+        yield k, x, i, float(x[i]), new
+        x[i] = new
+
+
 def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
-    """Coordinate-mode certificate by a scalar walk over ``iter_steps``.
+    """Coordinate-mode certificate by a scalar walk over :func:`iter_steps`.
 
     Each checked step calls ``p.coord_gradient`` at x_k and at x_k with the
     new value, each from scratch, so a step costs a full gradient image.
@@ -210,7 +227,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
     n_checked = 0
     f = trace.f
     g_origin = p.gradient(np.zeros(p.n))
-    for k, x, i, old, new in trace.iter_steps():
+    for k, x, i, old, new in iter_steps(trace):
         if k % check_every != 0:
             continue
         n_checked += 1
@@ -246,7 +263,7 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
 
 
 def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
-    """Expectation-mode certificate by a scalar walk over ``iter_steps``.
+    """Expectation-mode certificate by a scalar walk over :func:`iter_steps`.
 
     At each checked step every candidate coordinate is solved through one
     state built at x_k, and its coordinate gradient and objective are
@@ -265,7 +282,7 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
     worst_beta_k = worst_zeta_k = None
     n_checked = 0
     g_origin = p.gradient(np.zeros(n))
-    for k, x, i, old, new in trace.iter_steps():
+    for k, x, i, old, new in iter_steps(trace):
         if k % check_every != 0:
             continue
         n_checked += 1
@@ -317,8 +334,7 @@ def check_rfdm_scalar(trace, p, w=None, check_every=None, ratios=None):
         zeta_hat=float(zeta_hat), beta_sq_theory=float(beta_sq_theory),
         zeta_theory=gamma, n_checked=n_checked, worst_beta_k=worst_beta_k,
         worst_zeta_k=worst_zeta_k,
-        passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma),
-        eta_hat=float(beta_hat_sq))
+        passed=_certificate_pass(beta_hat_sq, zeta_hat, beta_sq_theory, gamma))
 
 
 def checked_rows_by_row(x, c, new, ks, check_every):

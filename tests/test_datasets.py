@@ -281,7 +281,6 @@ class TestDataset:
     def test_normalize_rows(self, rng):
         A = rng.standard_normal((6, 4)) * 3
         ds = Dataset(A, np.ones(6)).normalize_rows()
-        assert ds.normalized
         np.testing.assert_allclose(ds.row_norms(), np.ones(6), rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 4), (40, 50), (7, 300)])
@@ -328,7 +327,7 @@ class TestGenerators:
 
     def test_gaussian_margin_binary_labels(self):
         ds = gaussian_margin(16, 3, seed=1)
-        assert ds.binary_labels_ok()
+        assert np.all(np.isin(ds.labels, (-1.0, 1.0)))
 
     def test_diagonal_quadratic(self):
         p = diagonal_quadratic(5)

@@ -278,24 +278,40 @@ class TestRunExperiment:
         assert len(reports) == 1
         assert reports[0]["mean_gap_at_bound"] <= 0.5
 
+    def test_gap_bound_ignores_the_rates_geometry(self, tmp_path):
+        # the gap bound is stated for w = L; with solver.w = "ones" the rates
+        # block's kappa_hat is measured in another geometry (0.0167 against
+        # 0.2143 here) and must not reach the gap reports
+        gap_reports = []
+        for rates in (False, True):
+            raw = svm_config(
+                tmp_path, problem={"kind": "svm-dual", "lam": 0.05},
+                dataset={"source": "synthetic", "generator": "gaussian-margin",
+                         "n": 16, "d": 24, "seed": 2},
+                solver={"kind": "scdm", "option": "I", "w": "ones"},
+                seeds=[0], rates={"enabled": rates},
+                gap={"enabled": True, "epsilons": [0.01], "n_seeds": 4})
+            result = run_experiment(ExperimentConfig.from_dict(raw))
+            gap_reports.append(result.report["aggregate"]["gap_reports"])
+        assert gap_reports[1] == gap_reports[0]
+
     @pytest.mark.parametrize("draw_block", [None, 1])
     def test_mean_gap_equals_one_run_per_seed_bitwise(self, draw_block):
         # draw_block=1 makes the batched seeds draw one coordinate at a time;
         # the serial runs below draw in blocks of the default size
         p = fixtures.svm_dual_toy(n=8, d=10, lam=0.1)
         reference = reference_solve(p)
-        n_seeds, seed_base = 5, 3
+        n_seeds = 5
         block = solvers._DRAW_BLOCK if draw_block is None else draw_block
         with mock.patch.object(solvers, "_DRAW_BLOCK", block):
             reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=n_seeds,
-                                          seed_base=seed_base,
                                           reference=reference)
         # the serial form: one run_scdm per seed, one gap call per iterate
         k_max = max(r.iteration_bound for r in reports)
         ks = np.arange(0, k_max + 1, p.n)
         gap_sum = np.zeros(len(ks))
         final = {r.iteration_bound: 0.0 for r in reports}
-        for s in range(seed_base, seed_base + n_seeds):
+        for s in range(n_seeds):
             tr = run_scdm(p, SolverConfig(max_iters=k_max, seed=s), option="I")
             for j, k in enumerate(ks):
                 gap_sum[j] += p.duality_gap(tr.iterate(int(k)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdmkit import fixtures
+from fdmkit import fixtures, problems
 from fdmkit.geometry import Box
 from fdmkit.problems import (_LOSSES, SLICE_DERIV_TOL, ErmProblem, _dot,
                              LassoBoxProblem, QuadraticProblem, SliceMinError,
@@ -316,14 +316,15 @@ def test_slice_solvers_converge_where_newton_oscillated():
         assert abs(single(e)(got[e])[0]) <= SLICE_DERIV_TOL
 
 
-def test_minimize_slices_too_few_iterations_raise():
+def test_minimize_slices_too_few_iterations_raise(monkeypatch):
     batched, single, _ = _erm_slices("logistic", 5, 3)
     t0 = np.array([0.0, 1e4, -1e5])
     d0 = batched(t0, np.arange(3))[0]
+    monkeypatch.setattr(problems, "SLICE_MAX_ITER", 2)
     with pytest.raises(SliceMinError):
-        minimize_slice(single(1), t0[1], d0[1], max_iter=2)
+        minimize_slice(single(1), t0[1], d0[1])
     with pytest.raises(SliceMinError):
-        minimize_slices(batched, t0, d0, max_iter=2)
+        minimize_slices(batched, t0, d0)
 
 
 def _batched_slice_problems():
@@ -388,7 +389,7 @@ class TestSvmDual:
 
     def test_lipschitz_formula(self):
         p = fixtures.svm_dual_tiny()
-        row_sq = (p.features**2).sum(axis=1)
+        row_sq = (p.ya**2).sum(axis=1)
         np.testing.assert_allclose(p.lipschitz, row_sq / (p.lam * p.n**2))
 
     def test_minimizer_matches_grid_oracle(self):
@@ -431,7 +432,7 @@ class TestSvmDual:
         p = fixtures.svm_dual_toy(n=8, d=10)
         for _ in range(20):
             x = rng.uniform(0, 1, p.n)
-            expected = (p.features * p.labels[:, None]).T @ x / (p.lam * p.n)
+            expected = p.ya.T @ x / (p.lam * p.n)
             np.testing.assert_allclose(p.primal_weights(x), expected,
                                        rtol=1e-12, atol=1e-14)
 

@@ -106,13 +106,6 @@ class TestRateRcfdmGeneral:
         at = rate_rcfdm_general(2.0, 1.3, 0.7, 1.0, 6)
         assert below.factor == pytest.approx(at.factor, abs=1e-9)
 
-    def test_printed_variant_differs_for_large_beta(self):
-        default = rate_rcfdm_general(1.0, 1.0, 3.0, 1.0, 4)
-        printed = rate_rcfdm_general(1.0, 1.0, 3.0, 1.0, 4,
-                                     printed_low_branch=True)
-        assert default.factor != printed.factor
-        assert 0 < printed.factor < 1
-
     def test_factor_in_unit_interval(self, rng):
         for _ in range(50):
             kappa, zeta, beta, om = rng.uniform(0.05, 10.0, 4)

@@ -13,7 +13,7 @@ from fdmkit.problems import ErmProblem, QuadraticProblem
 from fdmkit.problems import global_lipschitz_bound
 from fdmkit.solvers import (DivergenceError, SolverConfig, run_cyclic_cd, run_projected_gradient, run_scdm,
                             run_scdm_seeds)
-from oracles import box_qp_oracle
+from oracles import box_qp_oracle, iter_steps
 
 # numpy warns when a run that diverges on purpose overflows
 _NUMPY_OVERFLOW = pytest.mark.filterwarnings(
@@ -339,7 +339,7 @@ class TestTraceReconstruction:
         tr = run_scdm(p, SolverConfig(max_iters=60, seed=seed,
                                       record_every=record_every), option)
         x_walk = tr.x0
-        for k, x, i, old, new in tr.iter_steps():
+        for k, x, i, old, new in iter_steps(tr):
             np.testing.assert_array_equal(tr.iterate(k), x)
             x_walk = x.copy()
             x_walk[i] = new
