@@ -7,6 +7,13 @@ coordinate descent, and full projected gradient descent.
 Coordinate choices are drawn from a counter-based Philox generator keyed by
 the run seed, so runs are reproducible bit-for-bit and independent of how
 often the trace snapshots full iterates.
+
+Every step is a deterministic map of the run state (SCDM draws one of n
+coordinate maps), so once x is a floating-point fixed point of every map,
+each later step repeats bit for bit.  The shared loop ``_drive`` detects
+that and writes the rest of the budget in bulk, as stepping would have
+recorded it.  A run whose x still changes in the last ulp never repeats, so
+it steps to the end.
 """
 
 from __future__ import annotations
@@ -16,14 +23,15 @@ import time
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from numbers import Real
+from itertools import chain, islice
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .geometry import check_weights
-from .problems import Problem, ProblemState, f_noise, global_lipschitz_bound
+from .problems import (Problem, ProblemState, SliceMinError, f_noise,
+                       global_lipschitz_bound)
 
 OPTION_I = "I"
 OPTION_II = "II"
@@ -122,8 +130,13 @@ class SolverConfig:
     def validate(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.record_every is not None and self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        for name in ("record_every", "stall_window"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, Integral)
+                                      or value < 1):
+                raise ValueError(f"{name} must be a positive integer, "
+                                 f"got {value!r}")
         if self.gap_tol is not None and self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
         tol = self.stall_tol
@@ -153,7 +166,9 @@ class Trace:
     ``dataclasses.replace``.  The wall-clock fields ``times`` and
     ``wall_time_s`` are outside the reproducibility contract; all other
     fields are bitwise-identical across runs with equal seed, config and
-    data.
+    data.  The steps a run writes in bulk from a fixed point (see
+    :func:`_drive`) share one ``times`` stamp; every other field is the
+    one stepping would have recorded, so the contract is unchanged.
     """
 
     x0: np.ndarray
@@ -209,16 +224,39 @@ class Trace:
 # runners
 
 
+def _full_step_fixed(state: ProblemState, count: int):
+    """:func:`_drive`'s ``fixed`` rule for cyclic passes and projected-gradient
+    steps, recorded every step.  A step that left x unchanged left the whole
+    state unchanged (a pass sets each coordinate once and ``set_coord`` skips
+    a zero move; a gradient step rebuilds the image and f from x), so every
+    later step repeats it."""
+    return array("q", [-1]) * count, array("d", [math.nan]) * count
+
+
 def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
            x0: np.ndarray, step, method: str, option: Optional[str] = None,
            record_every: int = 1, pass_len: int = 1,
-           abort_on_increase: bool = False) -> Trace:
+           abort_on_increase: bool = False, fixed=_full_step_fixed) -> Trace:
     """The feasible-descent loop shared by every method.
 
     ``step(state)`` moves ``state`` to the next iterate and returns ``(i,
     new_value, disp_w_sq)``, ``i = -1`` for a full-vector step.  ``omega``
     is the run's step size, which ``step`` applies and the trace records;
     the stall window defaults to one pass of ``pass_len`` iterations.
+
+    Fixed points.  At a record point whose x equals the previous snapshot
+    byte for byte (signed zeros included), after the gap and stall rules
+    have run, ``fixed(state, count)`` decides whether x is a fixed point of
+    every step: it returns the ``coords`` and ``new_values`` records of the
+    next ``count`` steps, or ``None`` to keep stepping (and is then not
+    asked again for ``pass_len`` steps).  From a fixed point each later step
+    repeats bit for bit, with f unchanged and a zero move, so the loop
+    writes the rest of the run in bulk: the snapshots and gaps of the later
+    record points, and a stop at the budget or at the first iteration where
+    the stall rule fires (the gap is above ``gap_tol``, or the run would
+    have stopped).  Only exact repetition qualifies: a run whose x still
+    changes in the last ulp from step to step does not repeat, so it steps
+    to the end.
     """
     gap_of = None
     if cfg.gap_tol is not None:
@@ -227,7 +265,9 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
         if gap_of is None:
             raise ValueError(f"gap_tol needs a problem with a duality gap; "
                              f"{type(p).__name__} has none")
-    stall_window = cfg.stall_window or pass_len
+    stall_tol = cfg.stall_tol
+    stall_window = pass_len if cfg.stall_window is None else cfg.stall_window
+    budget = cfg.max_iters
     state = p.start_state(x0)
     f0 = state.objective()
     if not math.isfinite(f0):
@@ -236,12 +276,14 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     coords, new_values = array("q"), array("d")
     disp_w_sq = array("d")
     f, times = array("d", [f0]), array("d", [0.0])
-    snap_ks, snap_x = array("q", [0]), array("d", x0.tobytes())
+    last_x = x0.tobytes()
+    snap_ks, snap_x = array("q", [0]), array("d", last_x)
     gaps = {}
     t_start = time.perf_counter()
     stop = "budget"
     increases = 0
-    for k in range(cfg.max_iters):
+    check_from = 0
+    for k in range(budget):
         i, new, disp = step(state)
         f_next = state.objective()
         kk = k + 1
@@ -260,18 +302,51 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
         f.append(f_next)
         disp_w_sq.append(disp)
         times.append(time.perf_counter() - t_start)
-        if kk % record_every == 0:
+        if kk % record_every:
+            x_bytes = None
+        else:
+            x_bytes = state.x.tobytes()
             snap_ks.append(kk)
-            snap_x.frombytes(state.x.tobytes())
+            snap_x.frombytes(x_bytes)
             if gap_of is not None:
                 gap = gaps[kk] = gap_of(state.image, f_next)
                 if gap <= cfg.gap_tol:
                     stop = "gap"
                     break
-        if cfg.stall_tol is not None and kk >= stall_window:
-            if f[kk - stall_window] - f[kk] <= cfg.stall_tol:
+        if stall_tol is not None and kk >= stall_window:
+            if f[kk - stall_window] - f[kk] <= stall_tol:
                 stop = "stall"
                 break
+        if x_bytes is None:
+            continue
+        if x_bytes == last_x and check_from <= kk < budget:
+            end = budget
+            if stall_tol is not None:
+                # f stays f_kk, so the stall rule fires within one window
+                for j in range(max(kk + 1, stall_window),
+                               min(kk + stall_window, budget) + 1):
+                    if f[j - stall_window] - f_next <= stall_tol:
+                        end = j
+                        break
+            rest = end - kk
+            moves = fixed(state, rest)
+            if moves is not None:
+                coords.extend(moves[0])
+                new_values.extend(moves[1])
+                f.extend(array("d", [f_next]) * rest)
+                disp_w_sq.extend(array("d", [0.0]) * rest)
+                times.extend(array("d", [time.perf_counter() - t_start]) * rest)
+                points = range(kk + record_every, end + 1, record_every)
+                snap_ks.extend(points)
+                snap_x.frombytes(x_bytes * len(points))
+                if gap_of is not None:
+                    gaps.update(dict.fromkeys(points, gap))
+                if end < budget:
+                    stop = "stall"
+                break
+            # a check can cost a pass of steps: one that declined waits a pass
+            check_from = kk + pass_len
+        last_x = x_bytes
     if snap_ks[-1] != len(coords):
         snap_ks.append(len(coords))
         snap_x.frombytes(state.x.tobytes())
@@ -333,19 +408,41 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
     draws = chain.from_iterable(b[:, 0].tolist() for b in blocks)
     w_of = w.tolist()  # Python floats read faster than numpy scalars
 
+    if option == OPTION_I:
+        new_value = ProblemState.exact_coord_min
+    else:
+        scale = [omega / w_i for w_i in w_of]
+
+        def new_value(state: ProblemState, i: int) -> float:
+            return p.box.clip_coord(
+                float(state.x[i]) - scale[i] * state.coord_grad(i), i)
+
     def step(state: ProblemState):
         i = next(draws)
         old = float(state.x[i])
-        if option == OPTION_I:
-            new = state.exact_coord_min(i)
-        else:
-            new = p.box.clip_coord(old - (omega / w_of[i]) * state.coord_grad(i), i)
+        new = new_value(state, i)
         state.set_coord(i, new)
         delta = new - old
         return i, new, w_of[i] * delta * delta
 
+    def fixed(state: ProblemState, count: int):
+        # x is a fixed point of every coordinate map when no coordinate would
+        # move; a slice solve that fails is a move the steps still try
+        values = []
+        for i, old in enumerate(state.x.tolist()):
+            try:
+                new = new_value(state, i)
+            except SliceMinError:
+                return None
+            if new - old != 0.0:
+                return None
+            values.append(new)
+        drawn = array("q", islice(draws, count))
+        return drawn, array("d", [values[i] for i in drawn])
+
     return _drive(p, cfg, w, omega, x0, step, "scdm", option,
-                  record_every=cfg.record_every or p.n, pass_len=p.n)
+                  record_every=cfg.record_every or p.n, pass_len=p.n,
+                  fixed=fixed)
 
 
 def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,

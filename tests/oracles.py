@@ -12,14 +12,18 @@ solves each of the n candidate slices of a checked step through a scalar
 state; the checked iterates of one chunk of the rfdm walk have a
 row-by-row reference, and a trace's coordinate steps a walk from x0.  The
 libsvm parser has a line-by-line, field-by-field reference, and the trace
-CSV writer a row-by-row one.
+CSV writer a row-by-row one.  The solver driver's fixed-point fill has a
+reference run that steps through every iteration.
 """
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
+from fdmkit import solvers
 from fdmkit.datasets import Dataset, ParseError
 from fdmkit.geometry import check_weights
 from fdmkit.problems import SLICE_DERIV_TOL, f_noise, global_lipschitz_bound
@@ -193,6 +197,27 @@ def quadratic_lipschitz_w(p, w):
     ||W^{-1/2} H W^{-1/2}||."""
     s = 1.0 / np.sqrt(check_weights(w, p.n))
     return float(np.linalg.norm(s[:, None] * p.hessian * s[None, :], 2))
+
+
+@contextlib.contextmanager
+def fixed_point_rule(wrap):
+    """Inside the block, every solver run hands the driver ``wrap(fixed)``
+    in place of its fixed-point rule ``fixed`` (see ``solvers._drive``)."""
+    drive = solvers._drive
+
+    def patched(*args, **kwargs):
+        kwargs["fixed"] = wrap(kwargs.get("fixed", solvers._full_step_fixed))
+        return drive(*args, **kwargs)
+
+    with mock.patch.object(solvers, "_drive", patched):
+        yield
+
+
+def run_stepping(run, *args):
+    """``run(*args)`` stepping through every iteration: the driver's
+    fixed-point rule declines at every record point."""
+    with fixed_point_rule(lambda fixed: lambda state, count: None):
+        return run(*args)
 
 
 def iter_steps(trace):

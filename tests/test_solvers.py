@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures, solvers
 from fdmkit.geometry import Box
-from fdmkit.problems import ErmProblem, QuadraticProblem
+from fdmkit.problems import ErmProblem, QuadraticProblem, SvmDualProblem
 from fdmkit.problems import global_lipschitz_bound
-from fdmkit.solvers import (DivergenceError, SolverConfig, run_cyclic_cd, run_projected_gradient, run_scdm,
-                            run_scdm_seeds)
-from oracles import box_qp_oracle, iter_steps
+from fdmkit.solvers import (DivergenceError, SolverConfig, Trace, run_cyclic_cd, run_projected_gradient,
+                            run_scdm, run_scdm_seeds)
+from oracles import box_qp_oracle, fixed_point_rule, iter_steps, run_stepping
 
 # numpy warns when a run that diverges on purpose overflows
 _NUMPY_OVERFLOW = pytest.mark.filterwarnings(
@@ -179,6 +180,19 @@ class TestRunScdm:
         p = separable_quadratic([1.0, 2.0])
         with pytest.raises(ValueError, match="stall_tol"):
             run_scdm(p, SolverConfig(max_iters=10, stall_tol=stall_tol))
+
+    @pytest.mark.parametrize("run", [run_scdm, run_cyclic_cd])
+    @pytest.mark.parametrize("name", ["stall_window", "record_every"])
+    @pytest.mark.parametrize("value", [-1, 0, 2.5, True])
+    def test_window_and_record_every_must_be_positive_ints(self, run, name,
+                                                           value):
+        # -1 and 2.5 used to fail mid-run, 0 to select the default window
+        # and True to count as 1; no run may start
+        p = fixtures.standard_fixtures()["quadratic_diag_n5"]
+        cfg = SolverConfig(max_iters=50, stall_tol=0.0, **{name: value})
+        with mock.patch.object(solvers, "_drive", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                run(p, cfg)
 
     def test_budget_stop_reason_flagged(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
@@ -441,6 +455,187 @@ class TestTraceReconstruction:
         tr = run_scdm(p, SolverConfig(max_iters=10, seed=0))
         with pytest.raises(IndexError):
             tr.iterate(11)
+
+
+# ---------------------------------------------------------------------------
+# runs from a floating-point fixed point: `_drive` writes the rest of the
+# budget in bulk, and the trace must equal that of stepping through it
+
+
+_RUNS = {"scdm-I": lambda p, cfg: run_scdm(p, cfg, "I"),
+         "scdm-II": lambda p, cfg: run_scdm(p, cfg, "II"),
+         "cyclic": run_cyclic_cd, "pgd": run_projected_gradient}
+_CONTRACT = [f.name for f in dataclasses.fields(Trace)
+             if f.name not in ("times", "wall_time_s")]
+
+
+def assert_same_trace(fast, slow):
+    """Every field inside the reproducibility contract is bitwise equal."""
+    for name in _CONTRACT:
+        a, b = getattr(fast, name), getattr(slow, name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        elif isinstance(a, dict):
+            assert list(a) == list(b), name
+            assert np.array(list(a.values()), float).tobytes() == \
+                np.array(list(b.values()), float).tobytes(), name
+        else:
+            assert a == b, name
+    assert fast.times.shape == slow.times.shape
+
+
+def run_logged(run, p, cfg):
+    """``run(p, cfg)`` and ``(count, filled)`` of each call of the driver's
+    fixed-point rule: the steps asked for and whether it wrote them."""
+    calls = []
+
+    def spy(fixed):
+        def logged(state, count):
+            moves = fixed(state, count)
+            calls.append((count, moves is not None))
+            return moves
+        return logged
+
+    with fixed_point_rule(spy):
+        return run(p, cfg), calls
+
+
+class TestFixedPointFill:
+    @pytest.mark.parametrize("method", list(_RUNS))
+    def test_standard_fixtures_match_stepping(self, method, standard_problems):
+        run, fills = _RUNS[method], 0
+        for p in standard_problems.values():
+            for seed in (1, 2):
+                cfg = SolverConfig(max_iters=2000, seed=seed)
+                tr, calls = run_logged(run, p, cfg)
+                assert_same_trace(tr, run_stepping(run, p, cfg))
+                fills += any(filled for _, filled in calls)
+        # most of these runs reach a fixed point (8 to 10 of 14 per method)
+        assert fills >= 4
+
+    def test_fixed_point_from_the_first_step(self, standard_problems):
+        p = standard_problems["quadratic_diag_n5"]
+        tr, calls = run_logged(run_cyclic_cd, p, SolverConfig(max_iters=50))
+        # one pass solves a diagonal quadratic; the second repeats it
+        assert calls == [(48, True)]
+        cfg = SolverConfig(max_iters=50, x0=tr.final_x)
+        tr, calls = run_logged(run_cyclic_cd, p, cfg)
+        assert calls == [(49, True)]
+        assert_same_trace(tr, run_stepping(run_cyclic_cd, p, cfg))
+        assert np.all(tr.times[2:] == tr.times[-1])
+        assert np.all(tr.disp_w_sq == 0.0) and np.all(tr.f == tr.f[0])
+
+    @pytest.mark.parametrize("method,name", [("cyclic", "quadratic_diag_n5"),
+                                             ("scdm-I", "erm_logistic_n20"),
+                                             ("scdm-II", "svm_dual_n4"),
+                                             ("pgd", "lasso_d5")])
+    def test_budget_ending_at_the_detection_step(self, method, name,
+                                                 standard_problems):
+        p, run = standard_problems[name], _RUNS[method]
+        _, calls = run_logged(run, p, SolverConfig(max_iters=2000, seed=1))
+        (count, filled), = calls[-1:]
+        assert filled
+        detected = 2000 - count
+        for budget in (detected, detected + 1):
+            cfg = SolverConfig(max_iters=budget, seed=1)
+            tr, calls = run_logged(run, p, cfg)
+            # at the last step the rule has nothing left to write
+            fills = [call for call in calls if call[1]]
+            assert fills == ([] if budget == detected else [(1, True)])
+            assert_same_trace(tr, run_stepping(run, p, cfg))
+
+    def test_gap_rule_runs_at_every_filled_record_point(self, standard_problems):
+        # cyclic reaches a fixed point of svm_dual_n8 whose gap is 5e-16
+        p = standard_problems["svm_dual_n8"]
+        cfg = SolverConfig(max_iters=2000, gap_tol=1e-300)
+        tr, calls = run_logged(run_cyclic_cd, p, cfg)
+        (count, filled), = calls
+        assert filled and tr.stop_reason == "budget"
+        assert list(tr.gaps) == list(range(1, 2001))
+        assert len(set(list(tr.gaps.values())[-count - 1:])) == 1
+        assert_same_trace(tr, run_stepping(run_cyclic_cd, p, cfg))
+
+    @pytest.mark.parametrize("window", [1, 2, "4n"])
+    def test_stall_rule_stops_the_fill(self, window, standard_problems):
+        stalled_in_fill = 0
+        for p in standard_problems.values():
+            for method, run in _RUNS.items():
+                cfg = SolverConfig(max_iters=2000, seed=1, stall_tol=0.0,
+                                   stall_window=4 * p.n if window == "4n" else window)
+                tr, calls = run_logged(run, p, cfg)
+                assert_same_trace(tr, run_stepping(run, p, cfg))
+                if calls and calls[-1][1] and tr.stop_reason == "stall":
+                    stalled_in_fill += 1
+                    assert len(tr) < 2000
+        # a window of one stalls as soon as f repeats, before a fill
+        assert stalled_in_fill > 0 if window != 1 else stalled_in_fill == 0
+
+    def test_stall_counts_the_window_from_the_fixed_point(self):
+        # f fell over the record interval that left x in place (a tracked f
+        # can move by rounding alone), so only f_kk against itself, one
+        # whole window after the fixed point at kk = 8, stalls
+        p = separable_quadratic([1.0, 2.0])
+        cfg = SolverConfig(max_iters=40, stall_tol=0.0, stall_window=3)
+
+        def drive(decline):
+            taken = []
+
+            def step(state):
+                if len(taken) < 8:
+                    state.f -= 1.0
+                taken.append(0)
+                return 0, 0.0, 0.0
+
+            def fixed(state, count):
+                if decline or len(taken) < 8:
+                    return None
+                return array("q", [0]) * count, array("d", [0.0]) * count
+
+            return solvers._drive(p, cfg, np.ones(2), 1.0, np.zeros(2), step,
+                                  "scdm", "I", record_every=4, fixed=fixed)
+
+        tr = drive(decline=False)
+        assert tr.stop_reason == "stall" and len(tr) == 8 + 3
+        assert_same_trace(tr, drive(decline=True))
+
+    def test_scdm_check_declines_while_a_coordinate_would_move(self):
+        # x0 solves coordinate 0 but not coordinate 1; seed 0 draws 0 first,
+        # so x_1 = x_0 at the first record point, yet x_0 is no fixed point
+        p = separable_quadratic([1.0, 2.0])
+        cfg = SolverConfig(max_iters=40, seed=0, record_every=1,
+                           x0=np.array([0.0, 1.0]))
+        tr, calls = run_logged(lambda p, cfg: run_scdm(p, cfg, "I"), p, cfg)
+        assert tr.coords[0] == 0 and calls[0] == (39, False)
+        assert calls[-1][1] and tr.f[-1] < tr.f[0] == tr.f[1]
+        np.testing.assert_array_equal(tr.final_x, [0.0, 0.0])
+        assert_same_trace(tr, run_stepping(run_scdm, p, cfg))
+
+    def test_declined_check_waits_a_pass(self):
+        # recording every step, x stays put whenever the draw cannot move;
+        # checking each time would cost n slice solves per step
+        rng = np.random.default_rng(0)
+        p = SvmDualProblem(rng.standard_normal((400, 50)),
+                           np.sign(rng.standard_normal(400)), 0.01)
+        cfg = SolverConfig(max_iters=20000, seed=0, record_every=1)
+        tr, calls = run_logged(_RUNS["scdm-I"], p, cfg)
+        counts = [count for count, filled in calls]
+        assert len(calls) >= 10 and not any(filled for _, filled in calls)
+        assert max(np.diff(counts)) <= -p.n
+        assert_same_trace(tr, run_stepping(_RUNS["scdm-I"], p, cfg))
+
+    @pytest.mark.parametrize("method,name,record_every", [
+        ("scdm-I", "erm_logistic_n20", 7), ("scdm-II", "quadratic_box_n8", 3)])
+    def test_record_every_not_dividing_the_budget(self, method, name,
+                                                  record_every,
+                                                  standard_problems):
+        p, run = standard_problems[name], _RUNS[method]
+        cfg = SolverConfig(max_iters=2000, seed=1, record_every=record_every)
+        tr, calls = run_logged(run, p, cfg)
+        assert calls[-1][1] and 2000 % record_every
+        assert tr.snap_ks[-2] == 2000 // record_every * record_every
+        assert tr.snap_ks[-1] == 2000
+        assert_same_trace(tr, run_stepping(run, p, cfg))
 
 
 class TestCyclic:
