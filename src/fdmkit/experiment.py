@@ -20,19 +20,21 @@ import re
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 from .datasets import Dataset, generate_synthetic, parse_libsvm
-from .geometry import Box
-from .problems import (ErmProblem, LassoBoxProblem, Problem, QuadraticProblem,
-                       SvmDualProblem)
+from .geometry import Box, check_number
+from .problems import (_LOSSES, ErmProblem, LassoBoxProblem, Problem,
+                       QuadraticProblem, SvmDualProblem)
 from .rates import (GapReport, estimate_kappa_f, measured_rate,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
-from .solvers import (OPTION_I, OPTION_II, SolverConfig, Trace, run_cyclic_cd,
+from .solvers import (BUDGET_RANGE, OPTION_I, OPTION_II, SEED_RANGE,
+                      SolverConfig, Trace, run_cyclic_cd,
                       run_projected_gradient, run_scdm, run_scdm_seeds)
 from .verify import check_rcfdm, check_rfdm, fdm_constants, ReplayError
 
@@ -43,33 +45,118 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require_positive(value, name: str, integer: bool = False,
-                      zero_ok: bool = False) -> None:
-    """Reject all but a finite positive (``zero_ok``: nonnegative) number;
-    a bool is not a number here."""
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not (value >= 0 if zero_ok else value > 0)
-            or not math.isfinite(value)):
-        sign = "nonnegative" if zero_ok else "positive"
-        kind = "integer" if integer else "number"
-        raise ConfigError(f"{name} must be a finite {sign} {kind}, got {value!r}")
+def _check(rule, value, name: str):
+    """``value`` if it keeps ``rule``, else a ``ValueError`` naming ``name``.
+
+    A rule is a function of ``(value, name)`` such as :func:`check_number`;
+    a tuple of the values allowed (``True`` is not 1 here); ``str`` for a
+    nonempty string; ``[rule]`` for a nonempty list of values that keep
+    ``rule``; or a key table, for an object whose keys it states.
+    """
+    if isinstance(rule, dict):
+        return _take(value, rule, name)
+    if isinstance(rule, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{name} must be a nonempty list, got {value!r}")
+        return [_check(rule[0], v, f"{name}[{j}]") for j, v in enumerate(value)]
+    if isinstance(rule, tuple):
+        ok = any(type(value) is type(v) and value == v for v in rule)
+        what = f"one of {list(rule)}"
+    elif rule is str:
+        ok, what = isinstance(value, str) and value != "", "a nonempty string"
+    else:
+        return rule(value, name)
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    """Strict key extraction: rejects unknown keys, fills defaults."""
+def _take(d, table: dict, where: str = "") -> dict:
+    """``d`` with the defaults of ``table`` filled in and each value checked
+    by its rule; ``None`` passes where it is the default.  A ``ConfigError``
+    names the dotted key of an unknown key or a bad value."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
-    unknown = set(d) - set(allowed)
+        raise ConfigError(f"{where or 'config'} must be an object, got {d!r}")
+    unknown = set(d) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    return {k: d.get(k, default) for k, default in allowed.items()}
+        raise ConfigError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
+    out = {}
+    for key, (default, rule) in table.items():
+        value = d.get(key, default)
+        try:
+            out[key] = (None if value is None and default is None
+                        else _check(rule, value, f"{where}.{key}" if where else key))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return out
+
+
+_FLAG = (True, False)
+_COUNT = partial(check_number, integer=True)
+_SEED = partial(check_number, **SEED_RANGE)
+_NONNEGATIVE = partial(check_number, inclusive=True)
+_REAL = partial(check_number, minimum=-math.inf)
+
+
+def _box(value, name):
+    """[lo, hi] or {"lower": [...], "upper": [...]}: finite numbers that make
+    a :class:`Box` (a report cannot hold an infinite bound)."""
+    if isinstance(value, dict) and value.keys() == {"lower", "upper"}:
+        sides = [_check([_REAL], value[k], f"{name}.{k}") for k in ("lower", "upper")]
+    elif isinstance(value, list) and len(value) == 2:
+        sides = [[bound] for bound in _check([_REAL], value, name)]
+    else:
+        raise ValueError(f"{name} must be [lo, hi] or {{'lower': [...], "
+                         f"'upper': [...]}}, got {value!r}")
+    try:
+        Box(*sides)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return value
+
+
+# Every key of a config with its default and its rule (see _check): the one
+# place where the keys, their defaults and their checks are stated.
+_CONFIG_KEYS = {
+    "problem": ({}, {
+        "kind": (None, ("svm-dual", "erm", "lasso", "quadratic")),
+        "lam": (None, check_number), "loss": ("logistic", tuple(_LOSSES)),
+        "l1": (0.0, _NONNEGATIVE), "q": (None, [_REAL]),
+        "diag": (None, [_REAL]), "hessian": (None, [[_REAL]]),
+        "linear": (None, [_REAL]), "box": (None, _box),
+        "normalize": (True, _FLAG)}),
+    "dataset": (None, {
+        "source": (None, ("file", "synthetic")), "path": (None, str),
+        "generator": (None, ("gaussian-margin", "correlated-rows")),
+        "n": (None, _COUNT), "d": (None, _COUNT), "seed": (0, _SEED),
+        "delta": (None, _REAL), "margin": (0.1, _REAL)}),
+    "solver": ({}, {
+        "kind": ("scdm", ("scdm", "cyclic", "pgd")),
+        "option": (OPTION_I, (OPTION_I, OPTION_II)),
+        "w": ("L", lambda value, name: _check(
+            ("L", "ones") if isinstance(value, str) else [check_number], value, name)),
+        "omega": (None, check_number),
+        "max_iters": (1000, partial(check_number, **BUDGET_RANGE)),
+        "record_every": (None, _COUNT), "x0": (None, [_REAL]),
+        "stall_tol": (None, _NONNEGATIVE)}),
+    "seeds": ([0], [_SEED]),
+    "epsilon": (None, check_number),
+    "verify": ({}, {"rcfdm": (False, _FLAG), "rfdm": (False, _FLAG),
+                    "check_every": (None, _COUNT)}),
+    "rates": ({}, {"enabled": (False, _FLAG), "reference_iters": (None, _COUNT)}),
+    "gap": ({}, {"enabled": (False, _FLAG), "epsilons": ([0.1], [check_number]),
+                 "n_seeds": (64, _COUNT)}),
+    "output_dir": ("out", str),
+    "workers": (None, _COUNT),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment.  Its seeds run one after another in the calling
-    process; a ``workers`` key must be a positive integer and is ignored."""
+    """A validated experiment, whose keys, defaults and rules are stated in
+    one place, the key table ``_CONFIG_KEYS``; :meth:`from_dict` adds the
+    keys a problem kind or dataset source requires.  The seeds run one after
+    another in this process, and ``workers`` is ignored."""
 
     problem: dict
     dataset: Optional[dict]
@@ -83,89 +170,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        top = _take(raw, {
-            "problem": None, "dataset": None, "solver": None,
-            "seeds": [0], "epsilon": None, "verify": {}, "rates": {},
-            "gap": {}, "output_dir": "out", "workers": None,
-        }, "config")
-        if top["problem"] is None:
-            raise ConfigError("config requires a 'problem' section")
-        problem = _take(top["problem"], {
-            "kind": None, "lam": None, "loss": "logistic", "l1": 0.0,
-            "q": None, "diag": None, "hessian": None, "linear": None,
-            "box": None, "normalize": True,
-        }, "problem")
-        if problem["kind"] not in ("svm-dual", "erm", "lasso", "quadratic"):
-            raise ConfigError(f"unknown problem kind {problem['kind']!r}")
-        dataset = top["dataset"]
-        if dataset is not None:
-            dataset = _take(dataset, {
-                "source": None, "path": None, "generator": None,
-                "n": None, "d": None, "seed": 0, "delta": None,
-                "margin": 0.1,
-            }, "dataset")
-            if dataset["source"] not in ("file", "synthetic"):
-                raise ConfigError("dataset.source must be 'file' or 'synthetic'")
-        solver = _take(top["solver"] or {}, {
-            "kind": "scdm", "option": "I", "w": "L", "omega": None,
-            "max_iters": 1000, "record_every": None, "x0": None,
-            "stall_tol": None,
-        }, "solver")
-        if solver["kind"] not in ("scdm", "cyclic", "pgd"):
-            raise ConfigError(f"unknown solver kind {solver['kind']!r}")
-        if solver["kind"] == "scdm" and solver["option"] not in (OPTION_I, OPTION_II):
-            raise ConfigError("solver.option must be 'I' or 'II'")
-        _require_positive(solver["max_iters"], "solver.max_iters", integer=True,
-                          zero_ok=True)
-        if not (isinstance(solver["w"], (list, tuple))
-                or solver["w"] in ("L", "ones")):
-            raise ConfigError("solver.w must be 'L', 'ones' or an explicit vector")
-        verify = _take(top["verify"], {
-            "rcfdm": False, "rfdm": False, "check_every": None,
-        }, "verify")
-        rates = _take(top["rates"], {
-            "enabled": False, "measured": False, "reference_iters": None,
-        }, "rates")
-        gap = _take(top["gap"], {
-            "enabled": False, "epsilons": [0.1], "n_seeds": 64,
-        }, "gap")
-        for name, value, integer in (
-                ("epsilon", top["epsilon"], False),
-                ("workers", top["workers"], True),
-                ("solver.omega", solver["omega"], False),
-                ("solver.record_every", solver["record_every"], True),
-                ("verify.check_every", verify["check_every"], True),
-                ("rates.reference_iters", rates["reference_iters"], True)):
-            if value is not None:
-                _require_positive(value, name, integer)
-        if solver["stall_tol"] is not None:
-            _require_positive(solver["stall_tol"], "solver.stall_tol", zero_ok=True)
-        _require_positive(gap["n_seeds"], "gap.n_seeds", integer=True)
-        if not isinstance(gap["epsilons"], (list, tuple)) or not gap["epsilons"]:
-            raise ConfigError("gap.epsilons must be a nonempty list")
-        for eps in gap["epsilons"]:
-            _require_positive(eps, "gap.epsilons entry")
-        seeds = top["seeds"]
-        if (not isinstance(seeds, (list, tuple)) or len(seeds) == 0
-                or not all(isinstance(s, int) and not isinstance(s, bool)
-                           and 0 <= s < 2**128 for s in seeds)):
-            # a seed keys a Philox stream, whose key is a 128-bit integer
-            raise ConfigError("seeds must be a nonempty list of integers "
-                              "in [0, 2**128)")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
-        return cls(problem=problem, dataset=dataset, solver=solver,
-                   seeds=list(seeds), epsilon=top["epsilon"], verify=verify,
-                   rates=rates, gap=gap, output_dir=top["output_dir"])
+        top = _take(raw, _CONFIG_KEYS)
+        del top["workers"]
+        problem, dataset = top["problem"], top["dataset"]
+        kind, source = problem["kind"], dataset and dataset["source"]
+        missing = (
+            "problem.kind" if kind is None
+            else "a dataset section" if kind != "quadratic" and not dataset
+            else "problem.lam" if kind in ("svm-dual", "erm") and problem["lam"] is None
+            else "problem.diag or problem.hessian" if kind == "quadratic"
+            and problem["diag"] is None and problem["hessian"] is None
+            else "dataset.source" if dataset and source is None
+            else "dataset.path" if source == "file" and not dataset["path"]
+            else "distinct seeds" if len(set(top["seeds"])) < len(top["seeds"])
+            else None)
+        if missing:
+            raise ConfigError(f"config requires {missing}")
+        return cls(**top)
 
     def semantic_dict(self) -> dict:
         """The semantics-affecting portion (drives the config hash)."""
-        return {
-            "problem": self.problem, "dataset": self.dataset,
-            "solver": self.solver, "seeds": self.seeds,
-            "epsilon": self.epsilon, "verify": self.verify,
-            "rates": self.rates, "gap": self.gap,
-        }
+        return {k: v for k, v in vars(self).items() if k != "output_dir"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True,
@@ -191,49 +216,28 @@ def build_dataset(cfg: ExperimentConfig) -> Optional[Dataset]:
     if spec is None:
         return None
     if spec["source"] == "file":
-        if not spec["path"]:
-            raise ConfigError("dataset.source='file' requires dataset.path")
         classification = cfg.problem["kind"] in ("svm-dual", "erm")
         return parse_libsvm(spec["path"], classification=classification)
-    gen = {k: v for k, v in spec.items()
-           if k not in ("source",) and v is not None}
-    out = generate_synthetic(gen)
-    if not isinstance(out, Dataset):
-        raise ConfigError("dataset generator did not produce a dataset; "
-                          "use problem.kind='quadratic' for synthetic quadratics")
-    return out
+    return generate_synthetic({k: v for k, v in spec.items()
+                               if k != "source" and v is not None})
 
 
 def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
     kind = cfg.problem["kind"]
     if kind == "quadratic":
-        if cfg.problem["diag"] is not None:
-            H = np.diag(np.asarray(cfg.problem["diag"], dtype=float))
-        elif cfg.problem["hessian"] is not None:
-            H = np.asarray(cfg.problem["hessian"], dtype=float)
-        else:
-            raise ConfigError("quadratic problem requires 'diag' or 'hessian'")
+        diag = cfg.problem["diag"]
+        H = (np.asarray(cfg.problem["hessian"], float) if diag is None
+             else np.diag(np.asarray(diag, float)))
         n = H.shape[0]
         lin = (np.zeros(n) if cfg.problem["linear"] is None
                else np.asarray(cfg.problem["linear"], dtype=float))
-        box_spec = cfg.problem["box"]
-        if box_spec is None:
-            box = Box.free(n)
-        elif (isinstance(box_spec, (list, tuple)) and len(box_spec) == 2
-              and np.isscalar(box_spec[0])):
-            box = Box.cube(n, float(box_spec[0]), float(box_spec[1]))
-        elif isinstance(box_spec, dict):
-            box = Box(np.asarray(box_spec["lower"], float),
-                      np.asarray(box_spec["upper"], float))
-        else:
-            raise ConfigError("quadratic box must be null, [lo, hi] or "
-                              "{'lower': [...], 'upper': [...]}")
+        box = cfg.problem["box"]
+        if isinstance(box, dict):
+            box = Box(np.asarray(box["lower"], float), np.asarray(box["upper"], float))
+        elif box is not None:
+            box = Box.cube(n, *box)
         return QuadraticProblem(H, lin, box)
-    if dataset is None:
-        raise ConfigError(f"problem kind {kind!r} requires a dataset section")
     if kind == "svm-dual":
-        if cfg.problem["lam"] is None:
-            raise ConfigError("svm-dual requires problem.lam")
         if cfg.problem["normalize"]:
             dataset = dataset.normalize_rows()
         else:
@@ -242,13 +246,10 @@ def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
                 "assumes ||a_i|| <= 1 and may not hold", stacklevel=2)
         return SvmDualProblem(dataset.features, dataset.labels, cfg.problem["lam"])
     if kind == "erm":
-        if cfg.problem["lam"] is None:
-            raise ConfigError("erm requires problem.lam")
         return ErmProblem(dataset.features, dataset.labels, cfg.problem["lam"],
                           loss=cfg.problem["loss"])
     # lasso: dataset rows are the design matrix, labels the regression target
-    q = None if cfg.problem["q"] is None else np.asarray(cfg.problem["q"], float)
-    return LassoBoxProblem(dataset.features, dataset.labels, q=q,
+    return LassoBoxProblem(dataset.features, dataset.labels, q=cfg.problem["q"],
                            l1=cfg.problem["l1"])
 
 
@@ -275,19 +276,13 @@ def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
     if cfg.epsilon is not None and not hasattr(p, "_gap_at"):
         raise ConfigError("epsilon is a duality-gap tolerance and requires "
                           "an svm-dual problem")
-    try:
-        sc = _solver_config(cfg, p, 0)
-        sc.resolve_w(p)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.w: {exc}") from None
-    try:
-        sc.resolve_x0(p)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.x0: {exc}") from None
-    try:
-        sc.step_size(p, _method(cfg))
-    except ValueError as exc:
-        raise ConfigError(f"solver.omega: {exc}") from None
+    sc = _solver_config(cfg, p, 0)
+    for key, check in (("w", sc.resolve_w), ("x0", sc.resolve_x0),
+                       ("omega", lambda p: sc.step_size(p, _method(cfg)))):
+        try:
+            check(p)
+        except ValueError as exc:
+            raise ConfigError(f"solver.{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +620,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     {"framework": framework, "passed": False,
                      "replay_error": str(exc)})
                 all_certs_passed = False
-        if cfg.rates["measured"] and f_star is not None:
+        if f_star is not None:
             try:
                 entry["measured_rate"] = measured_rate(tr.f, f_star)
             except ValueError:

@@ -11,7 +11,10 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +35,29 @@ def check_weights(w, n: int | None = None) -> np.ndarray:
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
     return w
+
+
+def check_number(value, name: str, *, integer: bool = False, minimum=0,
+                 inclusive: bool = False, below=math.inf):
+    """``value`` if it is a number (an integer if ``integer``) above
+    ``minimum`` (or equal to it if ``inclusive``) and below ``below``, whose
+    size a float holds, else a ``ValueError`` naming ``name``.  A bool is not
+    a number here, and an int is compared exactly, never converted, so an int
+    too large for a float fails here rather than overflow later."""
+    if (not isinstance(value, bool) and isinstance(value, Integral if integer else Real)
+            and abs(value) <= sys.float_info.max
+            and (minimum <= value if inclusive else minimum < value) and value < below):
+        return value
+    what = "integer" if integer else "number"
+    if minimum == 0:
+        what = ("nonnegative " if inclusive else "positive ") + what
+    elif minimum > -math.inf:
+        what += f" {'>=' if inclusive else '>'} {minimum}"
+    if below < math.inf:
+        pow2 = isinstance(below, int) and below & (below - 1) == 0
+        what += f" below {f'2**{below.bit_length() - 1}' if pow2 else below}"
+    raise ValueError(f"{name} must be a {'' if integer else 'finite '}{what}, "
+                     f"got {value!r}")
 
 
 def _check_vector(x, n: int | None = None, name: str = "x") -> np.ndarray:

@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .geometry import Box, check_weights, _check_vector
+from .geometry import Box, check_number, check_weights, _check_vector
 
 SLICE_DERIV_TOL = 1e-12
 # The slice rule's iteration cap, 4189, from the float64 format.  Within two
@@ -516,19 +516,17 @@ class SvmDualProblem(Problem):
 
     def __init__(self, features, labels, lam: float):
         A = np.ascontiguousarray(features, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("features must be a 2-d array of row examples")
+        if A.ndim != 2 or len(A) == 0:
+            raise ValueError("features must be a 2-d array of row examples, not empty")
         y = _check_vector(labels, A.shape[0], "labels")
         _require_finite(features=A, labels=y)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if lam <= 0:
-            raise ValueError("regularizer lam must be positive")
         row_sq = np.einsum("ij,ij->i", A, A)
         if np.any(row_sq <= 0.0):
             raise ValueError("every example must have a nonzero feature row")
         self.n, self.d = A.shape
-        self.lam = float(lam)
+        self.lam = float(check_number(lam, "regularizer lam"))
         # rows scaled by their labels; the dual Hessian is (ya)(ya)'/(lam n^2)
         self.ya = A * y[:, None]
         self.box = Box.unit(self.n)
@@ -677,19 +675,17 @@ class ErmProblem(Problem):
 
     def __init__(self, points, labels, lam: float, loss: str = "logistic"):
         A = np.ascontiguousarray(points, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("points must be a 2-d array of row examples")
+        if A.ndim != 2 or len(A) == 0:
+            raise ValueError("points must be a 2-d array of row examples, not empty")
         y = _check_vector(labels, A.shape[0], "labels")
         _require_finite(points=A, labels=y)
         if loss not in _LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(_LOSSES)}")
         if loss in ("logistic", "squared_hinge") and not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError(f"{loss} loss requires labels in {{-1, +1}}")
-        if lam <= 0:
-            raise ValueError("regularizer lam must be positive")
         self.points = A.copy()
         self.labels = y.copy()
-        self.lam = float(lam)
+        self.lam = float(check_number(lam, "regularizer lam"))
         self.loss = loss
         self._lo = _LOSSES[loss]
         self.n_points = A.shape[0]
@@ -812,18 +808,16 @@ class LassoBoxProblem(Problem):
 
     def __init__(self, design, target=None, q=None, l1: float = 0.0):
         A = np.ascontiguousarray(design, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("design must be a 2-d matrix")
+        if A.ndim != 2 or len(A) == 0:
+            raise ValueError("design must be a 2-d array of row examples, not empty")
         m, d = A.shape
-        if l1 < 0:
-            raise ValueError("l1 weight must be nonnegative")
         self.design = A.copy()
         self.d_orig = d
         self.q = np.zeros(d) if q is None else _check_vector(q, d, "q")
         b = np.zeros(m) if target is None else _check_vector(target, m, "target")
         _require_finite(design=A, q=self.q, target=b)
         self.target = b.copy()
-        self.l1 = float(l1)
+        self.l1 = float(check_number(l1, "l1 weight", inclusive=True))
         col_sq = np.einsum("ij,ij->j", A, A)
         if np.any(col_sq <= 0.0):
             raise ValueError("design has a zero column; drop unused variables")

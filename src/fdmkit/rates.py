@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_weights, weighted_norm_sq
+from .geometry import check_number, check_weights, weighted_norm_sq
 from .problems import Problem, QuadraticProblem, f_noise
 from .solvers import Trace
 
@@ -39,19 +39,14 @@ class RateConstants:
     inputs: dict = field(default_factory=dict)
 
 
-def _require_positive(**kwargs) -> None:
-    for name, val in kwargs.items():
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-
-
 def rate_rfdm(kappa_f: float, zeta: float, beta: float, omega_bar: float,
               l_f_w: float) -> RateConstants:
     """Expectation-framework contraction: factor (c/(1+c))^k with
     c = (2/(kappa_f zeta)) [(L_f^W + 1/omega_bar)^2 + beta^2]."""
-    _require_positive(kappa_f=kappa_f, zeta=zeta, omega_bar=omega_bar, l_f_w=l_f_w)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    for name, value in dict(kappa_f=kappa_f, zeta=zeta, omega_bar=omega_bar,
+                            l_f_w=l_f_w).items():
+        check_number(value, name)
+    check_number(beta, "beta", inclusive=True)
     c = (2.0 / (kappa_f * zeta)) * ((l_f_w + 1.0 / omega_bar) ** 2 + beta**2)
     return RateConstants(
         framework="rfdm", c=c, factor=c / (1.0 + c),
@@ -68,9 +63,9 @@ def rate_rcfdm_zero_z(kappa: float, omega_bar: float, n: int) -> RateConstants:
     ``||x_0 - xbar_0||_W^2 / (2 omega_bar)``; its coefficient is echoed in
     ``inputs['initial_penalty_coeff']``.
     """
-    _require_positive(kappa=kappa, omega_bar=omega_bar)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_number(kappa, "kappa")
+    check_number(omega_bar, "omega_bar")
+    check_number(n, "n", integer=True)
     t = 2.0 * omega_bar * kappa
     c = t / (n * (t + 1.0))
     return RateConstants(
@@ -95,11 +90,10 @@ def rate_rcfdm_general(kappa_f: float, zeta: float, beta: float,
     ``2 zeta + 2 beta + beta``; the quadratic one is used in both branches
     here, which makes the factor continuous at the branch boundary.
     """
-    _require_positive(kappa_f=kappa_f, zeta=zeta, omega_bar=omega_bar)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    for name, value in dict(kappa_f=kappa_f, zeta=zeta, omega_bar=omega_bar).items():
+        check_number(value, name)
+    check_number(beta, "beta", inclusive=True)
+    check_number(n, "n", integer=True)
     lam_arg = omega_bar * kappa_f / (omega_bar + 1.0)
     denom = 2.0 * zeta + 2.0 * beta + beta**2
     if lam_arg < 1.0:
@@ -141,12 +135,10 @@ def sdca_iteration_bound(epsilon: float, lam: float, sigma_sq: float, n: int,
     where ``initial_bound = f(0) - f* + ||x*||_L^2`` comes from a
     high-precision reference solve.  A nonpositive log argument gives K = 0.
     """
-    _require_positive(epsilon=epsilon, lam=lam, sigma_sq=sigma_sq,
-                      kappa_f=kappa_f)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if initial_bound <= 0:
-        raise ValueError("initial_bound must be positive")
+    for name, value in dict(epsilon=epsilon, lam=lam, sigma_sq=sigma_sq,
+                            kappa_f=kappa_f, initial_bound=initial_bound).items():
+        check_number(value, name)
+    check_number(n, "n", integer=True)
     s = min(1.0, epsilon * lam / sigma_sq)
     arg = 2.0 * initial_bound / (s * epsilon)
     k = 0 if arg <= 1.0 else math.ceil(n * (1.0 + 0.5 / kappa_f) * math.log(arg))
@@ -322,5 +314,6 @@ def hoffman_theta_bruteforce(a_rows, b_rows=None, q=None) -> float:
 
 def kappa_from_theta(sigma_h: float, theta: float) -> float:
     """Quadratic-growth modulus from the Hoffman constant: sigma_h / (2 theta^2)."""
-    _require_positive(sigma_h=sigma_h, theta=theta)
+    check_number(sigma_h, "sigma_h")
+    check_number(theta, "theta")
     return sigma_h / (2.0 * theta**2)

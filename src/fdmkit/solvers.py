@@ -24,18 +24,21 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
-from .geometry import check_weights
+from .geometry import check_number, check_weights
 from .problems import (Problem, ProblemState, SliceMinError, f_noise,
                        global_lipschitz_bound)
 
 OPTION_I = "I"
 OPTION_II = "II"
 
+# The ranges of a run's budget and seed, as check_number takes them: a trace
+# counts steps in int64, and a seed is the 128-bit key of a Philox stream.
+BUDGET_RANGE = {"integer": True, "inclusive": True, "below": 2**63}
+SEED_RANGE = {"integer": True, "inclusive": True, "below": 2**128}
 # Steps of a seed-batched run between two reads of its objectives.
 _LOCKSTEP_CHUNK = 512
 # Coordinates an SCDM run draws from each seed's stream at a time.
@@ -109,11 +112,7 @@ class SolverConfig:
             if method == "scdm-II":
                 return 1.0
             return 1.0 / global_lipschitz_bound(p.lipschitz, self.resolve_w(p))
-        if (isinstance(omega, bool) or not isinstance(omega, Real)
-                or not 0.0 < omega < math.inf):
-            raise ValueError(f"step size omega must be a finite positive "
-                             f"number, got {omega!r}")
-        return float(omega)
+        return float(check_number(omega, "step size omega"))
 
     def resolve_x0(self, p: Problem) -> np.ndarray:
         if self.x0 is None:
@@ -128,21 +127,14 @@ class SolverConfig:
         return x0
 
     def validate(self) -> None:
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        for name in ("record_every", "stall_window"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, Integral)
-                                      or value < 1):
-                raise ValueError(f"{name} must be a positive integer, "
-                                 f"got {value!r}")
-        if self.gap_tol is not None and self.gap_tol <= 0:
-            raise ValueError("gap_tol must be positive")
-        tol = self.stall_tol
-        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)
-                                or not 0.0 <= tol < math.inf):
-            raise ValueError("stall_tol must be a finite nonnegative number")
+        """Raise ``ValueError`` unless every number field is in its range."""
+        check_number(self.max_iters, "max_iters", **BUDGET_RANGE)
+        check_number(self.seed, "seed", **SEED_RANGE)
+        for name, rule in (("record_every", {"integer": True}),
+                           ("stall_window", {"integer": True}),
+                           ("gap_tol", {}), ("stall_tol", {"inclusive": True})):
+            if getattr(self, name) is not None:
+                check_number(getattr(self, name), name, **rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,7 +461,8 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     Newton slices (logistic and squared-hinge l2-ERM), whose runs evaluate
     f afresh at every step, and ``gap_tol`` and ``stall_tol`` raise
     ``ValueError``; run those one seed at a time with :func:`run_scdm`.
-    Set-up errors raise here, a non-finite objective while iterating.
+    Set-up errors, a seed outside ``SEED_RANGE`` among them, raise here; a
+    non-finite objective raises while iterating.
     """
     if p._slice_curv is None:
         raise ValueError(f"{type(p).__name__} has no batched SCDM: its slices "
@@ -478,7 +471,7 @@ def run_scdm_seeds(p: Problem, cfg: SolverConfig, seeds,
     if cfg.gap_tol is not None or cfg.stall_tol is not None:
         raise ValueError("batched SCDM runs stop on the budget alone; "
                          "gap_tol and stall_tol need run_scdm per seed")
-    seeds = list(seeds)
+    seeds = [check_number(seed, "seed", **SEED_RANGE) for seed in seeds]
     if not seeds:
         raise ValueError("batched SCDM needs at least one seed")
     w, omega, x0, blocks = _scdm_setup(p, cfg, option, seeds)

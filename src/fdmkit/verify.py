@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_weights
+from .geometry import check_number, check_weights
 from .problems import (SLICE_DERIV_TOL, Problem, f_noise,
                        global_lipschitz_bound, path_start_values)
 from .solvers import Trace, OPTION_I, OPTION_II
@@ -220,8 +220,7 @@ def _walk(trace: Trace, check_every: int, chunk: int):
     offsets ks of the checked steps k (``k % check_every == 0``).  Stops
     before the first non-finite recorded value, then raises ``ValueError``.
     """
-    if check_every < 1:
-        raise ValueError("check_every must be >= 1")
+    check_number(check_every, "check_every", integer=True)
     coords, values = trace.coords, trace.new_values
     non_finite = np.flatnonzero(~np.isfinite(values))
     end = int(non_finite[0]) if non_finite.size else len(trace)

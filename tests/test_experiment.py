@@ -75,13 +75,24 @@ class TestConfigValidation:
         ("verify", "check_every", 0), ("verify", "check_every", -3),
         ("rates", "reference_iters", 0), ("rates", "reference_iters", 1.5),
         ("rates", "reference_iters", -4),
+        # each used to run, or to fail after the config loaded
+        ("problem", "lam", "0.1"), ("problem", "lam", True),
+        ("problem", "lam", float("nan")), ("problem", "normalize", "no"),
+        ("verify", "rcfdm", "yes"), ("gap", "enabled", "yes"),
+        (None, "output_dir", 5),
+        pytest.param("problem", "box", {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                     id="problem-box-lo-hi"),
+        pytest.param("solver", "max_iters", 10**400, id="solver-max_iters-10**400"),
+        ("dataset", "n", 0),
+        ("rates", "measured", True),
     ])
     def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
         raw = svm_config(tmp_path)
         if key == "omega":
             raw["solver"]["option"] = "II"  # the solver that takes a step size
         (raw if section is None else raw.setdefault(section, {}))[key] = value
-        with pytest.raises(ConfigError, match=key):
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=name if key != "measured" else key):
             ExperimentConfig.from_dict(raw)
 
     def test_bad_solver_kind_rejected(self, tmp_path):
@@ -224,7 +235,7 @@ class TestRunExperiment:
 
     def test_verify_and_rates_sections(self, tmp_path):
         raw = svm_config(tmp_path, verify={"rcfdm": True},
-                         rates={"enabled": True, "measured": True})
+                         rates={"enabled": True})
         raw["solver"]["max_iters"] = 400
         result = run_experiment(ExperimentConfig.from_dict(raw))
         assert result.exit_code == 0
@@ -495,7 +506,7 @@ def report_shapes(tmp_path_factory):
         "rfdm certificate": run("rfdm", erm),
         "rates block": run("rates", svm_config(
             tmp, verify={"rcfdm": True},
-            rates={"enabled": True, "measured": True})),
+            rates={"enabled": True})),
         "gap block": run("gap", svm_config(
             tmp, gap={"enabled": True, "epsilons": [0.1], "n_seeds": 2})),
         "null blocks": run("null", svm_config(tmp), run_single=always_fail),
@@ -619,6 +630,18 @@ class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "fdmkit", *args],
                               capture_output=True, text=True)
+
+    def test_malformed_key_exits_1_before_the_dataset_is_read(self, tmp_path):
+        # the dataset path does not exist: the key is rejected at load
+        cfg = {"problem": {"kind": "svm-dual", "lam": "0.1"},
+               "dataset": {"source": "file", "path": str(tmp_path / "absent")},
+               "seeds": [0], "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = self.run_cli("solve", "--config", str(cfg_path))
+        assert res.returncode == 1
+        assert res.stderr.startswith("validation error: problem.lam ")
+        assert not (tmp_path / "out").exists()
 
     def test_gen_and_solve_round_trip(self, tmp_path):
         data = tmp_path / "toy.libsvm"

@@ -639,6 +639,30 @@ class TestErm:
                                    2.0 * (A**2).sum(axis=0) / 9 + lam)
 
 
+# each family's constructor from its data and its regularizer (lam, or l1)
+_CONSTRUCTORS = {
+    "svm-dual": lambda A, y, v: SvmDualProblem(A, y, lam=v),
+    "erm": lambda A, y, v: ErmProblem(A, y, lam=v),
+    "lasso": lambda A, y, v: LassoBoxProblem(A, y, l1=v),
+}
+
+
+@pytest.mark.parametrize("value", ["0.1", float("nan"), float("inf"), True,
+                                   -0.5, pytest.param(10**400, id="10**400")])
+@pytest.mark.parametrize("family", list(_CONSTRUCTORS))
+def test_regularizer_must_be_a_finite_number(family, value):
+    # a string used to raise TypeError; NaN, inf and True were accepted
+    with pytest.raises(ValueError, match="must be a finite"):
+        _CONSTRUCTORS[family](np.eye(2), np.array([1.0, -1.0]), value)
+
+
+@pytest.mark.parametrize("family", list(_CONSTRUCTORS))
+def test_data_without_examples_rejected(family):
+    # the SVM dual used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="not empty"):
+        _CONSTRUCTORS[family](np.zeros((0, 3)), np.zeros(0), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # coordinate strong convexity
 

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import tracemalloc
 from array import array
 from unittest import mock
@@ -182,17 +183,37 @@ class TestRunScdm:
             run_scdm(p, SolverConfig(max_iters=10, stall_tol=stall_tol))
 
     @pytest.mark.parametrize("run", [run_scdm, run_cyclic_cd])
-    @pytest.mark.parametrize("name", ["stall_window", "record_every"])
-    @pytest.mark.parametrize("value", [-1, 0, 2.5, True])
+    @pytest.mark.parametrize("name, value, rule", [
+        *[(name, value, "positive integer")
+          for name in ("stall_window", "record_every")
+          for value in (-1, 0, 2.5, True)],
+        # max_iters 2.5 and "5" used to fail mid-run, True to run one step
+        # and 10**400 to overflow; the gap_tols and seeds used to run or to
+        # fail at the first comparison or draw
+        *[("max_iters", value, "nonnegative integer below 2**63")
+          for value in (2.5, True, "5", 10**400)],
+        *[("gap_tol", value, "finite positive number")
+          for value in ("x", float("nan"), 0)],
+        *[("seed", value, "nonnegative integer below 2**128")
+          for value in (-1, True, 2.5)],
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
     def test_window_and_record_every_must_be_positive_ints(self, run, name,
-                                                           value):
+                                                           value, rule):
         # -1 and 2.5 used to fail mid-run, 0 to select the default window
         # and True to count as 1; no run may start
         p = fixtures.standard_fixtures()["quadratic_diag_n5"]
-        cfg = SolverConfig(max_iters=50, stall_tol=0.0, **{name: value})
+        cfg = SolverConfig(**{"max_iters": 50, "stall_tol": 0.0, name: value})
+        message = re.escape(f"{name} must be a {rule}")
         with mock.patch.object(solvers, "_drive", side_effect=AssertionError):
-            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            with pytest.raises(ValueError, match=message):
                 run(p, cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, True, 2.5])
+    def test_batched_seeds_checked_before_the_first_draw(self, seed):
+        # Philox used to reject a bad key only at the first draw
+        p = fixtures.svm_dual_toy(n=4, d=4)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            run_scdm_seeds(p, SolverConfig(max_iters=5), [0, seed])
 
     def test_budget_stop_reason_flagged(self):
         p = fixtures.svm_dual_toy(n=4, d=4)
