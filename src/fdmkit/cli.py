@@ -73,9 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """``cfg`` with the command-line overrides, put through the same checks
-    as a config file."""
+    """``cfg`` with the command's block switched on and the command-line
+    overrides, put through the same checks as a config file."""
     raw = dataclasses.asdict(cfg)
+    if args.command == "verify":
+        raw["verify"]["rcfdm"] = True
+    elif args.command == "rates":
+        raw["rates"]["enabled"] = True
+    elif args.command == "gap":
+        raw["gap"]["enabled"] = True
     if args.out:
         raw["output_dir"] = args.out
     if args.seed:
@@ -90,12 +96,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _run_command(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if args.command == "verify":
-        cfg.verify["rcfdm"] = True
-    elif args.command == "rates":
-        cfg.rates["enabled"] = True
-    elif args.command == "gap":
-        cfg.gap["enabled"] = True
     result = run_experiment(cfg)
     agg = result.report["aggregate"]
     for entry in result.report["seeds"]:

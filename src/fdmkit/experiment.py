@@ -33,8 +33,8 @@ from .problems import (_LOSSES, ErmProblem, LassoBoxProblem, Problem,
 from .rates import (GapReport, estimate_kappa_f, measured_rate,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
-from .solvers import (BUDGET_RANGE, OPTION_I, OPTION_II, SEED_RANGE,
-                      SolverConfig, Trace, run_cyclic_cd,
+from .solvers import (BUDGET_RANGE, EXACT_METHODS, OPTION_I, OPTION_II,
+                      SEED_RANGE, SolverConfig, Trace, run_cyclic_cd,
                       run_projected_gradient, run_scdm, run_scdm_seeds)
 from .verify import check_rcfdm, check_rfdm, fdm_constants, ReplayError
 
@@ -127,9 +127,9 @@ _CONFIG_KEYS = {
         "normalize": (True, _FLAG)}),
     "dataset": (None, {
         "source": (None, ("file", "synthetic")), "path": (None, str),
-        "generator": (None, ("gaussian-margin", "correlated-rows")),
+        "generator": (None, ("gaussian-margin",)),
         "n": (None, _COUNT), "d": (None, _COUNT), "seed": (0, _SEED),
-        "delta": (None, _REAL), "margin": (0.1, _REAL)}),
+        "margin": (0.1, _REAL)}),
     "solver": ({}, {
         "kind": ("scdm", ("scdm", "cyclic", "pgd")),
         "option": (OPTION_I, (OPTION_I, OPTION_II)),
@@ -155,8 +155,9 @@ _CONFIG_KEYS = {
 class ExperimentConfig:
     """A validated experiment, whose keys, defaults and rules are stated in
     one place, the key table ``_CONFIG_KEYS``; :meth:`from_dict` adds the
-    keys a problem kind or dataset source requires.  The seeds run one after
-    another in this process, and ``workers`` is ignored."""
+    keys a problem kind or dataset source requires and the keys that
+    conflict.  The seeds run one after another in this process, and
+    ``workers`` is ignored."""
 
     problem: dict
     dataset: Optional[dict]
@@ -186,6 +187,27 @@ class ExperimentConfig:
             else None)
         if missing:
             raise ConfigError(f"config requires {missing}")
+        solver, verify = top["solver"], top["verify"]
+        method = _method(solver)
+        # a box in a config has finite bounds (see _box)
+        free = kind == "erm" or kind == "quadratic" and problem["box"] is None
+        conflict = (
+            "verify.rfdm requires an unconstrained problem: erm, or quadratic "
+            "without problem.box" if verify["rfdm"] and not free
+            else "verify.rfdm requires solver kind 'scdm', option 'I'"
+            if verify["rfdm"] and method != "scdm-I"
+            else "verify.rcfdm requires solver kind 'scdm'"
+            if verify["rcfdm"] and solver["kind"] != "scdm"
+            else "gap.enabled requires an svm-dual problem"
+            if top["gap"]["enabled"] and kind != "svm-dual"
+            else "epsilon is a duality-gap tolerance and requires an svm-dual problem"
+            if top["epsilon"] is not None and kind != "svm-dual"
+            else f"solver.omega: {method} minimizes each coordinate exactly "
+            "and takes no step size" if solver["omega"] is not None
+            and method in EXACT_METHODS
+            else None)
+        if conflict:
+            raise ConfigError(conflict)
         return cls(**top)
 
     def semantic_dict(self) -> dict:
@@ -262,23 +284,10 @@ def resolve_w(spec, p: Problem) -> np.ndarray:
 
 
 def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
-    """Cross-section checks that must fail before any run starts."""
-    if cfg.verify["rfdm"] and not p.box.is_free():
-        raise ConfigError("expectation-mode certification (verify.rfdm) "
-                          "requires an unconstrained problem")
-    if cfg.verify["rfdm"] and not (cfg.solver["kind"] == "scdm"
-                                   and cfg.solver["option"] == OPTION_I):
-        raise ConfigError("verify.rfdm requires solver kind 'scdm', option 'I'")
-    if cfg.verify["rcfdm"] and cfg.solver["kind"] != "scdm":
-        raise ConfigError("verify.rcfdm requires solver kind 'scdm'")
-    if cfg.gap["enabled"] and not isinstance(p, SvmDualProblem):
-        raise ConfigError("the duality-gap experiment requires an svm-dual problem")
-    if cfg.epsilon is not None and not hasattr(p, "_gap_at"):
-        raise ConfigError("epsilon is a duality-gap tolerance and requires "
-                          "an svm-dual problem")
+    """The checks that need the data, before any run starts: the length and
+    sign of ``solver.w`` and the length and feasibility of ``solver.x0``."""
     sc = _solver_config(cfg, p, 0)
-    for key, check in (("w", sc.resolve_w), ("x0", sc.resolve_x0),
-                       ("omega", lambda p: sc.step_size(p, _method(cfg)))):
+    for key, check in (("w", sc.resolve_w), ("x0", sc.resolve_x0)):
         try:
             check(p)
         except ValueError as exc:
@@ -289,10 +298,11 @@ def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
 # runs
 
 
-def _method(cfg: ExperimentConfig) -> str:
-    """The method name :meth:`SolverConfig.step_size` takes."""
-    kind = cfg.solver["kind"]
-    return f"scdm-{cfg.solver['option']}" if kind == "scdm" else kind
+def _method(solver: dict) -> str:
+    """The method name of a solver section, as
+    :meth:`SolverConfig.step_size` takes it."""
+    kind = solver["kind"]
+    return f"scdm-{solver['option']}" if kind == "scdm" else kind
 
 
 def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig:
@@ -578,7 +588,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         framework = f"rcfdm-{cfg.solver['option']}" if kind == "scdm" else kind
         beta_sq, zeta, inputs = fdm_constants(problem, w, framework)
         lfw, beta = inputs["l_f_w"], float(np.sqrt(beta_sq))
-        omega = _solver_config(cfg, problem, 0).step_size(problem, _method(cfg))
+        omega = _solver_config(cfg, problem, 0).step_size(problem,
+                                                          _method(cfg.solver))
         if framework == "rcfdm-II":
             rc = rate_rcfdm_zero_z(kappa_hat, omega, problem.n)
         elif framework == "rcfdm-I":

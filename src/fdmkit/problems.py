@@ -14,10 +14,9 @@ real line: start at the current coordinate, take the Newton steps
 :func:`_newton_ok` accepts within the bracket that the iterates' derivative
 signs reveal, and otherwise bisect or widen it.
 
-Problem instances are immutable after construction and shareable across
-concurrent runs; the incremental caches used by the solvers live in the
-mutable :class:`ProblemState` returned by :meth:`Problem.start_state`, one
-per run.
+Problem instances are immutable after construction; the incremental caches
+used by the solvers live in the mutable :class:`ProblemState` returned by
+:meth:`Problem.start_state`, one per run.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ often the trace snapshots full iterates.
 
 Every step is a deterministic map of the run state (SCDM draws one of n
 coordinate maps), so once x is a floating-point fixed point of every map,
-each later step repeats bit for bit.  The shared loop ``_drive`` detects
-that and writes the rest of the budget in bulk, as stepping would have
-recorded it.  A run whose x still changes in the last ulp never repeats, so
-it steps to the end.
+each later step repeats bit for bit.  In a run with no gap or stall rule,
+the shared loop ``_drive`` detects that and writes the rest of the budget
+in bulk, as stepping would have recorded it; a run with a rule steps to its
+stop, since no workload fills one.  A run whose x still changes in the last
+ulp never repeats, so it steps to the end.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .problems import (Problem, ProblemState, SliceMinError, f_noise,
 
 OPTION_I = "I"
 OPTION_II = "II"
+# The methods that minimize each coordinate exactly and take no step size.
+EXACT_METHODS = ("scdm-I", "cyclic")
 
 # The ranges of a run's budget and seed, as check_number takes them: a trace
 # counts steps in int64, and a seed is the 128-bit key of a Philox stream.
@@ -101,7 +104,7 @@ class SolverConfig:
         finite positive number.
         """
         omega = self.omega
-        if method in ("scdm-I", "cyclic"):
+        if method in EXACT_METHODS:
             if omega is not None:
                 raise ValueError(f"{method} minimizes each coordinate exactly "
                                  "and takes no step size (omega)")
@@ -236,19 +239,19 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     is the run's step size, which ``step`` applies and the trace records;
     the stall window defaults to one pass of ``pass_len`` iterations.
 
-    Fixed points.  At a record point whose x equals the previous snapshot
-    byte for byte (signed zeros included), after the gap and stall rules
-    have run, ``fixed(state, count)`` decides whether x is a fixed point of
-    every step: it returns the ``coords`` and ``new_values`` records of the
-    next ``count`` steps, or ``None`` to keep stepping (and is then not
-    asked again for ``pass_len`` steps).  From a fixed point each later step
+    Fixed points.  A run with no gap or stall rule that reaches a fixed
+    point writes the rest of its budget in bulk.  At a record point whose x
+    equals the previous snapshot byte for byte (signed zeros included),
+    ``fixed(state, count)`` decides whether x is a fixed point of every
+    step: it returns the ``coords`` and ``new_values`` records of the next
+    ``count`` steps, or ``None`` to keep stepping (and is then not asked
+    again for ``pass_len`` steps).  From a fixed point each later step
     repeats bit for bit, with f unchanged and a zero move, so the loop
-    writes the rest of the run in bulk: the snapshots and gaps of the later
-    record points, and a stop at the budget or at the first iteration where
-    the stall rule fires (the gap is above ``gap_tol``, or the run would
-    have stopped).  Only exact repetition qualifies: a run whose x still
-    changes in the last ulp from step to step does not repeat, so it steps
-    to the end.
+    writes the later steps and snapshots up to the budget as stepping would
+    have recorded them.  A run with a rule steps to its stop: no workload
+    fills one, and under a stall rule a fill would save at most one window.
+    Only exact repetition qualifies: a run whose x still changes in the
+    last ulp from step to step does not repeat, so it steps to the end.
     """
     gap_of = None
     if cfg.gap_tol is not None:
@@ -259,6 +262,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
                              f"{type(p).__name__} has none")
     stall_tol = cfg.stall_tol
     stall_window = pass_len if cfg.stall_window is None else cfg.stall_window
+    fills = gap_of is None and stall_tol is None
     budget = cfg.max_iters
     state = p.start_state(x0)
     f0 = state.objective()
@@ -294,9 +298,7 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
         f.append(f_next)
         disp_w_sq.append(disp)
         times.append(time.perf_counter() - t_start)
-        if kk % record_every:
-            x_bytes = None
-        else:
+        if kk % record_every == 0:
             x_bytes = state.x.tobytes()
             snap_ks.append(kk)
             snap_x.frombytes(x_bytes)
@@ -305,40 +307,26 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
                 if gap <= cfg.gap_tol:
                     stop = "gap"
                     break
+            if fills and x_bytes == last_x and check_from <= kk < budget:
+                rest = budget - kk
+                moves = fixed(state, rest)
+                if moves is not None:
+                    coords.extend(moves[0])
+                    new_values.extend(moves[1])
+                    f.extend(array("d", [f_next]) * rest)
+                    disp_w_sq.extend(array("d", [0.0]) * rest)
+                    times.extend(array("d", [time.perf_counter() - t_start]) * rest)
+                    points = range(kk + record_every, budget + 1, record_every)
+                    snap_ks.extend(points)
+                    snap_x.frombytes(x_bytes * len(points))
+                    break
+                # a check can cost a pass of steps: one that declined waits a pass
+                check_from = kk + pass_len
+            last_x = x_bytes
         if stall_tol is not None and kk >= stall_window:
             if f[kk - stall_window] - f[kk] <= stall_tol:
                 stop = "stall"
                 break
-        if x_bytes is None:
-            continue
-        if x_bytes == last_x and check_from <= kk < budget:
-            end = budget
-            if stall_tol is not None:
-                # f stays f_kk, so the stall rule fires within one window
-                for j in range(max(kk + 1, stall_window),
-                               min(kk + stall_window, budget) + 1):
-                    if f[j - stall_window] - f_next <= stall_tol:
-                        end = j
-                        break
-            rest = end - kk
-            moves = fixed(state, rest)
-            if moves is not None:
-                coords.extend(moves[0])
-                new_values.extend(moves[1])
-                f.extend(array("d", [f_next]) * rest)
-                disp_w_sq.extend(array("d", [0.0]) * rest)
-                times.extend(array("d", [time.perf_counter() - t_start]) * rest)
-                points = range(kk + record_every, end + 1, record_every)
-                snap_ks.extend(points)
-                snap_x.frombytes(x_bytes * len(points))
-                if gap_of is not None:
-                    gaps.update(dict.fromkeys(points, gap))
-                if end < budget:
-                    stop = "stall"
-                break
-            # a check can cost a pass of steps: one that declined waits a pass
-            check_from = kk + pass_len
-        last_x = x_bytes
     if snap_ks[-1] != len(coords):
         snap_ks.append(len(coords))
         snap_x.frombytes(state.x.tobytes())

@@ -24,19 +24,19 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_number, check_weights
-from .problems import (SLICE_DERIV_TOL, Problem, f_noise,
+from .geometry import FEASIBILITY_TOL, check_number, check_weights
+from .problems import (_EPS, SLICE_DERIV_TOL, Problem, f_noise,
                        global_lipschitz_bound, path_start_values)
 from .solvers import Trace, OPTION_I, OPTION_II
 
 REPLAY_TOL = 1e-9
 PASS_REL_SLACK = 1e-9
-# invariant audit: largest objective increase, box violation and relative
-# drift of a recorded objective from a fresh evaluation
-DESCENT_TOL, FEAS_TOL, OBJECTIVE_RTOL = 1e-12, 1e-12, 1e-9
+# invariant audit: largest objective increase and relative drift of a
+# recorded objective from a fresh evaluation (the box violation it allows is
+# the geometry's FEASIBILITY_TOL)
+DESCENT_TOL, OBJECTIVE_RTOL = 1e-12, 1e-9
 # Coordinate-gradient evaluations the default rfdm stride allows for a trace.
 RFDM_CHECK_BUDGET = 100_000
-_EPS = float(np.finfo(float).eps)
 # Snapshots per batched objective evaluation in the invariant audit; bounds
 # the (block, inner dimension) temporaries of Problem.values.
 _AUDIT_BLOCK = 256
@@ -387,7 +387,7 @@ class InvariantReport:
 
 def check_trace_invariants(trace: Trace, p: Problem) -> InvariantReport:
     """Audit monotone descent, box feasibility and objective consistency,
-    within ``DESCENT_TOL``, ``FEAS_TOL`` and ``OBJECTIVE_RTOL``.
+    within ``DESCENT_TOL``, ``FEASIBILITY_TOL`` and ``OBJECTIVE_RTOL``.
 
     Feasibility is checked on every reconstructible iterate: over the stack
     of snapshots for full-step traces, and through the start point and the
@@ -427,7 +427,7 @@ def check_trace_invariants(trace: Trace, p: Problem) -> InvariantReport:
     return InvariantReport(
         descent_ok=descent_ok,
         worst_descent_violation=worst_descent,
-        feasible_ok=bool(worst_feas <= FEAS_TOL),
+        feasible_ok=bool(worst_feas <= FEASIBILITY_TOL),
         worst_feasibility_violation=float(worst_feas),
         disp_nonnegative=disp_ok,
         objective_consistent=bool(worst_drift <= OBJECTIVE_RTOL),

@@ -26,9 +26,10 @@ import numpy as np
 from fdmkit import solvers
 from fdmkit.datasets import Dataset, ParseError
 from fdmkit.geometry import check_weights
-from fdmkit.problems import SLICE_DERIV_TOL, f_noise, global_lipschitz_bound
+from fdmkit.problems import (_EPS, SLICE_DERIV_TOL, f_noise,
+                             global_lipschitz_bound)
 from fdmkit.solvers import OPTION_I, OPTION_II
-from fdmkit.verify import (_EPS, REPLAY_TOL, Certificate, ReplayError,
+from fdmkit.verify import (REPLAY_TOL, Certificate, ReplayError,
                            _assign_last, _certificate_pass, _z_noise,
                            default_rfdm_check_every)
 

@@ -18,8 +18,7 @@ from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
                                load_config, mean_gap_experiment,
                                reference_solve, run_experiment,
-                               validate_pipeline, validate_report,
-                               write_trace_csv)
+                               validate_report, write_trace_csv)
 from fdmkit.problems import ErmProblem, f_noise
 from fdmkit.rates import estimate_kappa_f
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd, run_projected_gradient,
@@ -85,6 +84,8 @@ class TestConfigValidation:
         pytest.param("solver", "max_iters", 10**400, id="solver-max_iters-10**400"),
         ("dataset", "n", 0),
         ("rates", "measured", True),
+        # no config builds a correlated-rows dataset
+        ("dataset", "generator", "correlated-rows"), ("dataset", "delta", 0.01),
     ])
     def test_nonpositive_values_rejected(self, tmp_path, section, key, value):
         raw = svm_config(tmp_path)
@@ -92,7 +93,9 @@ class TestConfigValidation:
             raw["solver"]["option"] = "II"  # the solver that takes a step size
         (raw if section is None else raw.setdefault(section, {}))[key] = value
         name = key if section is None else f"{section}.{key}"
-        with pytest.raises(ConfigError, match=name if key != "measured" else key):
+        if key in ("measured", "delta"):  # keys the table no longer holds
+            name = rf"unknown keys in {section}: \['{key}'\]"
+        with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(raw)
 
     def test_bad_solver_kind_rejected(self, tmp_path):
@@ -116,10 +119,8 @@ class TestConfigValidation:
 
     def test_rfdm_on_box_constrained_rejected_before_run(self, tmp_path):
         raw = svm_config(tmp_path, verify={"rfdm": True})
-        cfg = ExperimentConfig.from_dict(raw)
-        problem = build_problem(cfg, expmod.build_dataset(cfg))
-        with pytest.raises(ConfigError):
-            validate_pipeline(cfg, problem)
+        with pytest.raises(ConfigError, match="verify.rfdm"):
+            ExperimentConfig.from_dict(raw)
 
     def test_gap_requires_svm(self, tmp_path):
         raw = {
@@ -128,9 +129,8 @@ class TestConfigValidation:
             "gap": {"enabled": True},
             "output_dir": str(tmp_path),
         }
-        cfg = ExperimentConfig.from_dict(raw)
-        with pytest.raises(ConfigError):
-            validate_pipeline(cfg, build_problem(cfg, None))
+        with pytest.raises(ConfigError, match="gap.enabled"):
+            ExperimentConfig.from_dict(raw)
 
 
 class TestBuildProblem:
@@ -631,16 +631,34 @@ class TestCli:
         return subprocess.run([sys.executable, "-m", "fdmkit", *args],
                               capture_output=True, text=True)
 
-    def test_malformed_key_exits_1_before_the_dataset_is_read(self, tmp_path):
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("solve", {"problem": {"kind": "svm-dual", "lam": "0.1"}}, "problem.lam"),
+        # conflicts between keys
+        ("solve", {"problem": {"kind": "erm", "lam": 0.1},
+                   "solver": {"kind": "cyclic"}, "verify": {"rfdm": True}},
+         "verify.rfdm"),
+        ("solve", {"verify": {"rfdm": True}}, "verify.rfdm"),
+        ("solve", {"solver": {"kind": "pgd"}, "verify": {"rcfdm": True}},
+         "verify.rcfdm"),
+        ("verify", {"solver": {"kind": "pgd"}}, "verify.rcfdm"),
+        ("solve", {"problem": {"kind": "lasso"}, "gap": {"enabled": True}},
+         "gap.enabled"),
+        ("solve", {"problem": {"kind": "erm", "lam": 0.1}, "epsilon": 1e-6},
+         "epsilon"),
+        ("solve", {"solver": {"kind": "cyclic", "omega": 0.5}}, "solver.omega"),
+    ], ids=["lam-string", "rfdm-cyclic", "rfdm-boxed", "rcfdm-pgd",
+            "verify-command-pgd", "gap-lasso", "epsilon-erm", "omega-cyclic"])
+    def test_malformed_key_exits_1_before_the_dataset_is_read(
+            self, command, overrides, key, tmp_path):
         # the dataset path does not exist: the key is rejected at load
-        cfg = {"problem": {"kind": "svm-dual", "lam": "0.1"},
+        cfg = {"problem": {"kind": "svm-dual", "lam": 0.1},
                "dataset": {"source": "file", "path": str(tmp_path / "absent")},
-               "seeds": [0], "output_dir": str(tmp_path / "out")}
+               "seeds": [0], "output_dir": str(tmp_path / "out"), **overrides}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        res = self.run_cli("solve", "--config", str(cfg_path))
+        res = self.run_cli(command, "--config", str(cfg_path))
         assert res.returncode == 1
-        assert res.stderr.startswith("validation error: problem.lam ")
+        assert res.stderr.startswith(f"validation error: {key}")
         assert not (tmp_path / "out").exists()
 
     def test_gen_and_solve_round_trip(self, tmp_path):

@@ -2,7 +2,6 @@ import dataclasses
 import pickle
 import re
 import tracemalloc
-from array import array
 from unittest import mock
 
 import numpy as np
@@ -566,59 +565,26 @@ class TestFixedPointFill:
             assert fills == ([] if budget == detected else [(1, True)])
             assert_same_trace(tr, run_stepping(run, p, cfg))
 
-    def test_gap_rule_runs_at_every_filled_record_point(self, standard_problems):
-        # cyclic reaches a fixed point of svm_dual_n8 whose gap is 5e-16
-        p = standard_problems["svm_dual_n8"]
-        cfg = SolverConfig(max_iters=2000, gap_tol=1e-300)
-        tr, calls = run_logged(run_cyclic_cd, p, cfg)
-        (count, filled), = calls
-        assert filled and tr.stop_reason == "budget"
-        assert list(tr.gaps) == list(range(1, 2001))
-        assert len(set(list(tr.gaps.values())[-count - 1:])) == 1
-        assert_same_trace(tr, run_stepping(run_cyclic_cd, p, cfg))
-
-    @pytest.mark.parametrize("window", [1, 2, "4n"])
-    def test_stall_rule_stops_the_fill(self, window, standard_problems):
-        stalled_in_fill = 0
-        for p in standard_problems.values():
-            for method, run in _RUNS.items():
-                cfg = SolverConfig(max_iters=2000, seed=1, stall_tol=0.0,
-                                   stall_window=4 * p.n if window == "4n" else window)
-                tr, calls = run_logged(run, p, cfg)
-                assert_same_trace(tr, run_stepping(run, p, cfg))
-                if calls and calls[-1][1] and tr.stop_reason == "stall":
-                    stalled_in_fill += 1
-                    assert len(tr) < 2000
-        # a window of one stalls as soon as f repeats, before a fill
-        assert stalled_in_fill > 0 if window != 1 else stalled_in_fill == 0
-
-    def test_stall_counts_the_window_from_the_fixed_point(self):
-        # f fell over the record interval that left x in place (a tracked f
-        # can move by rounding alone), so only f_kk against itself, one
-        # whole window after the fixed point at kk = 8, stalls
-        p = separable_quadratic([1.0, 2.0])
-        cfg = SolverConfig(max_iters=40, stall_tol=0.0, stall_window=3)
-
-        def drive(decline):
-            taken = []
-
-            def step(state):
-                if len(taken) < 8:
-                    state.f -= 1.0
-                taken.append(0)
-                return 0, 0.0, 0.0
-
-            def fixed(state, count):
-                if decline or len(taken) < 8:
-                    return None
-                return array("q", [0]) * count, array("d", [0.0]) * count
-
-            return solvers._drive(p, cfg, np.ones(2), 1.0, np.zeros(2), step,
-                                  "scdm", "I", record_every=4, fixed=fixed)
-
-        tr = drive(decline=False)
-        assert tr.stop_reason == "stall" and len(tr) == 8 + 3
-        assert_same_trace(tr, drive(decline=True))
+    @pytest.mark.parametrize("rule", ["gap", 1, 2, "4n"])
+    def test_runs_with_a_rule_step_to_their_stop(self, rule, standard_problems):
+        if rule == "gap":
+            # cyclic sits at a fixed point of svm_dual_n8 for its last 1820
+            # passes, with a gap of 5e-16, above the tolerance
+            cases = [("cyclic", standard_problems["svm_dual_n8"],
+                      SolverConfig(max_iters=2000, gap_tol=1e-300))]
+        else:
+            cases = [(method, p, SolverConfig(
+                max_iters=2000, seed=1, stall_tol=0.0,
+                stall_window=4 * p.n if rule == "4n" else rule))
+                for p in standard_problems.values() for method in _RUNS]
+        for method, p, cfg in cases:
+            tr, calls = run_logged(_RUNS[method], p, cfg)
+            assert calls == []
+            assert_same_trace(tr, run_stepping(_RUNS[method], p, cfg))
+        if rule == "gap":
+            assert tr.stop_reason == "budget"
+            assert list(tr.gaps) == list(range(1, 2001))
+            assert np.all(tr.disp_w_sq[-1820:] == 0.0)
 
     def test_scdm_check_declines_while_a_coordinate_would_move(self):
         # x0 solves coordinate 0 but not coordinate 1; seed 0 draws 0 first,
