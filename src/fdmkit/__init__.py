@@ -22,8 +22,8 @@ from .rates import (GapReport, RateConstants, estimate_kappa_f,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
 from .datasets import (Dataset, ParseError, correlated_rows,
-                       diagonal_quadratic, gaussian_margin,
-                       generate_synthetic, parse_libsvm, write_libsvm)
+                       diagonal_quadratic, gaussian_margin, parse_libsvm,
+                       write_libsvm)
 from .experiment import (ConfigError, ExperimentConfig, ExperimentResult,
                          load_config, mean_gap_experiment, reference_solve,
                          run_experiment, write_trace_csv)
@@ -46,8 +46,7 @@ __all__ = [
     "rate_rcfdm_general", "rate_rcfdm_zero_z", "rate_rfdm",
     "sdca_iteration_bound", "svm_sigma_sq",
     "Dataset", "ParseError", "parse_libsvm", "write_libsvm",
-    "generate_synthetic", "gaussian_margin", "correlated_rows",
-    "diagonal_quadratic",
+    "gaussian_margin", "correlated_rows", "diagonal_quadratic",
     "ConfigError", "ExperimentConfig", "ExperimentResult", "load_config",
     "run_experiment", "reference_solve", "mean_gap_experiment",
     "write_trace_csv",

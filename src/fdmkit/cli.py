@@ -16,18 +16,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
 import numpy as np
 
-from .datasets import GENERATORS, generate_synthetic, write_libsvm
+from .datasets import (correlated_rows, diagonal_quadratic, gaussian_margin,
+                       write_libsvm)
 from .experiment import ExperimentConfig, load_config, run_experiment
+from .geometry import check_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CERTIFICATION = 3
+
+# gen's generators; each takes the flags named by its parameters
+_GENERATORS = {"gaussian-margin": gaussian_margin, "correlated-rows": correlated_rows,
+               "diagonal-quadratic": diagonal_quadratic}
 
 
 class _ArgumentError(Exception):
@@ -63,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_command("gap", "run the duality-gap bound experiment")
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--generator", required=True, choices=GENERATORS)
+    gen.add_argument("--generator", required=True, choices=_GENERATORS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--n", type=int)
     gen.add_argument("--d", type=int)
     gen.add_argument("--delta", type=float)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
     return parser
 
 
@@ -117,17 +124,23 @@ def _run_command(args) -> int:
 
 
 def _gen_command(args) -> int:
-    spec = {"generator": args.generator, "seed": args.seed}
-    if args.n is not None:
-        spec["n"] = args.n
-    if args.d is not None:
-        spec["d"] = args.d
-    if args.delta is not None:
-        spec["delta"] = args.delta
-    if args.generator == "diagonal-quadratic":
-        spec.pop("seed")
-        spec.pop("d", None)
-    out = generate_synthetic(spec)
+    make = _GENERATORS[args.generator]
+    takes = inspect.signature(make).parameters
+    flags = {key: value for key in ("n", "d", "delta", "seed")
+             if (value := getattr(args, key)) is not None}
+    extra = sorted(flags.keys() - takes.keys())
+    if extra:
+        raise ValueError(f"{', '.join('--' + key for key in extra)}: not taken "
+                         f"by generator {args.generator}")
+    for key, param in takes.items():
+        if param.default is param.empty and key not in flags:
+            raise ValueError(f"--{key}: required by generator {args.generator}")
+    for key in ("n", "d"):
+        if key in flags:
+            # correlated-rows makes its first two features near-duplicates
+            low = 1 if key == "d" and make is correlated_rows else 0
+            check_number(flags[key], f"--{key}", integer=True, minimum=low)
+    out = make(**flags)
     if hasattr(out, "features"):
         write_libsvm(out, args.out)
     else:

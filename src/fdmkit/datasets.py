@@ -216,9 +216,6 @@ def write_libsvm(dataset: Dataset, path) -> None:
 # ---------------------------------------------------------------------------
 # synthetic generators
 
-GENERATORS = ("gaussian-margin", "correlated-rows", "diagonal-quadratic")
-
-
 def gaussian_margin(n: int, d: int, seed: int = 0, margin: float = 0.1) -> Dataset:
     """Linearly structured classification examples with a soft margin.
 
@@ -260,25 +257,3 @@ def diagonal_quadratic(n: int = 5) -> QuadraticProblem:
     c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return QuadraticProblem(H, c, Box.free(n))
 
-
-def generate_synthetic(spec: dict):
-    """Build a synthetic instance from a generator spec.
-
-    ``spec`` requires ``generator`` (one of ``gaussian-margin``,
-    ``correlated-rows``, ``diagonal-quadratic``) plus that generator's
-    parameters; dataset generators also honor ``seed``.
-    """
-    if "generator" not in spec:
-        raise ValueError("synthetic spec requires a 'generator' key")
-    kind = spec["generator"]
-    params = {k: v for k, v in spec.items() if k != "generator"}
-    try:
-        if kind == "gaussian-margin":
-            return gaussian_margin(**params)
-        if kind == "correlated-rows":
-            return correlated_rows(**params)
-        if kind == "diagonal-quadratic":
-            return diagonal_quadratic(**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for generator {kind!r}: {exc}") from None
-    raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATORS}")

@@ -26,15 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import Dataset, generate_synthetic, parse_libsvm
+from .datasets import Dataset, gaussian_margin, parse_libsvm
 from .geometry import Box, check_number
 from .problems import (_LOSSES, ErmProblem, LassoBoxProblem, Problem,
                        QuadraticProblem, SvmDualProblem)
 from .rates import (GapReport, estimate_kappa_f, measured_rate,
                     rate_rcfdm_general, rate_rcfdm_zero_z, rate_rfdm,
                     sdca_iteration_bound, svm_sigma_sq)
-from .solvers import (BUDGET_RANGE, EXACT_METHODS, OPTION_I, OPTION_II,
-                      SEED_RANGE, SolverConfig, Trace, run_cyclic_cd,
+from .solvers import (BUDGET_RANGE, EXACT_METHODS, FULL_STEP_METHODS, OPTION_I,
+                      OPTION_II, SEED_RANGE, SolverConfig, Trace, run_cyclic_cd,
                       run_projected_gradient, run_scdm, run_scdm_seeds)
 from .verify import check_rcfdm, check_rfdm, fdm_constants, ReplayError
 
@@ -175,6 +175,9 @@ class ExperimentConfig:
         del top["workers"]
         problem, dataset = top["problem"], top["dataset"]
         kind, source = problem["kind"], dataset and dataset["source"]
+        unset = [f"dataset.{key}" for key in {
+            "file": ["path"], "synthetic": ["generator", "n", "d"]}.get(source, [])
+            if dataset[key] is None]
         missing = (
             "problem.kind" if kind is None
             else "a dataset section" if kind != "quadratic" and not dataset
@@ -182,7 +185,7 @@ class ExperimentConfig:
             else "problem.diag or problem.hessian" if kind == "quadratic"
             and problem["diag"] is None and problem["hessian"] is None
             else "dataset.source" if dataset and source is None
-            else "dataset.path" if source == "file" and not dataset["path"]
+            else unset[0] if unset
             else "distinct seeds" if len(set(top["seeds"])) < len(top["seeds"])
             else None)
         if missing:
@@ -205,6 +208,8 @@ class ExperimentConfig:
             else f"solver.omega: {method} minimizes each coordinate exactly "
             "and takes no step size" if solver["omega"] is not None
             and method in EXACT_METHODS
+            else f"solver.record_every: {method} records every step"
+            if solver["record_every"] is not None and method in FULL_STEP_METHODS
             else None)
         if conflict:
             raise ConfigError(conflict)
@@ -240,8 +245,7 @@ def build_dataset(cfg: ExperimentConfig) -> Optional[Dataset]:
     if spec["source"] == "file":
         classification = cfg.problem["kind"] in ("svm-dual", "erm")
         return parse_libsvm(spec["path"], classification=classification)
-    return generate_synthetic({k: v for k, v in spec.items()
-                               if k != "source" and v is not None})
+    return gaussian_margin(spec["n"], spec["d"], spec["seed"], spec["margin"])
 
 
 def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:

@@ -10,11 +10,10 @@ often the trace snapshots full iterates.
 
 Every step is a deterministic map of the run state (SCDM draws one of n
 coordinate maps), so once x is a floating-point fixed point of every map,
-each later step repeats bit for bit.  In a run with no gap or stall rule,
-the shared loop ``_drive`` detects that and writes the rest of the budget
-in bulk, as stepping would have recorded it; a run with a rule steps to its
-stop, since no workload fills one.  A run whose x still changes in the last
-ulp never repeats, so it steps to the end.
+each later step repeats bit for bit.  A run with no gap or stall rule then
+writes the rest of its budget in bulk, as stepping would have recorded it
+(see ``_drive``): a full step is at a fixed point once it left x unchanged,
+SCDM once every coordinate has been drawn since x last moved.
 """
 
 from __future__ import annotations
@@ -30,13 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .geometry import check_number, check_weights
-from .problems import (Problem, ProblemState, SliceMinError, f_noise,
-                       global_lipschitz_bound)
+from .problems import Problem, ProblemState, f_noise, global_lipschitz_bound
 
 OPTION_I = "I"
 OPTION_II = "II"
 # The methods that minimize each coordinate exactly and take no step size.
 EXACT_METHODS = ("scdm-I", "cyclic")
+# The methods that snapshot every step and take no record_every.
+FULL_STEP_METHODS = ("cyclic", "pgd")
 
 # The ranges of a run's budget and seed, as check_number takes them: a trace
 # counts steps in int64, and a seed is the 128-bit key of a Philox stream.
@@ -74,7 +74,9 @@ class SolverConfig:
     over the ``n`` coordinates.  ``gap_tol`` stops a run once the duality
     gap, evaluated at every recorded snapshot, reaches it; only problems with
     a duality gap (the SVM dual) take it, and a run of any other problem
-    raises ``ValueError``.
+    raises ``ValueError``.  ``record_every`` is the steps between two
+    snapshots of an SCDM run (default n); cyclic and projected-gradient runs
+    snapshot every step and raise ``ValueError`` when it is set.
     """
 
     w: Optional[np.ndarray] = None
@@ -129,8 +131,9 @@ class SolverConfig:
             raise ValueError("x0 is infeasible")
         return x0
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` unless every number field is in its range."""
+    def validate(self, method: Optional[str] = None) -> None:
+        """Raise ``ValueError`` unless every number field is in its range
+        and, for a full-step ``method``, ``record_every`` is unset."""
         check_number(self.max_iters, "max_iters", **BUDGET_RANGE)
         check_number(self.seed, "seed", **SEED_RANGE)
         for name, rule in (("record_every", {"integer": True}),
@@ -138,6 +141,8 @@ class SolverConfig:
                            ("gap_tol", {}), ("stall_tol", {"inclusive": True})):
             if getattr(self, name) is not None:
                 check_number(getattr(self, name), name, **rule)
+        if method in FULL_STEP_METHODS and self.record_every is not None:
+            raise ValueError(f"record_every: {method} records every step")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +224,7 @@ class Trace:
 # runners
 
 
-def _full_step_fixed(state: ProblemState, count: int):
+def _full_step_fixed(count: int):
     """:func:`_drive`'s ``fixed`` rule for cyclic passes and projected-gradient
     steps, recorded every step.  A step that left x unchanged left the whole
     state unchanged (a pass sets each coordinate once and ``set_coord`` skips
@@ -242,16 +247,17 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     Fixed points.  A run with no gap or stall rule that reaches a fixed
     point writes the rest of its budget in bulk.  At a record point whose x
     equals the previous snapshot byte for byte (signed zeros included),
-    ``fixed(state, count)`` decides whether x is a fixed point of every
-    step: it returns the ``coords`` and ``new_values`` records of the next
-    ``count`` steps, or ``None`` to keep stepping (and is then not asked
-    again for ``pass_len`` steps).  From a fixed point each later step
-    repeats bit for bit, with f unchanged and a zero move, so the loop
-    writes the later steps and snapshots up to the budget as stepping would
-    have recorded them.  A run with a rule steps to its stop: no workload
-    fills one, and under a stall rule a fill would save at most one window.
-    Only exact repetition qualifies: a run whose x still changes in the
-    last ulp from step to step does not repeat, so it steps to the end.
+    ``fixed(count)`` returns the ``coords`` and ``new_values`` records of
+    the next ``count`` steps if x is a fixed point of every step, else
+    ``None`` to keep stepping: for a full step, x is one once the step left
+    it unchanged; for SCDM, once every coordinate has been drawn since x
+    last moved.  Each later step then repeats bit for bit, with f unchanged
+    and a zero move, so the loop writes the later steps and snapshots up to
+    the budget as stepping would have recorded them.  A run with a rule
+    steps to its stop: no workload fills one, and under a stall rule a fill
+    would save at most one window.  Only exact repetition qualifies: a run
+    whose x still changes in the last ulp does not repeat, so it steps to
+    the end.
     """
     gap_of = None
     if cfg.gap_tol is not None:
@@ -278,7 +284,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     t_start = time.perf_counter()
     stop = "budget"
     increases = 0
-    check_from = 0
     for k in range(budget):
         i, new, disp = step(state)
         f_next = state.objective()
@@ -307,9 +312,9 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
                 if gap <= cfg.gap_tol:
                     stop = "gap"
                     break
-            if fills and x_bytes == last_x and check_from <= kk < budget:
+            if fills and x_bytes == last_x and kk < budget:
                 rest = budget - kk
-                moves = fixed(state, rest)
+                moves = fixed(rest)
                 if moves is not None:
                     coords.extend(moves[0])
                     new_values.extend(moves[1])
@@ -320,8 +325,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
                     snap_ks.extend(points)
                     snap_x.frombytes(x_bytes * len(points))
                     break
-                # a check can cost a pass of steps: one that declined waits a pass
-                check_from = kk + pass_len
             last_x = x_bytes
         if stall_tol is not None and kk >= stall_window:
             if f[kk - stall_window] - f[kk] <= stall_tol:
@@ -397,28 +400,27 @@ def run_scdm(p: Problem, cfg: SolverConfig, option: str = OPTION_I) -> Trace:
             return p.box.clip_coord(
                 float(state.x[i]) - scale[i] * state.coord_grad(i), i)
 
+    # what each coordinate's map returned since x last moved; a step that
+    # does not move leaves the state as it was (set_coord skips a zero move)
+    stayed = {}
+
     def step(state: ProblemState):
         i = next(draws)
         old = float(state.x[i])
         new = new_value(state, i)
         state.set_coord(i, new)
         delta = new - old
+        if delta:
+            stayed.clear()
+        else:
+            stayed[i] = new
         return i, new, w_of[i] * delta * delta
 
-    def fixed(state: ProblemState, count: int):
-        # x is a fixed point of every coordinate map when no coordinate would
-        # move; a slice solve that fails is a move the steps still try
-        values = []
-        for i, old in enumerate(state.x.tolist()):
-            try:
-                new = new_value(state, i)
-            except SliceMinError:
-                return None
-            if new - old != 0.0:
-                return None
-            values.append(new)
+    def fixed(count: int):
+        if len(stayed) < p.n:
+            return None
         drawn = array("q", islice(draws, count))
-        return drawn, array("d", [values[i] for i in drawn])
+        return drawn, array("d", [stayed[i] for i in drawn])
 
     return _drive(p, cfg, w, omega, x0, step, "scdm", option,
                   record_every=cfg.record_every or p.n, pass_len=p.n,
@@ -557,7 +559,7 @@ def run_cyclic_cd(p: Problem, cfg: SolverConfig) -> Trace:
     One trace record covers a full pass over the coordinates in order
     1..n, so a cyclic record costs n coordinate updates.
     """
-    cfg.validate()
+    cfg.validate("cyclic")
     w = cfg.resolve_w(p)
     omega = cfg.step_size(p, "cyclic")
     w_of = w.tolist()
@@ -581,7 +583,7 @@ def run_projected_gradient(p: Problem, cfg: SolverConfig) -> Trace:
     which guarantees monotone descent.  Two consecutive objective increases
     abort the run with a diagnostic.
     """
-    cfg.validate()
+    cfg.validate("pgd")
     w = cfg.resolve_w(p)
     omega = cfg.step_size(p, "pgd")
     lower, upper = p.box.lower, p.box.upper

@@ -217,7 +217,7 @@ def fixed_point_rule(wrap):
 def run_stepping(run, *args):
     """``run(*args)`` stepping through every iteration: the driver's
     fixed-point rule declines at every record point."""
-    with fixed_point_rule(lambda fixed: lambda state, count: None):
+    with fixed_point_rule(lambda fixed: lambda count: None):
         return run(*args)
 
 

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from fdmkit import datasets
 from fdmkit.datasets import (Dataset, ParseError, correlated_rows,
-                             diagonal_quadratic, gaussian_margin,
-                             generate_synthetic, parse_libsvm, write_libsvm)
+                             diagonal_quadratic, gaussian_margin, parse_libsvm,
+                             write_libsvm)
 from fdmkit.problems import QuadraticProblem
 from oracles import parse_libsvm_by_line
 
@@ -335,18 +335,3 @@ class TestGenerators:
         np.testing.assert_array_equal(np.diag(p.hessian),
                                       np.arange(1.0, 6.0))
         assert p.box.is_free()
-
-    def test_generate_synthetic_dispatch(self):
-        ds = generate_synthetic({"generator": "gaussian-margin", "n": 4,
-                                 "d": 3, "seed": 0})
-        assert isinstance(ds, Dataset)
-        p = generate_synthetic({"generator": "diagonal-quadratic", "n": 4})
-        assert isinstance(p, QuadraticProblem)
-
-    def test_generate_synthetic_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            generate_synthetic({"generator": "mystery"})
-        with pytest.raises(ValueError):
-            generate_synthetic({"n": 4})
-        with pytest.raises(ValueError):
-            generate_synthetic({"generator": "gaussian-margin", "bogus": 1})

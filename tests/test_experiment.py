@@ -122,6 +122,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="verify.rfdm"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["generator", "n", "d"])
+    def test_synthetic_dataset_requires_its_keys(self, tmp_path, key):
+        # each used to fail when the dataset was built, after the config loaded
+        raw = svm_config(tmp_path)
+        del raw["dataset"][key]
+        with pytest.raises(ConfigError, match=f"config requires dataset.{key}$"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_synthetic_dataset_is_gaussian_margin(self, tmp_path):
+        raw = svm_config(tmp_path)
+        raw["dataset"]["margin"] = 0.3
+        ds = expmod.build_dataset(ExperimentConfig.from_dict(raw))
+        ref = gaussian_margin(4, 4, seed=7, margin=0.3)
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.labels.tobytes() == ref.labels.tobytes()
+
     def test_gap_requires_svm(self, tmp_path):
         raw = {
             "problem": {"kind": "quadratic", "diag": [1.0, 2.0]},
@@ -646,8 +662,13 @@ class TestCli:
         ("solve", {"problem": {"kind": "erm", "lam": 0.1}, "epsilon": 1e-6},
          "epsilon"),
         ("solve", {"solver": {"kind": "cyclic", "omega": 0.5}}, "solver.omega"),
+        ("solve", {"problem": {"kind": "quadratic", "diag": [1, 2]},
+                   "dataset": None, "solver": {"kind": "cyclic", "record_every": 5,
+                                               "max_iters": 20}},
+         "solver.record_every"),
     ], ids=["lam-string", "rfdm-cyclic", "rfdm-boxed", "rcfdm-pgd",
-            "verify-command-pgd", "gap-lasso", "epsilon-erm", "omega-cyclic"])
+            "verify-command-pgd", "gap-lasso", "epsilon-erm", "omega-cyclic",
+            "record_every-cyclic"])
     def test_malformed_key_exits_1_before_the_dataset_is_read(
             self, command, overrides, key, tmp_path):
         # the dataset path does not exist: the key is rejected at load
@@ -746,6 +767,29 @@ class TestCli:
     def test_bad_flag_exit_1(self):
         res = self.run_cli("solve", "--bogus")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--generator", "gaussian-margin", "--n", "0", "--d", "3"], "--n"),
+        (["--generator", "gaussian-margin", "--n", "3", "--d", "0"], "--d"),
+        (["--generator", "gaussian-margin", "--n", "3"], "--d"),
+        (["--generator", "diagonal-quadratic", "--n", "0"], "--n"),
+        (["--generator", "diagonal-quadratic", "--d", "3", "--seed", "4"],
+         "--d, --seed"),
+        (["--generator", "correlated-rows", "--delta", "0.1", "--d", "0"], "--d"),
+        (["--generator", "correlated-rows", "--delta", "0.1", "--d", "1"], "--d"),
+        (["--generator", "mystery"], "argument --generator"),
+        (["--n", "3"], "the following arguments are required: --generator"),
+        (["--generator", "diagonal-quadratic", "--bogus", "1"],
+         "unrecognized arguments: --bogus"),
+    ])
+    def test_gen_rejects_a_flag_its_generator_cannot_take(self, args, flag,
+                                                          tmp_path, capsys):
+        # the first five used to write a file no config loads, or drop the
+        # flag, and exit 0; the first correlated-rows one to exit 2
+        out = tmp_path / "data"
+        assert cli_main(["gen", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.split(": ", 1)[1].startswith(flag)
+        assert not out.exists()
 
     def test_gen_diagonal_quadratic_json(self, tmp_path):
         out = tmp_path / "quad.json"

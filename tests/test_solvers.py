@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdmkit import fixtures, solvers
 from fdmkit.geometry import Box
-from fdmkit.problems import ErmProblem, QuadraticProblem, SvmDualProblem
+from fdmkit.problems import ErmProblem, ProblemState, QuadraticProblem
 from fdmkit.problems import global_lipschitz_bound
 from fdmkit.solvers import (DivergenceError, SolverConfig, Trace, run_cyclic_cd, run_projected_gradient,
                             run_scdm, run_scdm_seeds)
@@ -206,6 +206,14 @@ class TestRunScdm:
         with mock.patch.object(solvers, "_drive", side_effect=AssertionError):
             with pytest.raises(ValueError, match=message):
                 run(p, cfg)
+
+    @pytest.mark.parametrize("run", [run_cyclic_cd, run_projected_gradient])
+    def test_full_step_runs_take_no_record_every(self, run):
+        # a full-step run snapshots every step; it used to ignore the value
+        p = separable_quadratic([1.0, 2.0])
+        with mock.patch.object(solvers, "_drive", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="record_every: .* records every step"):
+                run(p, SolverConfig(max_iters=20, record_every=5))
 
     @pytest.mark.parametrize("seed", [-1, 2**128, True, 2.5])
     def test_batched_seeds_checked_before_the_first_draw(self, seed):
@@ -511,8 +519,8 @@ def run_logged(run, p, cfg):
     calls = []
 
     def spy(fixed):
-        def logged(state, count):
-            moves = fixed(state, count)
+        def logged(count):
+            moves = fixed(count)
             calls.append((count, moves is not None))
             return moves
         return logged
@@ -598,18 +606,23 @@ class TestFixedPointFill:
         np.testing.assert_array_equal(tr.final_x, [0.0, 0.0])
         assert_same_trace(tr, run_stepping(run_scdm, p, cfg))
 
-    def test_declined_check_waits_a_pass(self):
-        # recording every step, x stays put whenever the draw cannot move;
-        # checking each time would cost n slice solves per step
-        rng = np.random.default_rng(0)
-        p = SvmDualProblem(rng.standard_normal((400, 50)),
-                           np.sign(rng.standard_normal(400)), 0.01)
-        cfg = SolverConfig(max_iters=20000, seed=0, record_every=1)
-        tr, calls = run_logged(_RUNS["scdm-I"], p, cfg)
-        counts = [count for count, filled in calls]
-        assert len(calls) >= 10 and not any(filled for _, filled in calls)
-        assert max(np.diff(counts)) <= -p.n
-        assert_same_trace(tr, run_stepping(_RUNS["scdm-I"], p, cfg))
+    @pytest.mark.parametrize("option,evaluate", [
+        ("I", (ProblemState, "exact_coord_min")), ("II", (Box, "clip_coord"))])
+    def test_scdm_rule_evaluates_no_coordinate_map(self, option, evaluate,
+                                                   standard_problems):
+        # the rule reads the values the steps already returned: every map
+        # evaluation of a run is one of its steps, none is the rule's
+        fills = 0
+        for p in standard_problems.values():
+            for seed in (1, 2):
+                cfg = SolverConfig(max_iters=2000, seed=seed)
+                with mock.patch.object(*evaluate, autospec=True,
+                                       side_effect=getattr(*evaluate)) as spy:
+                    _, calls = run_logged(_RUNS[f"scdm-{option}"], p, cfg)
+                filled = [count for count, done in calls if done]
+                assert spy.call_count == 2000 - sum(filled)
+                fills += bool(filled)
+        assert fills >= 4
 
     @pytest.mark.parametrize("method,name,record_every", [
         ("scdm-I", "erm_logistic_n20", 7), ("scdm-II", "quadratic_box_n8", 3)])
