@@ -10,6 +10,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation error (any malformed config key, at load,
 before a dataset file is read), 2 runtime failure, 3 certification failure.
+
+The command runs on one BLAS thread unless OPENBLAS_NUM_THREADS is set: its
+matrix products are too small to gain from a second thread, and an idle
+OpenBLAS worker spins on a core and costs CPU time.  Outputs do not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,6 +32,7 @@ from .datasets import (correlated_rows, diagonal_quadratic, gaussian_margin,
                        write_libsvm)
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .geometry import check_number
+from .solvers import SEED_RANGE
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,6 +147,12 @@ def _gen_command(args) -> int:
             # correlated-rows makes its first two features near-duplicates
             low = 1 if key == "d" and make is correlated_rows else 0
             check_number(flags[key], f"--{key}", integer=True, minimum=low)
+    if "delta" in flags:
+        check_number(flags["delta"], "--delta", minimum=-math.inf)
+        if flags["delta"] == 0.0:
+            raise ValueError(f"--delta must be nonzero, got {flags['delta']!r}")
+    if "seed" in flags:
+        check_number(flags["seed"], "--seed", **SEED_RANGE)
     out = make(**flags)
     if hasattr(out, "features"):
         write_libsvm(out, args.out)

@@ -482,9 +482,10 @@ def _lockstep(p: Problem, option, omega, w, state, seeds, blocks, at):
     step, then ``set_coord``) done on every row at once, with the same
     operations.  The steps run in chunks that end at the requested
     iterations and at the ends of the draw ``blocks``; a chunk gathers its
-    per-coordinate constants up front and collects the objective's
-    increments, which one cumulative sum then adds in step order, as the
-    serial state adds them one by one.
+    per-coordinate constants up front and keeps each step's coordinate
+    gradient and move, from which one pass after the chunk forms the
+    objective's increments and one cumulative sum adds them in step order,
+    as the serial state adds them one by one.
     """
     S, n = len(seeds), p.n
     X = np.tile(state.x, (S, 1))
@@ -510,36 +511,40 @@ def _lockstep(p: Problem, option, omega, w, state, seeds, blocks, at):
         stop = min(k + _LOCKSTEP_CHUNK, due, block_at + len(block))
         coords = block[k - block_at:stop - block_at]
         flat_at = coords + row_start
-        curv_at, half_at = curv[coords], half_curv[coords]
-        lower_at, upper_at, w_at = lower[coords], upper[coords], w[coords]
-        # row 0 holds f_k; row t + 1 the increment of step k + t, summed below
-        f_path = np.empty((stop - k + 1, S))
-        f_path[0] = f
+        lower_at, upper_at = lower[coords], upper[coords]
+        if option == OPTION_I:
+            curv_at = curv[coords]
+        else:
+            scale_at = omega / w[coords]
+        # row t of g_at and delta_at: step k + t's coordinate gradient and move
+        g_at, delta_at = np.empty((2, stop - k, S))
         for t in range(stop - k):
             i = coords[t]
             xi = x_flat[flat_at[t]]
             col = cols.take(i, axis=0, out=step_cols, mode="clip")
-            g = p._coord_grad(i, xi, p._phi(images), col)
+            g = g_at[t] = p._coord_grad(i, xi, p._phi(images), col)
             if option == OPTION_I:
                 new = xi - g / curv_at[t]
             else:
-                new = xi - (omega / w_at[t]) * g
+                new = xi - scale_at[t] * g
             # clip_coord's min(max(new, lo), hi), signed zeros included
             lo, hi = lower_at[t], upper_at[t]
             np.copyto(new, lo, where=lo > new)
             np.copyto(new, hi, where=hi < new)
-            delta = new - xi
-            # set_coord leaves a row whose coordinate does not move untouched:
-            # adding -0.0 leaves every value as it is, signed zeros included
+            delta = np.subtract(new, xi, out=delta_at[t])
+            # set_coord leaves a row whose coordinate does not move untouched
             stay = delta == 0.0
-            inc = f_path[t + 1]
-            np.add(g * delta, half_at[t] * delta * delta, out=inc)
-            inc[stay] = -0.0
             np.multiply(col, delta[:, None], out=col)
-            col[stay] = -0.0
-            images += col
+            np.add(images, col, out=images, where=~stay[:, None])
             np.copyto(new, xi, where=stay)
             x_flat[flat_at[t]] = new
+        # row 0 holds f_k; row t + 1 set_coord's increment g d + (c/2) d^2 of
+        # step k + t, and -0.0, which leaves every value as it is, where d = 0
+        f_path = np.empty((stop - k + 1, S))
+        f_path[0] = f
+        inc = np.multiply(g_at, delta_at, out=f_path[1:])
+        inc += half_curv[coords] * delta_at * delta_at
+        np.copyto(inc, -0.0, where=delta_at == 0.0)
         np.add.accumulate(f_path, axis=0, out=f_path)
         bad = ~np.isfinite(f_path)
         if bad.any():

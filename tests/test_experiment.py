@@ -764,6 +764,56 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert res.stdout.splitlines()[-1] == "0 []"
 
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_command_runs_on_one_blas_thread_unless_set(self, preset, expected,
+                                                        tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, sys; from fdmkit.__main__ import main; rc = main(); "
+                "tasks = '/proc/self/task'; print(rc, os.environ["
+                "'OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) "
+                "if os.path.isdir(tasks) else 1)")
+        res = subprocess.run([sys.executable, "-c", code, "gen", "--generator",
+                              "diagonal-quadratic", "--n", "2", "--out",
+                              str(tmp_path / "q.json")],
+                             env=env, capture_output=True, text=True, check=True)
+        rc, value, threads = res.stdout.split()[-3:]
+        assert (rc, value) == ("0", expected)
+        if preset is None:  # OpenBLAS started no worker thread
+            assert threads == "1"
+
+    @pytest.mark.parametrize("command", ["gap", "verify"])
+    def test_outputs_equal_on_one_and_two_blas_threads(self, command, tmp_path):
+        # 64 x 160 is large enough that the exact SVD of the gap bound runs
+        # a threaded LAPACK path on two threads
+        cfg = svm_config(
+            tmp_path, problem={"kind": "svm-dual", "lam": 0.005},
+            dataset={"source": "synthetic", "generator": "gaussian-margin",
+                     "n": 64, "d": 160, "seed": 2})
+        if command == "gap":
+            cfg.update(seeds=[1], gap={"epsilons": [0.1, 0.01], "n_seeds": 2})
+            del cfg["solver"]["max_iters"]
+        else:
+            cfg["solver"]["max_iters"] = 500
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            res = subprocess.run(
+                [sys.executable, "-m", "fdmkit", command, "--config",
+                 str(cfg_path), "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            report = json.loads((out / "report.json").read_text())
+            del report["timing"]
+            outputs.append((report, {path.name: path.read_bytes()
+                                     for path in out.glob("*.csv")}))
+        assert len(outputs[0][1]) == len(cfg["seeds"])
+        assert outputs[0] == outputs[1]
+
     def test_bad_flag_exit_1(self):
         res = self.run_cli("solve", "--bogus")
         assert res.returncode == 1
@@ -777,6 +827,11 @@ class TestCli:
          "--d, --seed"),
         (["--generator", "correlated-rows", "--delta", "0.1", "--d", "0"], "--d"),
         (["--generator", "correlated-rows", "--delta", "0.1", "--d", "1"], "--d"),
+        (["--generator", "correlated-rows", "--delta", "nan"], "--delta"),
+        (["--generator", "correlated-rows", "--delta", "inf"], "--delta"),
+        (["--generator", "correlated-rows", "--delta", "0"], "--delta"),
+        (["--generator", "gaussian-margin", "--n", "3", "--d", "2", "--seed", "-1"],
+         "--seed"),
         (["--generator", "mystery"], "argument --generator"),
         (["--n", "3"], "the following arguments are required: --generator"),
         (["--generator", "diagonal-quadratic", "--bogus", "1"],
@@ -784,8 +839,9 @@ class TestCli:
     ])
     def test_gen_rejects_a_flag_its_generator_cannot_take(self, args, flag,
                                                           tmp_path, capsys):
-        # the first five used to write a file no config loads, or drop the
-        # flag, and exit 0; the first correlated-rows one to exit 2
+        # the first five and the nan and inf deltas used to write a file no
+        # config loads, or drop the flag, and exit 0; the first
+        # correlated-rows one to exit 2
         out = tmp_path / "data"
         assert cli_main(["gen", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.split(": ", 1)[1].startswith(flag)

@@ -8,6 +8,8 @@ reason.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +79,16 @@ def test_every_export_resolves_once():
     counts = Counter(fdmkit.__all__)
     assert [name for name, c in counts.items() if c > 1] == []
     assert [name for name in counts if not hasattr(fdmkit, name)] == []
+
+
+def test_import_loads_no_numpy_until_an_export_is_read():
+    # so the fdmkit command can set its BLAS thread default before numpy loads
+    code = ("import sys, fdmkit; before = 'numpy' in sys.modules; missing = "
+            "[name for name in fdmkit.__all__ if not hasattr(fdmkit, name)]; "
+            "print(before, missing, 'numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False [] True"
 
 
 def test_every_export_is_referenced_in_the_package():
