@@ -171,9 +171,6 @@ def _solution_set_projector(p: Problem, x_star, w: np.ndarray):
     """
     if not (isinstance(p, QuadraticProblem) and p.box.is_free()):
         return None
-    evals = np.linalg.eigvalsh(p.hessian)
-    if not evals[0] <= 1e-10 * max(evals[-1], 1.0):
-        return None
     evals, evecs = np.linalg.eigh(p.hessian)
     scale = float(np.max(np.abs(evals))) or 1.0
     null = evecs[:, np.abs(evals) <= 1e-10 * scale]

@@ -263,13 +263,15 @@ def check_rcfdm(trace: Trace, p: Problem, w=None,
         failed = ks[err[ks] > REPLAY_TOL]
         if failed.size:
             raise ReplayError(a + int(failed[0]), float(err[failed[0]]))
-        # a step that does not move has no correction and is skipped
-        ks = ks[new[ks] != old[ks]]
         w_k = w[c[ks]]
         # float_power calls the C pow, as a Python float's ``** 2`` does;
         # pow is not always correctly rounded, so d * d can differ in the
         # last ulp and move zeta_hat
         disp = w_k * np.float_power(new[ks] - old[ks], 2.0)
+        # a step that does not move, or whose squared move underflows to 0,
+        # gives no ratio and is skipped
+        moved = disp != 0.0
+        ks, w_k, disp = ks[moved], w_k[moved], disp[moved]
         f_k = f[a + ks]
         worst = _fold(worst, (z_eff[ks] * z_eff[ks] / w_k) / disp,
                       (f_k - f[a + ks + 1] + f_noise(f_k)) / disp, a + ks)

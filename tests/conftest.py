@@ -8,12 +8,33 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fdmkit
-from fdmkit import fixtures
+from fdmkit import experiment, fixtures
+from oracles import report_validator
 
 # the CLI tests start `python -m fdmkit`: let it import the fdmkit under test
 _SRC = str(Path(fdmkit.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+
+
+@pytest.fixture(scope="session", autouse=True)
+def report_schema_validator():
+    """Check every report a run writes against the shipped schema, and give
+    the validator to the tests that ask for it.
+
+    The run itself checks only that its report is valid JSON.  Session scope
+    puts the check in place before any module-scoped fixture runs.
+    """
+    validator = report_validator()
+    validate = experiment.validate_report
+
+    def checked(report):
+        validator.validate(report)
+        return validate(report)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "validate_report", checked)
+        yield validator
 
 
 @pytest.fixture(scope="session")

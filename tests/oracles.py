@@ -13,14 +13,18 @@ state; the checked iterates of one chunk of the rfdm walk have a
 row-by-row reference, and a trace's coordinate steps a walk from x0.  The
 libsvm parser has a line-by-line, field-by-field reference, and the trace
 CSV writer a row-by-row one.  The solver driver's fixed-point fill has a
-reference run that steps through every iteration.
+reference run that steps through every iteration.  Reports are checked
+against the shipped JSON Schema by jsonschema.
 """
 
 import contextlib
 import itertools
+import json
 import math
+from importlib import resources
 from unittest import mock
 
+import jsonschema
 import numpy as np
 
 from fdmkit import solvers
@@ -271,9 +275,9 @@ def check_rcfdm_scalar(trace, p, w=None, option=None, check_every=1):
         err = abs(replayed - new)
         if err > REPLAY_TOL:
             raise ReplayError(k, err)
-        if new == old:
-            continue
         disp = w[i] * (new - old) ** 2
+        if disp == 0.0:  # no move, or one whose square underflows
+            continue
         beta_ratio = (z_eff * z_eff / w[i]) / disp
         if beta_ratio > beta_hat_sq:
             beta_hat_sq, worst_beta_k = beta_ratio, k
@@ -449,3 +453,12 @@ def write_trace_csv_by_row(trace, path):
             gap = trace.gaps.get(k)
             gap_s = fmt(gap) if gap is not None else ""
             fh.write(f"{k},{i},{fmt(float(trace.f[k]))},{disp},{gap_s}\n")
+
+
+def report_validator():
+    """A jsonschema validator for the ``schemas/report.schema.json`` that the
+    fdmkit package ships, after checking the schema itself."""
+    text = resources.files("fdmkit").joinpath("schemas/report.schema.json").read_text()
+    schema = json.loads(text)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)

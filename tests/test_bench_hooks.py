@@ -46,8 +46,8 @@ def test_run_validates_its_report_once(tmp_path, monkeypatch):
     validate = experiment.validate_report
 
     def spy(report):
-        calls.append(report)
-        validate(report)
+        calls.append(validate(report))
+        return calls[-1]
 
     monkeypatch.setattr(experiment, "validate_report", spy)
     result = run_experiment(ExperimentConfig.from_dict({
@@ -56,3 +56,5 @@ def test_run_validates_its_report_once(tmp_path, monkeypatch):
         "seeds": [0], "output_dir": str(tmp_path / "out")}))
     assert result.exit_code == 0
     assert len(calls) == 1
+    with open(result.report_path, encoding="utf-8") as fh:
+        assert fh.read() == calls[0] + "\n"

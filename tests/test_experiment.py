@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdmkit.experiment as expmod
 import fdmkit.solvers as solvers
@@ -18,11 +20,11 @@ from fdmkit.cli import main as cli_main
 from fdmkit.experiment import (ConfigError, ExperimentConfig, build_problem,
                                load_config, mean_gap_experiment,
                                reference_solve, run_experiment,
-                               validate_report, write_trace_csv)
-from fdmkit.problems import ErmProblem, f_noise
+                               write_trace_csv)
+from fdmkit.problems import _LOSSES, ErmProblem, f_noise
 from fdmkit.rates import estimate_kappa_f
-from fdmkit.solvers import (SolverConfig, run_cyclic_cd, run_projected_gradient,
-                            run_scdm)
+from fdmkit.solvers import (EXACT_METHODS, SolverConfig, run_cyclic_cd,
+                            run_projected_gradient, run_scdm)
 from fdmkit.verify import Certificate, ReplayError
 from oracles import write_trace_csv_by_row
 
@@ -186,7 +188,6 @@ class TestRunExperiment:
         assert (out / "report.json").exists()
         assert (out / "trace_seed0.csv").exists()
         assert (out / "trace_seed1.csv").exists()
-        validate_report(result.report)
 
     def test_report_deterministic_modulo_timing(self, tmp_path):
         r1 = run_experiment(ExperimentConfig.from_dict(
@@ -199,6 +200,26 @@ class TestRunExperiment:
         csv1 = (tmp_path / "a" / "trace_seed0.csv").read_bytes()
         csv2 = (tmp_path / "b" / "trace_seed0.csv").read_bytes()
         assert csv1 == csv2
+
+    def test_report_json_cannot_hold_fails_and_leaves_no_file(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(expmod, "measured_rate", lambda f, f_star: float("nan"))
+        cfg = ExperimentConfig.from_dict(svm_config(
+            tmp_path, rates={"enabled": True, "reference_iters": 200}))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_experiment(cfg)
+        out = tmp_path / "out"
+        assert (out / "trace_seed0.csv").exists()
+        assert not (out / "report.json").exists()
+
+    def test_tests_check_each_report_against_the_schema(self, tmp_path,
+                                                        monkeypatch):
+        # the run checks only that its report is JSON; the test session's
+        # hook checks the schema, whose schema_version is the constant 1
+        monkeypatch.setattr(expmod, "SCHEMA_VERSION", 2)
+        with pytest.raises(jsonschema.ValidationError):
+            run_experiment(ExperimentConfig.from_dict(svm_config(tmp_path)))
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_seeds_run_in_calling_process(self, tmp_path, monkeypatch):
         real = expmod.run_single
@@ -531,33 +552,47 @@ def report_shapes(tmp_path_factory):
 
 _DELETE = object()
 
-# (path, value) corruptions of a report; _DELETE removes the entry
+# (path, value, whether the schema accepts the result) corruptions of a
+# report; _DELETE removes the entry
 _REPORT_CORRUPTIONS = [
-    (("problem", "n"), "5"), (("problem", "n"), 5.0), (("problem", "n"), True),
-    (("problem", "n"), 0), (("problem", "n"), None), (("seeds",), {}),
-    (("seeds", 0, "iterations"), 1.5), (("seeds", 0, "iterations"), -1),
-    (("seeds", 0, "iterations"), 3.0), (("seeds", 0, "final_f"), True),
-    (("seeds", 0, "final_f"), "0.5"), (("schema_version",), True),
-    (("schema_version",), 1.0), (("schema_version",), 2),
-    (("aggregate", "mean_final_f"), False), (("aggregate", "kappa_hat"), [1.0]),
-    (("timing",), _DELETE), (("seeds", 0, "status"), _DELETE),
-    (("problem", "kind"), _DELETE),
-    (("seeds", 0, "certificates", 0, "passed"), _DELETE),
-    (("aggregate", "gap_reports", 0, "s"), _DELETE),
-    (("extra",), 1), (("problem", "extra"), 1),
-    (("problem", "kind"), "svm"), (("seeds", 0, "stop_reason"), "done"),
-    (("seeds", 0, "status"), "OK"),
-    (("seeds", 0, "certificates", 0, "framework"), "fdm"),
-    (("seeds", 0, "certificates", 0, "n_checked"), True),
-    (("seeds", 0, "certificates", 0, "worst_beta_k"), 0.5),
-    (("config_hash",), "abc"), (("config_hash",), "A" * 64),
-    (("config_hash",), "a" * 64 + "\n"), (("config_hash",), 7),
-    (("failed_seeds",), ["0"]), (("failed_seeds", 0), True),
-    (("aggregate", "rate_constants", "c"), "x"),
-    (("aggregate", "rate_constants"), []),
-    (("aggregate", "gap_reports", 0, "iteration_bound"), 2.5),
-    (("aggregate", "gap_reports", 0, "observed_iteration"), None),
-    (("aggregate", "gap_reports"), {}),
+    (("problem", "n"), "5", False),
+    # draft 2020-12: a float with an integer value is an integer
+    (("problem", "n"), 5.0, True),
+    (("problem", "n"), True, False), (("problem", "n"), 0, False),
+    (("problem", "n"), None, False), (("seeds",), {}, False),
+    (("seeds", 0, "iterations"), 1.5, False),
+    (("seeds", 0, "iterations"), -1, False),
+    (("seeds", 0, "iterations"), 3.0, True),
+    (("seeds", 0, "final_f"), True, False),
+    (("seeds", 0, "final_f"), "0.5", False),
+    (("schema_version",), True, False), (("schema_version",), 1.0, True),
+    (("schema_version",), 2, False),
+    (("aggregate", "mean_final_f"), False, False),
+    (("aggregate", "kappa_hat"), [1.0], False),
+    (("timing",), _DELETE, False), (("seeds", 0, "status"), _DELETE, False),
+    (("problem", "kind"), _DELETE, False),
+    (("seeds", 0, "certificates", 0, "passed"), _DELETE, False),
+    (("aggregate", "gap_reports", 0, "s"), _DELETE, False),
+    (("extra",), 1, False),
+    # problem takes keys beyond its own
+    (("problem", "extra"), 1, True),
+    (("problem", "kind"), "svm", False),
+    (("seeds", 0, "stop_reason"), "done", False),
+    (("seeds", 0, "status"), "OK", False),
+    (("seeds", 0, "certificates", 0, "framework"), "fdm", False),
+    (("seeds", 0, "certificates", 0, "n_checked"), True, False),
+    (("seeds", 0, "certificates", 0, "worst_beta_k"), 0.5, False),
+    (("config_hash",), "abc", False), (("config_hash",), "A" * 64, False),
+    # a pattern matches as re.search does, and "$" before a final newline
+    (("config_hash",), "a" * 64 + "\n", True),
+    (("config_hash",), 7, False),
+    (("failed_seeds",), ["0"], False), (("failed_seeds", 0), True, False),
+    (("aggregate", "rate_constants", "c"), "x", False),
+    (("aggregate", "rate_constants"), [], False),
+    (("aggregate", "gap_reports", 0, "iteration_bound"), 2.5, False),
+    # no epsilon reached: the field is nullable
+    (("aggregate", "gap_reports", 0, "observed_iteration"), None, True),
+    (("aggregate", "gap_reports"), {}, False),
 ]
 
 
@@ -583,33 +618,23 @@ def _corrupted(report, path, value):
     return out
 
 
-def _accepts(check, report) -> bool:
-    try:
-        check(report)
-    except (ValueError, jsonschema.ValidationError):
-        return False
-    return True
-
-
-class TestValidateReport:
-    """The standard-library report check against jsonschema."""
+class TestReportSchema:
+    """The shipped report schema, by jsonschema, on each report shape."""
 
     @pytest.mark.parametrize("shape", ["ok", "failed seed", "replay error",
                                        "rfdm certificate", "rates block",
                                        "gap block", "null blocks"])
-    def test_agrees_with_jsonschema(self, report_shapes, shape):
+    def test_corruptions_get_their_verdict(self, report_shapes, shape,
+                                           report_schema_validator):
+        validator = report_schema_validator
         report = report_shapes[shape]
-        schema = expmod.report_schema()
-        jsonschema.Draft202012Validator.check_schema(schema)
-        # jsonschema.validate without checking the schema again at each call
-        oracle = jsonschema.Draft202012Validator(schema).validate
-        assert _accepts(validate_report, report) and _accepts(oracle, report)
+        assert validator.is_valid(report)
         applied = 0
-        for path, value in _REPORT_CORRUPTIONS:
+        for path, value, accepted in _REPORT_CORRUPTIONS:
             bad = _corrupted(report, path, value)
             if bad is not None:
                 applied += 1
-                assert _accepts(validate_report, bad) == _accepts(oracle, bad), path
+                assert validator.is_valid(bad) == accepted, path
         assert applied >= 20
 
     def test_shapes_have_their_blocks(self, report_shapes):
@@ -625,21 +650,67 @@ class TestValidateReport:
         assert agg["null blocks"]["mean_final_f"] is None
         assert agg["null blocks"]["rate_constants"] is None
 
-    def test_error_names_the_json_path(self, report_shapes):
-        bad = _corrupted(report_shapes["ok"], ("seeds", 1, "iterations"), -1)
-        with pytest.raises(ValueError, match=r"^\$\.seeds\[1\]\.iterations: "):
-            validate_report(bad)
 
-    def test_schema_uses_only_checked_keywords(self):
-        def walk(schema, path):
-            assert schema.keys() <= expmod._SCHEMA_KEYWORDS, path
-            for key, sub in schema.get("properties", {}).items():
-                walk(sub, f"{path}.{key}")
-            for key in ("items", "additionalProperties"):
-                if isinstance(schema.get(key), dict):
-                    walk(schema[key], f"{path}.{key}")
+@st.composite
+def _small_configs(draw):
+    """Small configs that ``from_dict`` accepts, of every problem family,
+    with the sections its conflicts allow: rfdm only for Option I on erm or
+    a free quadratic, rcfdm only for scdm, the gap and its tolerance only for
+    svm-dual, omega only on inexact methods and record_every only on scdm."""
+    kind = draw(st.sampled_from(["svm-dual", "erm", "lasso", "quadratic"]))
+    n = draw(st.integers(2, 8))
+    problem, dataset = {"kind": kind}, None
+    if kind == "quadratic":
+        problem["diag"] = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+        problem["linear"] = draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                          max_size=n))
+        if draw(st.booleans()):
+            problem["box"] = [-1.0, 1.0]
+    else:
+        dataset = {"source": "synthetic", "generator": "gaussian-margin",
+                   "n": n, "d": draw(st.integers(2, 4)),
+                   "seed": draw(st.integers(0, 99))}
+    if kind in ("svm-dual", "erm"):
+        problem["lam"] = draw(st.floats(0.1, 1.0))
+    if kind == "erm":
+        problem["loss"] = draw(st.sampled_from(sorted(_LOSSES)))
+    solver = {"kind": draw(st.sampled_from(["scdm", "cyclic", "pgd"])),
+              "w": draw(st.sampled_from(["L", "ones"])),
+              "max_iters": draw(st.integers(0, 60))}
+    if solver["kind"] == "scdm":
+        solver["option"] = draw(st.sampled_from(["I", "II"]))
+        if draw(st.booleans()):
+            solver["record_every"] = draw(st.integers(1, 10))
+    method = expmod._method(solver)
+    if method not in EXACT_METHODS and draw(st.booleans()):
+        solver["omega"] = draw(st.floats(0.1, 1.0))
+    free = kind == "erm" or kind == "quadratic" and "box" not in problem
+    raw = {"problem": problem, "dataset": dataset, "solver": solver,
+           "seeds": draw(st.lists(st.integers(0, 2**20), min_size=1,
+                                  max_size=2, unique=True)),
+           "verify": {"rcfdm": solver["kind"] == "scdm" and draw(st.booleans()),
+                      "rfdm": method == "scdm-I" and free and draw(st.booleans())}}
+    if draw(st.booleans()):
+        raw["rates"] = {"enabled": True,
+                        "reference_iters": draw(st.integers(1, 300))}
+    if kind == "svm-dual" and draw(st.booleans()):
+        raw["epsilon"] = draw(st.sampled_from([1e-2, 1e-6]))
+    if kind == "svm-dual" and draw(st.booleans()):
+        raw["gap"] = {"enabled": True,
+                      "epsilons": [draw(st.sampled_from([0.5, 0.1]))],
+                      "n_seeds": draw(st.integers(1, 2))}
+    return raw
 
-        walk(expmod.report_schema(), "$")
+
+@settings(max_examples=25, deadline=None)
+@given(raw=_small_configs())
+def test_each_valid_config_writes_its_report(raw):
+    # the session's hook checks each report against the schema
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = ExperimentConfig.from_dict({**raw, "output_dir": tmp})
+        result = run_experiment(cfg)
+        with open(result.report_path, encoding="utf-8") as fh:
+            assert json.load(fh) == result.report
 
 
 class TestCli:

@@ -186,6 +186,18 @@ class TestRcfdmMatchesScalarReplay:
         assert (got.zeta_hat, got.worst_zeta_k) == (want.zeta_hat, want.worst_zeta_k)
         assert abs(got.beta_hat_sq - want.beta_hat_sq) <= 1e-12 * got.beta_sq_theory
 
+    def test_step_whose_square_underflows_gives_no_ratio(self):
+        # x* = (0, 0, -1e-200): the step onto the last coordinate moves by
+        # 1e-200, whose square is 0 in floating point
+        p = QuadraticProblem(np.eye(3), np.array([0.0, 0.0, 1e-200]),
+                             Box.cube(3, -1.0, 1.0))
+        tr = run_scdm(p, SolverConfig(max_iters=30, seed=0), "I")
+        assert -1e-200 in tr.new_values
+        got = check_rcfdm(tr, p)
+        want = check_rcfdm_scalar(tr, p)
+        assert got.passed and want.passed
+        assert (got.beta_hat_sq, got.zeta_hat) == (want.beta_hat_sq, want.zeta_hat)
+
     @pytest.mark.parametrize("name", ["svm_dual_n8", "lasso_d5", "erm_logistic_n20"])
     def test_check_every_matches(self, name, standard_problems, monkeypatch):
         p = standard_problems[name]
