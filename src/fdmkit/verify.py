@@ -40,8 +40,12 @@ RFDM_CHECK_BUDGET = 100_000
 # Snapshots per batched objective evaluation in the invariant audit; bounds
 # the (block, inner dimension) temporaries of Problem.values.
 _AUDIT_BLOCK = 256
-# Bytes of one (chunk, image_dim) temporary of the rcfdm replay.
-_REPLAY_CHUNK_BYTES = 1 << 20
+# Bytes of one (chunk, image_dim) temporary of the rcfdm replay.  On the
+# svm-verify benchmark's traces (2000 x 50 svm dual, 2 x 12000 steps), 128 KiB
+# chunks hold the replay's transient memory at 0.40 MB against 2.4 MB for
+# 1 MiB chunks, at the same speed (22 ms for both traces on a 2-core x86-64
+# VM).
+_REPLAY_CHUNK_BYTES = 1 << 17
 # Bytes of one (candidate rows, image_dim) temporary of the rfdm
 # enumeration.  On the 200x20 logistic benchmark run, 1 MiB chunks raised the
 # peak memory from 44 to 51 MB and one chunk for the whole trace to 168 MB,

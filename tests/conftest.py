@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fdmkit
-from fdmkit import experiment, fixtures
+from fdmkit import datasets, experiment, fixtures
 from oracles import report_validator
 
 # the CLI tests start `python -m fdmkit`: let it import the fdmkit under test
@@ -35,6 +35,23 @@ def report_schema_validator():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "validate_report", checked)
         yield validator
+
+
+@pytest.fixture(scope="session")
+def svm_verify_inputs(tmp_path_factory):
+    """The svm-verify benchmark's inputs at data seed 4, as ``(path, p,
+    trace)``: a 2000 x 50 gaussian-margin libsvm file, its svm dual (lam
+    0.01, rows normalized) and the 12000-step Option I trace of seed 0 with
+    its duality gaps to 1e-6."""
+    path = tmp_path_factory.mktemp("svm_verify") / "data.libsvm"
+    datasets.write_libsvm(datasets.gaussian_margin(2000, 50, seed=4), path)
+    cfg = experiment.ExperimentConfig.from_dict({
+        "problem": {"kind": "svm-dual", "lam": 0.01},
+        "dataset": {"source": "file", "path": str(path)},
+        "solver": {"kind": "scdm", "option": "I", "max_iters": 12000},
+        "epsilon": 1e-6})
+    p = experiment.build_problem(cfg, experiment.build_dataset(cfg))
+    return path, p, experiment.run_single(p, cfg, 0)
 
 
 @pytest.fixture(scope="session")

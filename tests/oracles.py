@@ -14,13 +14,15 @@ row-by-row reference, and a trace's coordinate steps a walk from x0.  The
 libsvm parser has a line-by-line, field-by-field reference, and the trace
 CSV writer a row-by-row one.  The solver driver's fixed-point fill has a
 reference run that steps through every iteration.  Reports are checked
-against the shipped JSON Schema by jsonschema.
+against the shipped JSON Schema by jsonschema, and the memory a call holds
+is counted by tracemalloc.
 """
 
 import contextlib
 import itertools
 import json
 import math
+import tracemalloc
 from importlib import resources
 from unittest import mock
 
@@ -462,3 +464,17 @@ def report_validator():
     schema = json.loads(text)
     jsonschema.Draft202012Validator.check_schema(schema)
     return jsonschema.Draft202012Validator(schema)
+
+
+def transient_bytes(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the most
+    memory it held at once above what was held before it, as tracemalloc
+    counts Python objects and numpy buffers (deterministic, unlike RSS)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before

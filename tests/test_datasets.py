@@ -11,7 +11,7 @@ from fdmkit.datasets import (Dataset, ParseError, correlated_rows,
                              diagonal_quadratic, gaussian_margin, parse_libsvm,
                              write_libsvm)
 from fdmkit.problems import QuadraticProblem
-from oracles import parse_libsvm_by_line
+from oracles import parse_libsvm_by_line, transient_bytes
 
 
 @st.composite
@@ -275,6 +275,14 @@ class TestParseLibsvm:
         write_libsvm(Dataset(np.array([[0.5, 0.0], [0.0, -2.0]]),
                              np.array([1.0, -1.0])), path)
         assert path.read_text() == "+1 1:0.5\n-1 2:-2\n"
+
+    def test_peak_memory_tracks_the_matrix(self, svm_verify_inputs):
+        # 2000 x 50 with no zeros: the blocks' 16 bytes per value and the
+        # matrix, 3x the matrix; whole-file index temporaries made it 7.1x
+        path = svm_verify_inputs[0]
+        ds, peak = transient_bytes(parse_libsvm, path)
+        assert ds.features.shape == (2000, 50)
+        assert peak <= 4 * ds.features.nbytes
 
 
 class TestDataset:

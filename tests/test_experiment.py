@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import jsonschema
@@ -26,7 +27,7 @@ from fdmkit.rates import estimate_kappa_f
 from fdmkit.solvers import (EXACT_METHODS, SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
 from fdmkit.verify import Certificate, ReplayError
-from oracles import write_trace_csv_by_row
+from oracles import transient_bytes, write_trace_csv_by_row
 
 
 def svm_config(tmp_path, **overrides):
@@ -242,6 +243,28 @@ class TestRunExperiment:
         b1.pop("timing"), b2.pop("timing")
         assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
+    def test_raw_dataset_released_before_the_seeds_run(self, tmp_path,
+                                                       monkeypatch):
+        raw = {**svm_config(tmp_path), "dataset": {
+            "source": "synthetic", "generator": "gaussian-margin",
+            "n": 40, "d": 5, "seed": 7}}
+        built, alive = [], []
+        real_build, real_run = expmod.build_dataset, expmod.run_single
+
+        def build(cfg):
+            dataset = real_build(cfg)
+            built.append(weakref.ref(dataset))
+            return dataset
+
+        def run(problem, cfg, seed):
+            alive.append(built[0]() is not None)
+            return real_run(problem, cfg, seed)
+
+        monkeypatch.setattr(expmod, "build_dataset", build)
+        monkeypatch.setattr(expmod, "run_single", run)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert alive == [False, False]
+
     def test_per_seed_failure_isolated(self, tmp_path, monkeypatch):
         real = expmod.run_single
 
@@ -351,7 +374,15 @@ class TestRunExperiment:
         reference = reference_solve(p)
         n_seeds = 5
         block = solvers._DRAW_BLOCK if draw_block is None else draw_block
-        with mock.patch.object(solvers, "_DRAW_BLOCK", block):
+        gap_calls = []
+        real_gap = p.duality_gap
+
+        def counting_gap(X):
+            gap_calls.append(np.shape(X))
+            return real_gap(X)
+
+        with mock.patch.object(solvers, "_DRAW_BLOCK", block), \
+                mock.patch.object(p, "duality_gap", counting_gap):
             reports = mean_gap_experiment(p, [0.1, 0.01], n_seeds=n_seeds,
                                           reference=reference)
         # the serial form: one run_scdm per seed, one gap call per iterate
@@ -371,6 +402,12 @@ class TestRunExperiment:
             assert r.mean_gap_at_bound == final[r.iteration_bound] / n_seeds
             hit = np.nonzero(means <= r.epsilon)[0]
             assert r.observed_iteration == int(ks[hit[0]])
+        # one call per stack of iterates: every multiple of n up to the last
+        # observed iteration, and each bound; none at the multiples between
+        last = max(r.observed_iteration for r in reports)
+        evaluated = {int(k) for k in ks if k <= last} | set(final)
+        assert last < ks[-1] and len(evaluated) < len(ks)
+        assert gap_calls == [(n_seeds, p.n)] * len(evaluated)
 
     def test_mean_gap_with_zero_iteration_bounds(self):
         # every epsilon gives K = 0: the seeds' only iterate is the start
@@ -504,6 +541,13 @@ class TestTraceCsv:
         write_trace_csv_by_row(tr, tmp_path / "slow.csv")
         fast, slow = (tmp_path / name for name in ("fast.csv", "slow.csv"))
         assert fast.read_bytes() == slow.read_bytes()
+
+    def test_transient_memory_is_bounded(self, svm_verify_inputs, tmp_path):
+        # 16384-row chunks held 3.0 MB for this 12000-step trace
+        trace = svm_verify_inputs[2]
+        assert len(trace) == 12000
+        _, peak = transient_bytes(write_trace_csv, trace, tmp_path / "t.csv")
+        assert peak <= 1 << 20
 
 
 @pytest.fixture(scope="module")

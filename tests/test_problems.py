@@ -630,6 +630,22 @@ class TestErm:
         assert np.isfinite(v)
         assert np.isfinite(p.coord_gradient(np.array([50.0]), 0))
 
+    @pytest.mark.parametrize("loss", sorted(_LOSSES))
+    @pytest.mark.parametrize("n_points", [7, 24, 200, 1000])
+    def test_objective_equals_the_mean_form_bitwise(self, loss, n_points, rng):
+        # the loss term is a sum over n_points divided by it, as .mean() forms it
+        A = rng.standard_normal((n_points, 3))
+        y = np.where(rng.standard_normal(n_points) > 0, 1.0, -1.0)
+        p = ErmProblem(A, y, lam=0.3, loss=loss)
+        for shape in [(3,), (1, 3), (13, 3), (80, 3)]:
+            X = 4.0 * rng.standard_normal(shape)
+            images = p._images(X)
+            want = (p._lo.values(images, p.labels).mean(axis=-1)
+                    + 0.5 * p.lam * _dot(X, X))
+            got = p._values_at(X, images)
+            assert np.shape(got) == shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_squared_hinge_lipschitz_documented_formula(self, rng):
         A = rng.standard_normal((9, 4))
         y = np.where(rng.standard_normal(9) > 0, 1.0, -1.0)

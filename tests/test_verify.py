@@ -12,7 +12,8 @@ from fdmkit.solvers import (OPTION_I, SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm)
 from fdmkit.verify import (ReplayError, check_rcfdm, check_rfdm,
                            check_trace_invariants, default_rfdm_check_every)
-from oracles import checked_rows_by_row, check_rcfdm_scalar, check_rfdm_scalar
+from oracles import (checked_rows_by_row, check_rcfdm_scalar, check_rfdm_scalar,
+                     transient_bytes)
 
 
 def with_new_value(tr, k, value):
@@ -140,6 +141,13 @@ class TestCheckRcfdm:
         cert = check_rcfdm(tr, p)
         assert cert.passed
         assert cert.zeta_hat >= p.gamma(p.lipschitz) * (1 - 1e-9)
+
+    def test_transient_memory_is_bounded(self, svm_verify_inputs):
+        # 1 MiB temporaries held 2.4 MB on this 2000 x 50 dual's trace
+        _, p, trace = svm_verify_inputs
+        cert, peak = transient_bytes(check_rcfdm, trace, p)
+        assert cert.n_checked == len(trace) == 12000
+        assert peak <= 1 << 20
 
 
 def _replay_chunk(monkeypatch, p, steps):
