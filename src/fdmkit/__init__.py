@@ -32,7 +32,7 @@ _EXPORTS = {
               "rate_rcfdm_general", "rate_rcfdm_zero_z", "rate_rfdm",
               "sdca_iteration_bound", "svm_sigma_sq"],
     "datasets": ["Dataset", "ParseError", "parse_libsvm", "write_libsvm",
-                 "gaussian_margin", "correlated_rows", "diagonal_quadratic"],
+                 "gaussian_margin"],
     "experiment": ["ConfigError", "ExperimentConfig", "ExperimentResult",
                    "load_config", "run_experiment", "reference_solve",
                    "mean_gap_experiment", "write_trace_csv"],

@@ -6,7 +6,7 @@ Subcommands::
     verify  solve and certify the traces against the framework inequalities
     rates   solve and attach rate constants and measured rates to the report
     gap     solve and run the duality-gap iteration-bound experiment
-    gen     emit a synthetic dataset (libsvm text) or quadratic (JSON)
+    gen     emit a gaussian-margin dataset as libsvm text
 
 Exit codes: 0 success, 1 validation error (any malformed config key, at load,
 before a dataset file is read), 2 runtime failure, 3 certification failure.
@@ -21,15 +21,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
-import json
-import math
 import sys
 
-import numpy as np
-
-from .datasets import (correlated_rows, diagonal_quadratic, gaussian_margin,
-                       write_libsvm)
+from .datasets import gaussian_margin, write_libsvm
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .geometry import check_number
 from .solvers import SEED_RANGE
@@ -38,10 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CERTIFICATION = 3
-
-# gen's generators; each takes the flags named by its parameters
-_GENERATORS = {"gaussian-margin": gaussian_margin, "correlated-rows": correlated_rows,
-               "diagonal-quadratic": diagonal_quadratic}
 
 
 class _ArgumentError(Exception):
@@ -77,12 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_command("gap", "run the duality-gap bound experiment")
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--generator", required=True, choices=_GENERATORS)
+    gen.add_argument("--generator", required=True, choices=["gaussian-margin"])
     gen.add_argument("--out", required=True)
     gen.add_argument("--n", type=int)
     gen.add_argument("--d", type=int)
-    gen.add_argument("--delta", type=float)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -131,38 +120,10 @@ def _run_command(args) -> int:
 
 
 def _gen_command(args) -> int:
-    make = _GENERATORS[args.generator]
-    takes = inspect.signature(make).parameters
-    flags = {key: value for key in ("n", "d", "delta", "seed")
-             if (value := getattr(args, key)) is not None}
-    extra = sorted(flags.keys() - takes.keys())
-    if extra:
-        raise ValueError(f"{', '.join('--' + key for key in extra)}: not taken "
-                         f"by generator {args.generator}")
-    for key, param in takes.items():
-        if param.default is param.empty and key not in flags:
-            raise ValueError(f"--{key}: required by generator {args.generator}")
     for key in ("n", "d"):
-        if key in flags:
-            # correlated-rows makes its first two features near-duplicates
-            low = 1 if key == "d" and make is correlated_rows else 0
-            check_number(flags[key], f"--{key}", integer=True, minimum=low)
-    if "delta" in flags:
-        check_number(flags["delta"], "--delta", minimum=-math.inf)
-        if flags["delta"] == 0.0:
-            raise ValueError(f"--delta must be nonzero, got {flags['delta']!r}")
-    if "seed" in flags:
-        check_number(flags["seed"], "--seed", **SEED_RANGE)
-    out = make(**flags)
-    if hasattr(out, "features"):
-        write_libsvm(out, args.out)
-    else:
-        payload = {"kind": "quadratic",
-                   "diag": np.diag(out.hessian).tolist(),
-                   "linear": out.linear.tolist()}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        check_number(getattr(args, key), f"--{key}", integer=True)
+    check_number(args.seed, "--seed", **SEED_RANGE)
+    write_libsvm(gaussian_margin(args.n, args.d, args.seed), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

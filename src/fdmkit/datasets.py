@@ -1,4 +1,5 @@
-"""Dataset container, libsvm-format text I/O, and synthetic generators.
+"""Dataset container, libsvm-format text I/O, and the gaussian-margin
+generator of synthetic classification data.
 
 The text format is one example per line::
 
@@ -14,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Box
-from .problems import QuadraticProblem
 
 
 class ParseError(ValueError):
@@ -225,7 +223,7 @@ def write_libsvm(dataset: Dataset, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# synthetic generators
+# synthetic generator
 
 def gaussian_margin(n: int, d: int, seed: int = 0, margin: float = 0.1) -> Dataset:
     """Linearly structured classification examples with a soft margin.
@@ -242,29 +240,3 @@ def gaussian_margin(n: int, d: int, seed: int = 0, margin: float = 0.1) -> Datas
     flip = np.abs(scores) < margin
     y[flip] *= -1.0
     return Dataset(A, y)
-
-
-def correlated_rows(delta: float, d: int = 3, n: int = 4, seed: int = 0) -> Dataset:
-    """Feature matrix with two nearly identical rows, A_1 = A_2 + delta e_1.
-
-    Rows of the returned dataset's feature-space matrix (``dataset.features.T``)
-    are the near-duplicates; feeding those rows to the Hoffman brute force
-    exhibits the 2-row support that forces theta >= sqrt(2)/|delta|.
-    """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    feat = rng.standard_normal((d, n))  # rows correspond to features
-    feat /= np.linalg.norm(feat, axis=1, keepdims=True)
-    feat[0] = feat[1].copy()
-    feat[0, 0] += delta
-    labels = np.where(rng.standard_normal(n) >= 0.0, 1.0, -1.0)
-    return Dataset(feat.T, labels)
-
-
-def diagonal_quadratic(n: int = 5) -> QuadraticProblem:
-    """Separable quadratic with curvature diag(1..n) over the whole space."""
-    H = np.diag(np.arange(1.0, n + 1.0))
-    c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return QuadraticProblem(H, c, Box.free(n))
-

@@ -279,23 +279,18 @@ def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
                            l1=cfg.problem["l1"])
 
 
-def resolve_w(spec, p: Problem) -> np.ndarray:
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
-    if spec == "ones":
-        return np.ones(p.n)
-    return p.lipschitz.copy()
-
-
-def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> None:
+def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> np.ndarray:
     """The checks that need the data, before any run starts: the length and
-    sign of ``solver.w`` and the length and feasibility of ``solver.x0``."""
+    sign of ``solver.w`` and the length and feasibility of ``solver.x0``.
+    Returns the run's weights, as checked."""
     sc = _solver_config(cfg, p, 0)
+    checked = {}
     for key, check in (("w", sc.resolve_w), ("x0", sc.resolve_x0)):
         try:
-            check(p)
+            checked[key] = check(p)
         except ValueError as exc:
             raise ConfigError(f"solver.{key}: {exc}") from None
+    return checked["w"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +305,9 @@ def _method(solver: dict) -> str:
 
 
 def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig:
+    w = cfg.solver["w"]  # "L" (the Lipschitz constants), "ones" or a list
     return SolverConfig(
-        w=resolve_w(cfg.solver["w"], p),
+        w=None if w == "L" else np.ones(p.n) if w == "ones" else w,
         omega=cfg.solver["omega"],
         max_iters=cfg.solver["max_iters"],
         seed=seed,
@@ -501,9 +497,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     # no reference to the raw dataset outlives the problem's construction
     problem = build_problem(cfg, build_dataset(cfg))
-    validate_pipeline(cfg, problem)
+    w = validate_pipeline(cfg, problem)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    w = resolve_w(cfg.solver["w"], problem)
 
     traces: dict[int, Trace] = {}
     failures: dict[int, str] = {}

@@ -1,10 +1,15 @@
-"""Deterministic toy instances shared by the test and acceptance suites."""
+"""Deterministic toy instances shared by the test and acceptance suites.
+
+The problems the solvers and the invariant audit run on, the fixture sets
+that group them, and :func:`correlated_rows`, the dataset of the Hoffman
+constant's lower bound.  No config loads any of them.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .datasets import gaussian_margin, diagonal_quadratic
+from .datasets import Dataset, gaussian_margin
 from .geometry import Box
 from .problems import ErmProblem, LassoBoxProblem, QuadraticProblem, SvmDualProblem
 
@@ -45,6 +50,13 @@ def quadratic_box_2d() -> QuadraticProblem:
     return QuadraticProblem(H, c, Box.cube(2, -1.0, 1.0))
 
 
+def diagonal_quadratic(n: int = 5) -> QuadraticProblem:
+    """Separable quadratic with curvature diag(1..n) over the whole space."""
+    H = np.diag(np.arange(1.0, n + 1.0))
+    c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return QuadraticProblem(H, c, Box.free(n))
+
+
 def quadratic_diag_3d() -> QuadraticProblem:
     return diagonal_quadratic(3)
 
@@ -80,6 +92,24 @@ def erm_logistic(n_features: int = 20, n_points: int = 24, lam: float = 0.1,
                  seed: int = 5) -> ErmProblem:
     ds = gaussian_margin(n_points, n_features, seed=seed)
     return ErmProblem(ds.features, ds.labels, lam, loss="logistic")
+
+
+def correlated_rows(delta: float, d: int = 3, n: int = 4, seed: int = 0) -> Dataset:
+    """Feature matrix with two nearly identical rows, A_1 = A_2 + delta e_1.
+
+    Rows of the returned dataset's feature-space matrix (``dataset.features.T``)
+    are the near-duplicates; feeding those rows to the Hoffman brute force
+    exhibits the 2-row support that forces theta >= sqrt(2)/|delta|.
+    """
+    if delta == 0:
+        raise ValueError("delta must be nonzero")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    feat = rng.standard_normal((d, n))  # rows correspond to features
+    feat /= np.linalg.norm(feat, axis=1, keepdims=True)
+    feat[0] = feat[1].copy()
+    feat[0, 0] += delta
+    labels = np.where(rng.standard_normal(n) >= 0.0, 1.0, -1.0)
+    return Dataset(feat.T, labels)
 
 
 def standard_fixtures() -> dict:

@@ -6,7 +6,8 @@ coordinate descent, and full projected gradient descent.
 
 Coordinate choices are drawn from a counter-based Philox generator keyed by
 the run seed, so runs are reproducible bit-for-bit and independent of how
-often the trace snapshots full iterates.
+often the trace snapshots full iterates: every field of a trace is equal
+across runs with equal seed, config and data.
 
 Every step is a deterministic map of the run state (SCDM draws one of n
 coordinate maps), so once x is a floating-point fixed point of every map,
@@ -19,7 +20,6 @@ SCDM once every coordinate has been drawn since x last moved.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -153,22 +153,19 @@ class Trace:
     :meth:`SolverConfig.step_size`) and records, for each step k = 0..K-1,
     the chosen coordinate ``coords`` (-1 for a full-vector step), its new
     value ``new_values`` and the squared W-displacement ``disp_w_sq``; for
-    each iterate x_0..x_K it records the objective ``f`` and the wall clock
-    ``times`` since the first step.  For coordinate methods the iterates are
-    delta-encoded: the rows of ``snap_x`` are x at the increasing iterations
-    ``snap_ks`` (every ``record_every`` iterations and the last), and
-    ``iterate(k)`` rebuilds x_k from the snapshot before it by assignment,
-    without arithmetic.  Full-step methods snapshot every iterate.  ``gaps``
-    maps each record point where the gap rule ran to its duality gap.
+    each iterate x_0..x_K it records the objective ``f``.  For coordinate
+    methods the iterates are delta-encoded: the rows of ``snap_x`` are x at
+    the increasing iterations ``snap_ks`` (every ``record_every`` iterations
+    and the last), and ``iterate(k)`` rebuilds x_k from the snapshot before
+    it by assignment, without arithmetic.  Full-step methods snapshot every
+    iterate.  ``gaps`` maps each record point where the gap rule ran to its
+    duality gap.
 
     The solver driver builds a trace once, when the run stops, and every
     array of it is read-only; build a modified copy with
-    ``dataclasses.replace``.  The wall-clock fields ``times`` and
-    ``wall_time_s`` are outside the reproducibility contract; all other
-    fields are bitwise-identical across runs with equal seed, config and
-    data.  The steps a run writes in bulk from a fixed point (see
-    :func:`_drive`) share one ``times`` stamp; every other field is the
-    one stepping would have recorded, so the contract is unchanged.
+    ``dataclasses.replace``.  Every field is bitwise-identical across runs
+    with equal seed, config and data, the steps a run writes in bulk from a
+    fixed point (see :func:`_drive`) included.
     """
 
     x0: np.ndarray
@@ -182,16 +179,14 @@ class Trace:
     disp_w_sq: np.ndarray
     coords: np.ndarray
     new_values: np.ndarray
-    times: np.ndarray
     snap_ks: np.ndarray
     snap_x: np.ndarray
     gaps: dict = field(default_factory=dict)
     stop_reason: str = "budget"
-    wall_time_s: float = 0.0
 
     def __post_init__(self):
         for name in ("x0", "w", "f", "disp_w_sq", "coords", "new_values",
-                     "times", "snap_ks", "snap_x"):
+                     "snap_ks", "snap_x"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
@@ -253,7 +248,8 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     it unchanged; for SCDM, once every coordinate has been drawn since x
     last moved.  Each later step then repeats bit for bit, with f unchanged
     and a zero move, so the loop writes the later steps and snapshots up to
-    the budget as stepping would have recorded them.  A run with a rule
+    the budget as stepping would have recorded them: every field of the
+    trace is the one stepping would have produced.  A run with a rule
     steps to its stop: no workload fills one, and under a stall rule a fill
     would save at most one window.  Only exact repetition qualifies: a run
     whose x still changes in the last ulp does not repeat, so it steps to
@@ -277,11 +273,10 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     # growable records of the run, read into the trace once it stops
     coords, new_values = array("q"), array("d")
     disp_w_sq = array("d")
-    f, times = array("d", [f0]), array("d", [0.0])
+    f = array("d", [f0])
     last_x = x0.tobytes()
     snap_ks, snap_x = array("q", [0]), array("d", last_x)
     gaps = {}
-    t_start = time.perf_counter()
     stop = "budget"
     increases = 0
     for k in range(budget):
@@ -302,7 +297,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
         new_values.append(new)
         f.append(f_next)
         disp_w_sq.append(disp)
-        times.append(time.perf_counter() - t_start)
         if kk % record_every == 0:
             x_bytes = state.x.tobytes()
             snap_ks.append(kk)
@@ -320,7 +314,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
                     new_values.extend(moves[1])
                     f.extend(array("d", [f_next]) * rest)
                     disp_w_sq.extend(array("d", [0.0]) * rest)
-                    times.extend(array("d", [time.perf_counter() - t_start]) * rest)
                     points = range(kk + record_every, budget + 1, record_every)
                     snap_ks.extend(points)
                     snap_x.frombytes(x_bytes * len(points))
@@ -333,7 +326,6 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     if snap_ks[-1] != len(coords):
         snap_ks.append(len(coords))
         snap_x.frombytes(state.x.tobytes())
-    wall_time = time.perf_counter() - t_start
 
     def read(buf):
         return np.frombuffer(buf, buf.typecode)
@@ -341,9 +333,8 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     return Trace(x0, np.array(w, dtype=float), method, option, cfg.seed,
                  record_every, omega, f=read(f), disp_w_sq=read(disp_w_sq),
                  coords=read(coords), new_values=read(new_values),
-                 times=read(times), snap_ks=read(snap_ks),
-                 snap_x=read(snap_x).reshape(-1, p.n), gaps=gaps,
-                 stop_reason=stop, wall_time_s=wall_time)
+                 snap_ks=read(snap_ks), snap_x=read(snap_x).reshape(-1, p.n),
+                 gaps=gaps, stop_reason=stop)
 
 
 def _scdm_setup(p: Problem, cfg: SolverConfig, option: str, seeds):

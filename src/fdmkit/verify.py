@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import FEASIBILITY_TOL, check_number, check_weights
 from .problems import (_EPS, SLICE_DERIV_TOL, Problem, f_noise,
                        global_lipschitz_bound, path_start_values)
-from .solvers import Trace, OPTION_I, OPTION_II
+from .solvers import FULL_STEP_METHODS, OPTION_I, OPTION_II, Trace
 
 REPLAY_TOL = 1e-9
 PASS_REL_SLACK = 1e-9
@@ -410,7 +410,7 @@ def check_trace_invariants(trace: Trace, p: Problem) -> InvariantReport:
     disp_ok = bool(np.all(trace.disp_w_sq >= 0.0))
 
     ks, X = trace.snap_ks, trace.snap_x
-    if trace.method in ("pgd", "cyclic"):
+    if trace.method in FULL_STEP_METHODS:
         worst_feas = p.box.violation(X)
     else:
         # Single-coordinate updates: every iterate is feasible iff the start

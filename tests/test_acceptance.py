@@ -14,7 +14,7 @@ from fdmkit.experiment import mean_gap_experiment, reference_solve
 from fdmkit.problems import QuadraticProblem, global_lipschitz_bound
 from fdmkit.rates import (estimate_kappa_f, hoffman_theta_bruteforce,
                           rate_rcfdm_zero_z, svm_sigma_sq)
-from fdmkit.datasets import correlated_rows
+from fdmkit.fixtures import correlated_rows
 from fdmkit.solvers import (SolverConfig, run_cyclic_cd,
                             run_projected_gradient, run_scdm, run_scdm_seeds)
 from fdmkit.verify import (check_rcfdm, check_rfdm, check_trace_invariants,

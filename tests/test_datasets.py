@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdmkit import datasets
-from fdmkit.datasets import (Dataset, ParseError, correlated_rows,
-                             diagonal_quadratic, gaussian_margin, parse_libsvm,
+from fdmkit.datasets import (Dataset, ParseError, gaussian_margin, parse_libsvm,
                              write_libsvm)
+from fdmkit.fixtures import correlated_rows, diagonal_quadratic
 from fdmkit.problems import QuadraticProblem
 from oracles import parse_libsvm_by_line, transient_bytes
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -890,8 +891,8 @@ class TestCli:
                 "'OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) "
                 "if os.path.isdir(tasks) else 1)")
         res = subprocess.run([sys.executable, "-c", code, "gen", "--generator",
-                              "diagonal-quadratic", "--n", "2", "--out",
-                              str(tmp_path / "q.json")],
+                              "gaussian-margin", "--n", "2", "--d", "2", "--out",
+                              str(tmp_path / "g.libsvm")],
                              env=env, capture_output=True, text=True, check=True)
         rc, value, threads = res.stdout.split()[-3:]
         assert (rc, value) == ("0", expected)
@@ -937,38 +938,41 @@ class TestCli:
         (["--generator", "gaussian-margin", "--n", "0", "--d", "3"], "--n"),
         (["--generator", "gaussian-margin", "--n", "3", "--d", "0"], "--d"),
         (["--generator", "gaussian-margin", "--n", "3"], "--d"),
-        (["--generator", "diagonal-quadratic", "--n", "0"], "--n"),
-        (["--generator", "diagonal-quadratic", "--d", "3", "--seed", "4"],
-         "--d, --seed"),
-        (["--generator", "correlated-rows", "--delta", "0.1", "--d", "0"], "--d"),
-        (["--generator", "correlated-rows", "--delta", "0.1", "--d", "1"], "--d"),
-        (["--generator", "correlated-rows", "--delta", "nan"], "--delta"),
-        (["--generator", "correlated-rows", "--delta", "inf"], "--delta"),
-        (["--generator", "correlated-rows", "--delta", "0"], "--delta"),
         (["--generator", "gaussian-margin", "--n", "3", "--d", "2", "--seed", "-1"],
          "--seed"),
+        # gen writes only gaussian-margin data: the generators no config
+        # loads, and their --delta, are gone
+        (["--generator", "diagonal-quadratic", "--n", "3"], "argument --generator"),
+        (["--generator", "correlated-rows", "--delta", "0.1", "--d", "2"],
+         "argument --generator"),
+        (["--generator", "gaussian-margin", "--n", "3", "--d", "2",
+          "--delta", "0.1"], "unrecognized arguments: --delta"),
         (["--generator", "mystery"], "argument --generator"),
         (["--n", "3"], "the following arguments are required: --generator"),
-        (["--generator", "diagonal-quadratic", "--bogus", "1"],
+        (["--generator", "gaussian-margin", "--bogus", "1"],
          "unrecognized arguments: --bogus"),
     ])
     def test_gen_rejects_a_flag_its_generator_cannot_take(self, args, flag,
                                                           tmp_path, capsys):
-        # the first five and the nan and inf deltas used to write a file no
-        # config loads, or drop the flag, and exit 0; the first
-        # correlated-rows one to exit 2
         out = tmp_path / "data"
         assert cli_main(["gen", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.split(": ", 1)[1].startswith(flag)
         assert not out.exists()
 
-    def test_gen_diagonal_quadratic_json(self, tmp_path):
-        out = tmp_path / "quad.json"
-        res = self.run_cli("gen", "--generator", "diagonal-quadratic",
-                           "--n", "5", "--out", str(out))
-        assert res.returncode == 0, res.stderr
-        payload = json.loads(out.read_text())
-        assert payload["diag"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # the libsvm files the benchmark's erm-rfdm (200 x 20) and svm-verify
+    # (2000 x 50) workloads parse, as gen writes them
+    @pytest.mark.parametrize("n, d, seed, sha256", [
+        (200, 20, 1, "d6725758198ed8552b494e61d61bf1995898208c9551a1bd739fa88c4a2eb7d2"),
+        (200, 20, 2, "22ff0487e73997400b94dfd7041063447530db5e23bef0c9dbac21795af34080"),
+        (200, 20, 3, "8166e1f73d48ea86b52b105572f469522b844234e2ae9c62bcf8710c93069be6"),
+        (2000, 50, 1, "1c6eb6566e192c4858155c5d610c3b5eacf35404627c21524eafcb3f06d1188d"),
+    ])
+    def test_gen_writes_the_benchmark_inputs_byte_for_byte(self, n, d, seed,
+                                                           sha256, tmp_path):
+        out = tmp_path / "data.libsvm"
+        assert cli_main(["gen", "--generator", "gaussian-margin", "--n", str(n),
+                         "--d", str(d), "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_cli_overrides(self, tmp_path):
         cfg = svm_config(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdmkit import fixtures
-from fdmkit.datasets import correlated_rows
+from fdmkit.fixtures import correlated_rows
 from fdmkit.geometry import Box
 from fdmkit.problems import QuadraticProblem
 from fdmkit.rates import (estimate_kappa_f, hoffman_theta_bruteforce,
