@@ -938,8 +938,14 @@ class TestCli:
         (["--generator", "gaussian-margin", "--n", "0", "--d", "3"], "--n"),
         (["--generator", "gaussian-margin", "--n", "3", "--d", "0"], "--d"),
         (["--generator", "gaussian-margin", "--n", "3"], "--d"),
+        (["--generator", "gaussian-margin", "--d", "3"], "--n"),
+        (["--generator", "gaussian-margin", "--n", "3", "--d", "-2"], "--d"),
+        (["--generator", "gaussian-margin", "--n", "2.5", "--d", "3"],
+         "argument --n"),
         (["--generator", "gaussian-margin", "--n", "3", "--d", "2", "--seed", "-1"],
          "--seed"),
+        (["--generator", "gaussian-margin", "--n", "3", "--d", "2", "--seed",
+          str(2**128)], "--seed"),
         # gen writes only gaussian-margin data: the generators no config
         # loads, and their --delta, are gone
         (["--generator", "diagonal-quadratic", "--n", "3"], "argument --generator"),
