@@ -20,7 +20,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
@@ -279,20 +279,6 @@ def build_problem(cfg: ExperimentConfig, dataset: Optional[Dataset]) -> Problem:
                            l1=cfg.problem["l1"])
 
 
-def validate_pipeline(cfg: ExperimentConfig, p: Problem) -> np.ndarray:
-    """The checks that need the data, before any run starts: the length and
-    sign of ``solver.w`` and the length and feasibility of ``solver.x0``.
-    Returns the run's weights, as checked."""
-    sc = _solver_config(cfg, p, 0)
-    checked = {}
-    for key, check in (("w", sc.resolve_w), ("x0", sc.resolve_x0)):
-        try:
-            checked[key] = check(p)
-        except ValueError as exc:
-            raise ConfigError(f"solver.{key}: {exc}") from None
-    return checked["w"]
-
-
 # ---------------------------------------------------------------------------
 # runs
 
@@ -304,9 +290,12 @@ def _method(solver: dict) -> str:
     return f"scdm-{solver['option']}" if kind == "scdm" else kind
 
 
-def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig:
+def solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig:
+    """The :class:`SolverConfig` of a run of ``cfg`` on ``p`` with ``seed``,
+    its ``w`` and ``x0`` resolved and checked against the data; a bad one
+    raises a ``ConfigError`` naming ``solver.w`` or ``solver.x0``."""
     w = cfg.solver["w"]  # "L" (the Lipschitz constants), "ones" or a list
-    return SolverConfig(
+    sc = SolverConfig(
         w=None if w == "L" else np.ones(p.n) if w == "ones" else w,
         omega=cfg.solver["omega"],
         max_iters=cfg.solver["max_iters"],
@@ -316,10 +305,16 @@ def _solver_config(cfg: ExperimentConfig, p: Problem, seed: int) -> SolverConfig
         gap_tol=cfg.epsilon,
         stall_tol=cfg.solver["stall_tol"],
     )
+    for key, resolve in (("w", sc.resolve_w), ("x0", sc.resolve_x0)):
+        try:
+            setattr(sc, key, resolve(p))
+        except ValueError as exc:
+            raise ConfigError(f"solver.{key}: {exc}") from None
+    return sc
 
 
 def run_single(p: Problem, cfg: ExperimentConfig, seed: int) -> Trace:
-    sc = _solver_config(cfg, p, seed)
+    sc = solver_config(cfg, p, seed)
     kind = cfg.solver["kind"]
     if kind == "scdm":
         return run_scdm(p, sc, option=cfg.solver["option"])
@@ -336,6 +331,7 @@ _REFERENCE_GAP_TOL = 1e-12
 def reference_solve(p: Problem, iters: Optional[int] = None):
     """The reference ``(x_star, f_star, trace)`` of the rates and gap blocks.
 
+    A run solves it once for both blocks, with ``rates.reference_iters``.
     ``trace`` is an exact-minimization (Option I) SCDM run from the default
     start with seed ``_REFERENCE_SEED`` and a budget of ``iters`` steps, by
     default ``max(400 n, 20000)``; :func:`estimate_kappa_f` samples its
@@ -363,12 +359,12 @@ def reference_solve(p: Problem, iters: Optional[int] = None):
     return tr.final_x, float(tr.f[len(tr)]), tr
 
 
-def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
-                        reference=None) -> list[GapReport]:
+def mean_gap_experiment(p: SvmDualProblem, epsilons, reference,
+                        n_seeds: int = 64) -> list[GapReport]:
     """Multi-seed duality-gap means against the theoretical iteration bound.
 
-    The bound is stated in the geometry w = L: its kappa_f is estimated from
-    ``reference`` (by default :func:`reference_solve`) with w = L.  Runs
+    The bound is stated in the geometry w = L: its kappa_f is estimated with
+    w = L from ``reference``, the output of :func:`reference_solve`.  Runs
     exact coordinate minimization from the origin with w = L for the seeds
     ``0 .. n_seeds - 1`` up to the largest bound, and fills each
     :class:`GapReport` with the observed mean behavior: the mean gap every n
@@ -383,8 +379,6 @@ def mean_gap_experiment(p: SvmDualProblem, epsilons, n_seeds: int = 64,
     observed iteration, the later multiples of n are not evaluated; each
     bound still is.  No iterate is kept past its evaluation.
     """
-    if reference is None:
-        reference = reference_solve(p)
     x_star, f_star, ref_trace = reference
     w = p.lipschitz
     kappa_hat = estimate_kappa_f(p, ref_trace, x_star, f_star, w)
@@ -476,7 +470,6 @@ def validate_report(report: dict) -> str:
 class ExperimentResult:
     report: dict
     report_path: str
-    trace_paths: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -490,14 +483,17 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute a validated configuration end to end.
 
-    Per-seed solver failures are isolated (recorded with status 'failed');
-    the aggregate report always lands on disk.  Certification failures mark
-    the certificate as not passed rather than aborting the experiment.
+    :func:`solver_config` checks the solver settings before any seed runs;
+    the rates and gap blocks share one :func:`reference_solve` after the
+    seeds.  Per-seed solver failures are isolated (recorded with status
+    'failed'); the aggregate report always lands on disk.  Certification
+    failures mark the certificate as not passed rather than aborting the
+    experiment.
     """
     t0 = time.perf_counter()
     # no reference to the raw dataset outlives the problem's construction
     problem = build_problem(cfg, build_dataset(cfg))
-    w = validate_pipeline(cfg, problem)
+    sc = solver_config(cfg, problem, 0)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     traces: dict[int, Trace] = {}
@@ -512,20 +508,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     f_star = None
     kappa_hat = None
     rate_block = None
-    if cfg.rates["enabled"]:
+    if cfg.rates["enabled"] or cfg.gap["enabled"]:
         reference = reference_solve(problem, iters=cfg.rates["reference_iters"])
+    if cfg.rates["enabled"]:
         x_star, f_star, ref_trace = reference
         try:
-            kappa_hat = estimate_kappa_f(problem, ref_trace, x_star, f_star, w)
+            kappa_hat = estimate_kappa_f(problem, ref_trace, x_star, f_star, sc.w)
         except ValueError:
             pass  # the reference run sits at the optimum: kappa_f is undefined
     if kappa_hat is not None:
         kind = cfg.solver["kind"]
         framework = f"rcfdm-{cfg.solver['option']}" if kind == "scdm" else kind
-        beta_sq, zeta, inputs = fdm_constants(problem, w, framework)
+        beta_sq, zeta, inputs = fdm_constants(problem, sc.w, framework)
         lfw, beta = inputs["l_f_w"], float(np.sqrt(beta_sq))
-        omega = _solver_config(cfg, problem, 0).step_size(problem,
-                                                          _method(cfg.solver))
+        omega = sc.step_size(problem, _method(cfg.solver))
         if framework == "rcfdm-II":
             rc = rate_rcfdm_zero_z(kappa_hat, omega, problem.n)
         elif framework == "rcfdm-I":
@@ -539,7 +535,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     checkers = [c for c in (("rcfdm", check_rcfdm, every or 1),
                             ("rfdm", check_rfdm, every)) if cfg.verify[c[0]]]
     seed_entries = []
-    trace_paths = {}
     all_certs_passed = True
     for seed in cfg.seeds:
         if seed in failures:
@@ -548,9 +543,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             continue
         tr = traces[seed]
         csv_name = f"trace_seed{seed}.csv"
-        csv_path = os.path.join(cfg.output_dir, csv_name)
-        write_trace_csv(tr, csv_path)
-        trace_paths[seed] = csv_path
+        write_trace_csv(tr, os.path.join(cfg.output_dir, csv_name))
         entry = {
             "seed": seed, "status": "ok", "iterations": len(tr),
             "stop_reason": tr.stop_reason,
@@ -559,7 +552,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
         for framework, check, check_every in checkers:
             try:
-                cert = check(tr, problem, w, check_every=check_every)
+                cert = check(tr, problem, check_every=check_every)
                 entry["certificates"].append(cert.as_dict())
                 all_certs_passed = all_certs_passed and cert.passed
             except ReplayError as exc:
@@ -576,11 +569,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     gap_block = None
     if cfg.gap["enabled"]:
-        if reference is None:
-            reference = reference_solve(problem)
-        reports = mean_gap_experiment(problem, cfg.gap["epsilons"],
-                                      n_seeds=cfg.gap["n_seeds"],
-                                      reference=reference)
+        reports = mean_gap_experiment(problem, cfg.gap["epsilons"], reference,
+                                      n_seeds=cfg.gap["n_seeds"])
         gap_block = [asdict(r) for r in reports]
 
     ok_finals = [e["final_f"] for e in seed_entries if e["status"] == "ok"]
@@ -607,5 +597,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     report_path = os.path.join(cfg.output_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    return ExperimentResult(report=report, report_path=report_path,
-                            trace_paths=trace_paths)
+    return ExperimentResult(report=report, report_path=report_path)

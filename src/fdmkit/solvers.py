@@ -172,7 +172,6 @@ class Trace:
     w: np.ndarray
     method: str
     option: Optional[str]
-    seed: Optional[int]
     record_every: int
     omega: float
     f: np.ndarray
@@ -330,8 +329,8 @@ def _drive(p: Problem, cfg: SolverConfig, w: np.ndarray, omega: float,
     def read(buf):
         return np.frombuffer(buf, buf.typecode)
 
-    return Trace(x0, np.array(w, dtype=float), method, option, cfg.seed,
-                 record_every, omega, f=read(f), disp_w_sq=read(disp_w_sq),
+    return Trace(x0, np.array(w, dtype=float), method, option, record_every,
+                 omega, f=read(f), disp_w_sq=read(disp_w_sq),
                  coords=read(coords), new_values=read(new_values),
                  snap_ks=read(snap_ks), snap_x=read(snap_x).reshape(-1, p.n),
                  gaps=gaps, stop_reason=stop)

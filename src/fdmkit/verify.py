@@ -40,17 +40,15 @@ RFDM_CHECK_BUDGET = 100_000
 # Snapshots per batched objective evaluation in the invariant audit; bounds
 # the (block, inner dimension) temporaries of Problem.values.
 _AUDIT_BLOCK = 256
-# Bytes of one (chunk, image_dim) temporary of the rcfdm replay.  On the
-# svm-verify benchmark's traces (2000 x 50 svm dual, 2 x 12000 steps), 128 KiB
-# chunks hold the replay's transient memory at 0.40 MB against 2.4 MB for
-# 1 MiB chunks, at the same speed (22 ms for both traces on a 2-core x86-64
-# VM).
+# Bytes of one (rows, image_dim) temporary of a checker's chunk: a step of
+# the rcfdm replay, or a candidate of the rfdm enumeration, is one row.  On
+# the svm-verify benchmark's traces (2000 x 50 svm dual, 2 x 12000 steps),
+# 128 KiB chunks hold the rcfdm replay's transient memory at 0.40 MB against
+# 2.4 MB for 1 MiB chunks, at the same speed (22 ms for both traces on a
+# 2-core x86-64 VM).  On the 200x20 logistic benchmark run, 1 MiB chunks
+# raised the rfdm enumeration's peak memory from 44 to 51 MB and one chunk
+# for the whole trace to 168 MB, neither of them faster.
 _REPLAY_CHUNK_BYTES = 1 << 17
-# Bytes of one (candidate rows, image_dim) temporary of the rfdm
-# enumeration.  On the 200x20 logistic benchmark run, 1 MiB chunks raised the
-# peak memory from 44 to 51 MB and one chunk for the whole trace to 168 MB,
-# neither of them faster.
-_RFDM_CHUNK_BYTES = 1 << 17
 # (beta_hat_sq, zeta_hat, worst_beta_k, worst_zeta_k) before any ratio
 _NO_RATIOS = (0.0, np.inf, None, None)
 
@@ -238,9 +236,9 @@ def _walk(trace: Trace, check_every: int, chunk: int):
         raise ValueError(f"recorded value at iteration {end} is not finite")
 
 
-def check_rcfdm(trace: Trace, p: Problem, w=None,
-                check_every: int = 1) -> Certificate:
-    """Certify a coordinate-descent trace in coordinate mode.
+def check_rcfdm(trace: Trace, p: Problem, check_every: int = 1) -> Certificate:
+    """Certify a coordinate-descent trace in coordinate mode, in the weights
+    ``trace.w`` the run stepped in.
 
     Every checked iteration is replayed through the projected update (hard
     :class:`ReplayError` beyond 1e-9), and per-iteration ratios give the
@@ -252,7 +250,7 @@ def check_rcfdm(trace: Trace, p: Problem, w=None,
     """
     if trace.option not in (OPTION_I, OPTION_II):
         raise ValueError("trace does not carry a coordinate-descent option")
-    w = check_weights(trace.w if w is None else w, p.n)
+    w = check_weights(trace.w, p.n)
     constants = fdm_constants(p, w, f"rcfdm-{trace.option}")
     f = trace.f
     chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * p.image_dim))
@@ -291,9 +289,10 @@ def default_rfdm_check_every(n: int, iters: int) -> int:
     return int(np.ceil(n * iters / RFDM_CHECK_BUDGET))
 
 
-def check_rfdm(trace: Trace, p: Problem, w=None,
+def check_rfdm(trace: Trace, p: Problem,
                check_every: Optional[int] = None) -> Certificate:
-    """Certify an exact-minimization trace in expectation mode.
+    """Certify an exact-minimization trace in expectation mode, in the
+    weights ``trace.w`` the run stepped in.
 
     Requires an unconstrained problem.  At each checked iteration the
     conditional expectations of the squared dual correction norm and the
@@ -315,12 +314,12 @@ def check_rfdm(trace: Trace, p: Problem, w=None,
         raise ValueError("expectation-mode certification requires an unconstrained problem")
     if trace.option != OPTION_I:
         raise ValueError("expectation-mode certification applies to exact-minimization traces")
-    w = check_weights(trace.w if w is None else w, p.n)
+    w = check_weights(trace.w, p.n)
     constants = fdm_constants(p, w, "rfdm")
     n = p.n
     if check_every is None:
         check_every = default_rfdm_check_every(n, len(trace))
-    rows_per_chunk = max(1, _RFDM_CHUNK_BYTES // (8 * n * p.image_dim))
+    rows_per_chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * n * p.image_dim))
     g_origin = p.gradient(np.zeros(n))
     worst = _NO_RATIOS
     for a, x, c, new, ks in _walk(trace, check_every,

@@ -100,7 +100,7 @@ def test_criterion_03_coordinate_framework_constants_svm():
         bound = 2.0 * (global_lipschitz_bound(p.lipschitz, w) ** 2 + 1.0)
         for seed in range(8):
             tr = run_scdm(p, SolverConfig(max_iters=10_000, seed=seed), "I")
-            cert = check_rcfdm(tr, p, w)
+            cert = check_rcfdm(tr, p)
             ok = (ok and cert.beta_hat_sq <= bound
                   and cert.zeta_hat >= 0.5 * (1 - 1e-9))
         worst.append(f"{name}: beta_hat^2={cert.beta_hat_sq:.3g}<={bound:.3g}, "
@@ -114,7 +114,7 @@ def test_criterion_04_expectation_framework_constants_erm():
     w = p.lipschitz
     t0 = time.perf_counter()
     tr = run_scdm(p, SolverConfig(max_iters=2000, seed=0), "I")
-    cert = check_rfdm(tr, p, w, check_every=1)
+    cert = check_rfdm(tr, p, check_every=1)
     elapsed = time.perf_counter() - t0
     lfw = global_lipschitz_bound(p.lipschitz, w)
     r_sq = float(np.max((p.lipschitz / w) ** 2))

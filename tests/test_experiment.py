@@ -244,6 +244,34 @@ class TestRunExperiment:
         b1.pop("timing"), b2.pop("timing")
         assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
+    @pytest.mark.parametrize("problem, solver", [
+        ({"kind": "svm-dual", "lam": 0.1}, {}),
+        ({"kind": "svm-dual", "lam": 0.1}, {"w": "ones"}),
+        ({"kind": "quadratic", "diag": [1, 2, 3], "linear": [1, -1, 1]},
+         {"w": [1.0, 2.0, 3.0], "x0": [0.5, -1.0, 2.0], "option": "II"}),
+    ], ids=["lipschitz", "ones", "list-and-start"])
+    def test_every_seed_runs_with_the_checked_weights_and_start(
+            self, tmp_path, monkeypatch, problem, solver):
+        raw = svm_config(tmp_path, problem=problem,
+                         solver={"kind": "scdm", "max_iters": 30, **solver})
+        if problem["kind"] == "quadratic":
+            del raw["dataset"]
+        cfg = ExperimentConfig.from_dict(raw)
+        received = {}
+        real = expmod.run_scdm
+
+        def recording(p, sc, option):
+            received[sc.seed] = (sc.w.tobytes(), sc.x0.tobytes())
+            return real(p, sc, option=option)
+
+        monkeypatch.setattr(expmod, "run_scdm", recording)
+        run_experiment(cfg)
+        p = build_problem(cfg, expmod.build_dataset(cfg))
+        for seed in cfg.seeds:
+            sc = expmod.solver_config(cfg, p, seed)
+            assert received.pop(seed) == (sc.w.tobytes(), sc.x0.tobytes())
+        assert not received
+
     def test_raw_dataset_released_before_the_seeds_run(self, tmp_path,
                                                        monkeypatch):
         raw = {**svm_config(tmp_path), "dataset": {
@@ -353,19 +381,50 @@ class TestRunExperiment:
     def test_gap_bound_ignores_the_rates_geometry(self, tmp_path):
         # the gap bound is stated for w = L; with solver.w = "ones" the rates
         # block's kappa_hat is measured in another geometry (0.0167 against
-        # 0.2143 here) and must not reach the gap reports
-        gap_reports = []
-        for rates in (False, True):
-            raw = svm_config(
-                tmp_path, problem={"kind": "svm-dual", "lam": 0.05},
-                dataset={"source": "synthetic", "generator": "gaussian-margin",
-                         "n": 16, "d": 24, "seed": 2},
-                solver={"kind": "scdm", "option": "I", "w": "ones"},
-                seeds=[0], rates={"enabled": rates},
-                gap={"enabled": True, "epsilons": [0.01], "n_seeds": 4})
-            result = run_experiment(ExperimentConfig.from_dict(raw))
-            gap_reports.append(result.report["aggregate"]["gap_reports"])
-        assert gap_reports[1] == gap_reports[0]
+        # 0.2143 here) and must not reach the gap reports.  The gap block
+        # reads the reference of rates.reference_iters whether or not the
+        # rates block is on (200 steps give a bound of 491, the default
+        # budget 570)
+        for reference_iters in (None, 200):
+            gap_reports = []
+            for rates in (False, True):
+                raw = svm_config(
+                    tmp_path, problem={"kind": "svm-dual", "lam": 0.05},
+                    dataset={"source": "synthetic",
+                             "generator": "gaussian-margin",
+                             "n": 16, "d": 24, "seed": 2},
+                    solver={"kind": "scdm", "option": "I", "w": "ones"},
+                    seeds=[0], rates={"enabled": rates,
+                                      "reference_iters": reference_iters},
+                    gap={"enabled": True, "epsilons": [0.01], "n_seeds": 4})
+                result = run_experiment(ExperimentConfig.from_dict(raw))
+                gap_reports.append(result.report["aggregate"]["gap_reports"])
+            assert gap_reports[1] == gap_reports[0]
+
+    @pytest.mark.parametrize("rates", [False, True])
+    def test_one_reference_solve_for_the_rates_and_gap_blocks(
+            self, tmp_path, monkeypatch, rates):
+        calls = []
+
+        def spy(problem, iters=None):
+            calls.append(iters)
+            return reference_solve(problem, iters)
+
+        monkeypatch.setattr(expmod, "reference_solve", spy)
+        raw = svm_config(tmp_path, rates={"enabled": rates,
+                                          "reference_iters": 300},
+                         gap={"enabled": True, "epsilons": [0.1],
+                              "n_seeds": 2})
+        aggregate = run_experiment(ExperimentConfig.from_dict(raw)).report[
+            "aggregate"]
+        assert calls == [300]
+        assert aggregate["gap_reports"] is not None
+        if rates:
+            assert aggregate["kappa_hat"] is not None
+            assert aggregate["f_star_reference"] is not None
+        else:
+            assert aggregate["kappa_hat"] is None
+            assert aggregate["f_star_reference"] is None
 
     @pytest.mark.parametrize("draw_block", [None, 1])
     def test_mean_gap_equals_one_run_per_seed_bitwise(self, draw_block):
@@ -413,7 +472,8 @@ class TestRunExperiment:
     def test_mean_gap_with_zero_iteration_bounds(self):
         # every epsilon gives K = 0: the seeds' only iterate is the start
         p = fixtures.svm_dual_toy()
-        reports = mean_gap_experiment(p, [10.0, 20.0], n_seeds=3)
+        reports = mean_gap_experiment(p, [10.0, 20.0], reference_solve(p),
+                                      n_seeds=3)
         gap0 = p.duality_gap(p.box.clip(np.zeros(p.n)))
         assert gap0 <= 10.0
         for r in reports:

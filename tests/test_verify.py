@@ -360,7 +360,7 @@ class TestCheckRfdm:
 def _rfdm_chunk(monkeypatch, p, steps):
     """Make check_rfdm enumerate ``p``'s traces in chunks of ``steps``
     checked steps."""
-    monkeypatch.setattr(verify, "_RFDM_CHUNK_BYTES",
+    monkeypatch.setattr(verify, "_REPLAY_CHUNK_BYTES",
                         8 * p.n * p.image_dim * steps)
 
 
